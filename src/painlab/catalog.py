@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .algebra import dual_gradient
+from ._gradients import gradient
 from .hamiltonians import HAMILTONIANS
 
 __all__ = [
@@ -341,12 +341,7 @@ def vector_field(sid: str, i: int, params, state: PhaseState):
     desc = lookup(sid)
     merged = full_params(sid, params)
     n = desc.n_pairs
-    h = HAMILTONIANS[sid]
-
-    def f(*z):
-        return h(i, merged, z[:n], z[n:], state.t)
-
-    _, grad = dual_gradient(f, state.q + state.p)
+    grad = gradient(sid, i)(merged, state.q, state.p, state.t)
     ti = state.t[i - 1]
     scale = 1.0 / (ti * (ti - 1))
     dq = tuple(scale * grad[n + j] for j in range(n))
@@ -354,32 +349,31 @@ def vector_field(sid: str, i: int, params, state: PhaseState):
     return dq, dp
 
 
-def flow_rhs(sid: str, i: int, params, times) -> Callable:
+def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
     """rhs(z, y) for integrating the i-th flow with the integrator module.
 
     ``y`` stacks q then p; ``z`` is the running value of t_i; the other
-    entries of ``times`` stay frozen.
+    entries of ``times`` stay frozen.  ``scale`` multiplies the
+    Hamiltonian (1.0 is the true flow; other values give the negative
+    controls of the isomonodromy check).
     """
     import numpy as np
 
     desc = lookup(sid)
     merged = full_params(sid, params)
     n = desc.n_pairs
-    h = HAMILTONIANS[sid]
+    grad_h = gradient(sid, i)
     tvals = [complex(v) for v in times]
 
     def rhs(z, y):
+        # plain Python complex: the generated arithmetic is several times
+        # slower on numpy scalars
+        z = complex(z)
         t = tuple(z if k == i - 1 else tvals[k] for k in range(desc.n_times))
-
-        def f(*w):
-            return h(i, merged, w[:n], w[n:], t)
-
-        _, grad = dual_gradient(f, tuple(y))
-        scale = 1.0 / (z * (z - 1))
-        out = np.empty(2 * n, dtype=complex)
-        for j in range(n):
-            out[j] = scale * grad[n + j]
-            out[n + j] = -scale * grad[j]
-        return out
+        w = np.asarray(y, dtype=complex).tolist()
+        grad = grad_h(merged, w[:n], w[n:], t)
+        sc = scale / (z * (z - 1))
+        return np.array([sc * g for g in grad[n:]]
+                        + [-sc * g for g in grad[:n]], dtype=complex)
 
     return rhs

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Dual
+from .algebra import dual_gradient
 from .catalog import PhaseState, derive_alphas, eval_h, full_params, lookup, vector_field
 from .sampling import rational_complex, sample_params, sample_state
 
@@ -251,18 +251,15 @@ def _tangency(rule, params, state):
     worst = 0.0
     for i in range(1, desc.n_times + 1):
         dq, dp = vector_field(rule.big, i, params, state)
-        k = 2 * n + 1
-        vals = list(state.q) + list(state.p) + [state.t[i - 1]]
-        seeds = [Dual(v, tuple(1.0 if j == m else 0.0 for j in range(k)))
-                 for m, v in enumerate(vals)]
-        tt = tuple(seeds[2 * n] if m == i - 1 else state.t[m]
-                   for m in range(desc.n_times))
         dz = list(dq) + list(dp) + [1.0]
         for g in rule.constraints:
-            out = g(seeds[:n], seeds[n:2 * n], tt, par)
-            if isinstance(out, Dual):
-                worst = max(worst, abs(sum(out.grad[m] * dz[m]
-                                           for m in range(k))))
+            def f(*w, g=g):
+                tt = tuple(w[2 * n] if m == i - 1 else state.t[m]
+                           for m in range(desc.n_times))
+                return g(w[:n], w[n:2 * n], tt, par)
+
+            _, grad = dual_gradient(f, state.q + state.p + state.t[i - 1:i])
+            worst = max(worst, abs(sum(a * b for a, b in zip(grad, dz))))
     return worst
 
 

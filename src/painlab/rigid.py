@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Dual
+from .algebra import dual_gradient
 from .catalog import PhaseState, full_params, lookup, vector_field
 
 __all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
@@ -427,20 +427,15 @@ def constraint_flow_drift(case: RigidCase, params, state: PhaseState):
     worst = 0.0
     for i in range(1, desc.n_times + 1):
         dq, dp = vector_field(case.parent, i, params, state)
+        dz = list(dq) + list(dp) + [1.0]
         for g in case.constraints:
-            k = 2 * n + 1
-            vals = list(state.q) + list(state.p) + [state.t[i - 1]]
-            seeds = [Dual(v, tuple(1.0 if j == m else 0.0 for j in range(k)))
-                     for m, v in enumerate(vals)]
-            tt = tuple(seeds[2 * n] if m == i - 1 else state.t[m]
-                       for m in range(desc.n_times))
-            out = g(seeds[:n], seeds[n:2 * n], tt, par)
-            dz = list(dq) + list(dp) + [1.0]
-            if isinstance(out, Dual):
-                d = sum(out.grad[m] * dz[m] for m in range(k))
-            else:
-                d = 0.0
-            worst = max(worst, abs(d))
+            def f(*w, g=g):
+                tt = tuple(w[2 * n] if m == i - 1 else state.t[m]
+                           for m in range(desc.n_times))
+                return g(w[:n], w[n:2 * n], tt, par)
+
+            _, grad = dual_gradient(f, state.q + state.p + state.t[i - 1:i])
+            worst = max(worst, abs(sum(a * b for a, b in zip(grad, dz))))
     return worst
 
 

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from . import catalog, degenerations, rigid
-from .algebra import Dual, dual_gradient
+from ._gradients import gradient
+from .algebra import Dual
 from .catalog import PhaseState, full_params, lookup, vector_field
 from .fuchsian import accessory_count
 from .integrator import ComplexPath, integrate, integrate_two_time
@@ -176,25 +177,8 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
 
 
 def _deformed_states(sid, par, st, length, scale_h, rel_tol, n_check):
-    desc = lookup(sid)
-    merged = full_params(sid, par)
-    n = desc.n_pairs
-    h = catalog.HAMILTONIANS[sid]
-
-    def rhs(z, y):
-        t = (z,) + st.t[1:]
-
-        def f(*w):
-            return h(1, merged, w[:n], w[n:], t)
-
-        _, grad = dual_gradient(f, tuple(y))
-        sc = scale_h / (z * (z - 1))
-        out = np.empty(2 * n, dtype=complex)
-        for j in range(n):
-            out[j] = sc * grad[n + j]
-            out[n + j] = -sc * grad[j]
-        return out
-
+    n = lookup(sid).n_pairs
+    rhs = catalog.flow_rhs(sid, 1, par, st.t, scale=scale_h)
     t0v, t1v = st.t[0], st.t[0] + length
     sing = [0.0, 1.0] + list(st.t[1:])
     path = ComplexPath.polyline([t0v, t1v], singularities=sing)
@@ -465,6 +449,8 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
 
 
 def verify_gradients(seed=DEFAULT_SEED, n_samples=100, rel=1e-6, step=1e-6):
+    """The generated gradients every flow uses, against central differences
+    of the Hamiltonians themselves."""
     t0 = time.time()
     rng = rng_from_seed(seed)
     rows = {}
@@ -482,7 +468,7 @@ def verify_gradients(seed=DEFAULT_SEED, n_samples=100, rel=1e-6, step=1e-6):
                 def f(*z):
                     return h(i, merged, z[:n], z[n:], st.t)
 
-                _, grad = dual_gradient(f, st.q + st.p)
+                grad = gradient(sid, i)(merged, st.q, st.p, st.t)
                 z0 = list(st.q + st.p)
                 for k in range(2 * n):
                     zp, zm = list(z0), list(z0)

@@ -20,8 +20,6 @@ __all__ = [
     "eigen_small",
     "default_cluster_tol",
     "mat_mul",
-    "mat_add",
-    "mat_sub",
     "mat_smul",
     "mat_shift",
     "mat_trace",
@@ -117,15 +115,25 @@ def dual_gradient(f, point):
     ``f`` must accept ``len(point)`` scalar arguments and be built from
     arithmetic the :class:`Dual` type supports.  Returns
     ``(value, gradient_tuple)``; the partials are exact up to rounding.
+    If ``f`` returns a tuple, returns ``(values, rows)`` instead: one
+    value and one gradient row (a Jacobian row) per component, with a
+    zero row for a component that does not depend on ``point``.
     """
     point = [complex(z) for z in point]
     k = len(point)
     seeds = [Dual(z, tuple(1.0 if j == i else 0.0 for j in range(k)))
              for i, z in enumerate(point)]
+
+    def split(out):
+        if isinstance(out, Dual):
+            return out.val, out.grad
+        return complex(out), (0j,) * k
+
     out = f(*seeds)
-    if isinstance(out, Dual):
-        return out.val, out.grad
-    return complex(out), (0j,) * k
+    if isinstance(out, tuple):
+        pairs = [split(o) for o in out]
+        return (tuple(v for v, _ in pairs), tuple(g for _, g in pairs))
+    return split(out)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +239,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m))
         for i in range(n)
     )
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_smul(s, a):

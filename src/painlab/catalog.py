@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ._gradients import gradient
+from .algebra import dual_gradient
 from .hamiltonians import HAMILTONIANS
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "eval_h",
     "vector_field",
     "flow_rhs",
+    "constraint_rate",
     "TIME_COLLISION_TOL",
 ]
 
@@ -377,3 +379,28 @@ def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
                         + [-sc * g for g in grad[:n]], dtype=complex)
 
     return rhs
+
+
+def constraint_rate(sid: str, params, state: PhaseState, constraints):
+    """Max |d g/dt_i| over every flow i of ``sid`` and every constraint g.
+
+    Each ``g(q, p, t, merged_params)`` cuts a submanifold; on an invariant
+    one the rate vanishes.  The rate is the exact gradient of g in
+    (q, p, t_i) contracted with the flow (dq/dt_i, dp/dt_i, 1).
+    """
+    desc = lookup(sid)
+    par = full_params(sid, params)
+    n = desc.n_pairs
+    worst = 0.0
+    for i in range(1, desc.n_times + 1):
+        dq, dp = vector_field(sid, i, params, state)
+        dz = list(dq) + list(dp) + [1.0]
+        for g in constraints:
+            def f(*w, g=g):
+                tt = tuple(w[2 * n] if m == i - 1 else state.t[m]
+                           for m in range(desc.n_times))
+                return g(w[:n], w[n:2 * n], tt, par)
+
+            _, grad = dual_gradient(f, state.q + state.p + state.t[i - 1:i])
+            worst = max(worst, abs(sum(a * b for a, b in zip(grad, dz))))
+    return worst

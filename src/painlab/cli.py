@@ -36,6 +36,10 @@ def _load_config(path):
         return json.load(fh)
 
 
+# what malformed JSON values raise on their way to complex numbers
+_BAD_VALUE = (ValueError, TypeError, IndexError)
+
+
 def _complex_from(v):
     if isinstance(v, (list, tuple)):
         return complex(v[0], v[1])
@@ -68,12 +72,18 @@ def cmd_integrate(args, config):
     rng = rng_from_seed(seed)
 
     params = config.get("params")
-    if args.params is not None:
-        params = json.loads(args.params)
-    if params is None:
+    if args.params is None and params is None:
         params = {k: [v.real, v.imag]
                   for k, v in sample_params(sid, rng, generic=True).items()}
-    par = {k: _complex_from(v) for k, v in params.items()}
+    try:
+        if args.params is not None:
+            params = json.loads(args.params)
+        if not isinstance(params, dict):
+            raise TypeError("expected a JSON object")
+        par = {k: _complex_from(v) for k, v in params.items()}
+    except _BAD_VALUE as exc:
+        print(f"error: bad parameters: {exc}", file=sys.stderr)
+        return 2
     missing = [n for n in desc.param_names if n not in par]
     if missing:
         print(f"error: missing parameters {missing}", file=sys.stderr)
@@ -89,9 +99,13 @@ def cmd_integrate(args, config):
         st = sample_state(sid, rng)
         st = PhaseState(tuple(0.4 * z for z in st.q),
                         tuple(0.4 * z for z in st.p), st.t)
-    t_end = (_complex_from(json.loads(args.t_end)) if args.t_end
-             else _complex_from(config.get("t_end",
-                                           st.t[time_index - 1] + 0.3)))
+    t_default = st.t[time_index - 1] + 0.3
+    try:
+        t_end = (_complex_from(json.loads(args.t_end)) if args.t_end
+                 else _complex_from(config.get("t_end", t_default)))
+    except _BAD_VALUE as exc:
+        print(f"error: bad t_end: {exc}", file=sys.stderr)
+        return 2
     rel_tol = args.rel_tol or float(config.get("rel_tol", 1e-9))
 
     sing = [0.0, 1.0] + [st.t[k] for k in range(desc.n_times)
@@ -99,10 +113,11 @@ def cmd_integrate(args, config):
     try:
         path = ComplexPath.polyline([st.t[time_index - 1], t_end],
                                     singularities=sing)
+        # full_params raises here on a violated trace relation
+        rhs = catalog.flow_rhs(sid, time_index, par, st.t)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rhs = catalog.flow_rhs(sid, time_index, par, st.t)
     y0 = np.array(st.q + st.p, dtype=complex)
     traj = integrate(rhs, y0, path, rel_tol=rel_tol,
                      samples=list(np.linspace(0.1, 0.9, 9)))

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import dual_gradient
-from .catalog import PhaseState, derive_alphas, eval_h, full_params, lookup, vector_field
+from .catalog import (PhaseState, constraint_rate, derive_alphas, eval_h,
+                      full_params, lookup)
 from .sampling import rational_complex, sample_params, sample_state
 
-__all__ = ["DegenerationRule", "RULES", "check_rule", "identity_rule_residual"]
+__all__ = ["DegenerationRule", "RULES", "check_rule"]
 
 
 @dataclass(frozen=True)
@@ -244,25 +244,6 @@ RULES = {r.label: r for r in (
     _mk_rule_5(), _mk_rule_6(), _mk_rule_7())}
 
 
-def _tangency(rule, params, state):
-    desc = lookup(rule.big)
-    par = full_params(rule.big, params)
-    n = desc.n_pairs
-    worst = 0.0
-    for i in range(1, desc.n_times + 1):
-        dq, dp = vector_field(rule.big, i, params, state)
-        dz = list(dq) + list(dp) + [1.0]
-        for g in rule.constraints:
-            def f(*w, g=g):
-                tt = tuple(w[2 * n] if m == i - 1 else state.t[m]
-                           for m in range(desc.n_times))
-                return g(w[:n], w[n:2 * n], tt, par)
-
-            _, grad = dual_gradient(f, state.q + state.p + state.t[i - 1:i])
-            worst = max(worst, abs(sum(a * b for a, b in zip(grad, dz))))
-    return worst
-
-
 def check_rule(rule: DegenerationRule, n_samples, rng):
     """(max Hamiltonian residual, max tangency residual) over samples."""
     worst_h = worst_t = 0.0
@@ -272,21 +253,10 @@ def check_rule(rule: DegenerationRule, n_samples, rng):
         try:
             state = rule.onto_manifold(rng, params, None)
             worst_h = max(worst_h, rule.hamiltonian_residual(rule, params, state))
-            worst_t = max(worst_t, _tangency(rule, params, state))
+            worst_t = max(worst_t, constraint_rate(rule.big, params, state,
+                                                   rule.constraints))
         except (ValueError, ZeroDivisionError):
             continue
         done += 1
     return worst_h, worst_t
 
-
-def identity_rule_residual(sid, rng, n_samples=5):
-    """Degenerating a system onto itself with the empty rule: residual 0."""
-    worst = 0.0
-    for _ in range(n_samples):
-        par = sample_params(sid, rng)
-        st = sample_state(sid, rng)
-        desc = lookup(sid)
-        for i in range(1, desc.n_times + 1):
-            worst = max(worst,
-                        abs(eval_h(sid, i, par, st) - eval_h(sid, i, par, st)))
-    return worst

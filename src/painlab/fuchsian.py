@@ -21,7 +21,6 @@ __all__ = [
     "RiemannScheme",
     "ClusterAmbiguityError",
     "parse_spectral_type",
-    "format_spectral_type",
     "accessory_count",
     "residue_infinity",
     "spectral_type_of",
@@ -38,10 +37,6 @@ def parse_spectral_type(sid: str):
     if len(sums) != 1:
         raise ValueError(f"partitions of {sid!r} do not share a common sum")
     return parts
-
-
-def format_spectral_type(parts) -> str:
-    return ",".join("".join(str(m) for m in p) for p in parts)
 
 
 SpectralType = tuple

@@ -25,7 +25,6 @@ __all__ = [
     "monodromy_representation",
     "invariant_traces",
     "isomonodromy_drift",
-    "drift_report",
 ]
 
 
@@ -110,23 +109,6 @@ class MonodromyRepresentation:
             "traces": [[np.trace(m).real, np.trace(m).imag]
                        for m in self.matrices],
         }
-
-
-def drift_report(assemble_at, checkpoints, rel_tol=1e-10):
-    """JSON-ready drift table of the invariant traces across a deformation."""
-    rows = []
-    ref = None
-    for s in checkpoints:
-        sys = assemble_at(s)
-        rep = monodromy_representation(sys, rel_tol=rel_tol)
-        tr = invariant_traces(rep)
-        if ref is None:
-            ref = tr
-        rows.append({"checkpoint": float(s),
-                     "drift": float(np.max(np.abs(tr - ref))),
-                     "representation": rep.to_json_dict()})
-    return {"checkpoints": rows,
-            "max_drift": max(r["drift"] for r in rows)}
 
 
 def monodromy_representation(sys: FuchsianSystem, rel_tol=1e-10,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import value_of
+from .algebra import mat_mul, value_of
 from .catalog import PhaseState, full_params, lookup
 from .fuchsian import FuchsianSystem
 
@@ -45,16 +45,6 @@ class UnsupportedAssemblyError(NotImplementedError):
 
 def _outer(u, v):
     return tuple(tuple(ui * vj for vj in v) for ui in u)
-
-
-def _mat(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def _mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(k))
-                       for j in range(m)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,7 @@ def _mats_3131(par, b, c):
     C3 = ((th3 - a4, -a5, 1, 0), (-a6, th3 - a7, 0, 1))
     B4 = ((1, 0), (0, 1), (0, 0), (0, 0))
     C4 = ((th4, 0, a8, a9), (0, th4, a10, a11))
-    return A1, A2, _mul(B3, C3), _mul(B4, C4)
+    return A1, A2, mat_mul(B3, C3), mat_mul(B4, C4)
 
 
 def _state_from_mats_3131(par, mats, t):
@@ -257,8 +247,8 @@ def _mats_21_111(par, b, c):
     A1 = _outer((1, b1, b2), (th1 - b1 * c1 - b2 * c2, c1, c2))
     B2 = ((1, 1), (b3, a1), (b4, a2))
     C2 = ((a3, c3, c4), (a4, 1, 1))
-    A3 = _mul(((1, 0), (0, 1), (0, 0)), ((th31, a5, a6), (0, th32, a7)))
-    return A1, _mul(B2, C2), A3
+    A3 = mat_mul(((1, 0), (0, 1), (0, 0)), ((th31, a5, a6), (0, th32, a7)))
+    return A1, mat_mul(B2, C2), A3
 
 
 def _state_from_mats_21_111(par, mats, t):
@@ -351,9 +341,9 @@ def _mats_3122(par, b, c):
     B2 = ((1, 0), (0, 1), (a1, a2), (a3, b4))
     C2 = ((th2 - a1 - a3, -a2 - b4, 1, 1),
           (-a1 - c4 * a3, th2 - a2 - b4 * c4, 1, c4))
-    A3 = _mul(((1, 0), (0, 1), (0, 0), (0, 0)),
+    A3 = mat_mul(((1, 0), (0, 1), (0, 0), (0, 0)),
               ((th31, a4, a5, a6), (0, th32, a7, a8)))
-    return A1, _mul(B2, C2), A3
+    return A1, mat_mul(B2, C2), A3
 
 
 def _state_from_mats_3122(par, mats, t):
@@ -392,7 +382,7 @@ def _blocks_2222(par, b, c):
     a1 = -q2 * p2 - (th1 + th2 + th32 + r2 + r3)
     B1 = ((-p1, -p2), (a1, -p3))
     C1 = ((q1, 1), (q2, q3))
-    B1C1 = _mul(B1, C1)
+    B1C1 = mat_mul(B1, C1)
     B2 = tuple(tuple(-x - (r3 if i == j else 0) for j, x in enumerate(row))
                for i, row in enumerate(B1C1))
     a6 = -(q1 - q3) * p2 + p1 - p3
@@ -416,13 +406,13 @@ def _mats_2222(par, b, c):
 
     I2 = ((1, 0), (0, 1))
     Z2 = ((0, 0), (0, 0))
-    C1B1 = _mul(C1, B1)
+    C1B1 = mat_mul(C1, B1)
     tl1 = tuple(tuple((th1 if i == j else 0) - C1B1[i][j] for j in range(2))
                 for i in range(2))
-    A1 = block4(tl1, C1, _mul(B1, tl1), _mul(B1, C1))
+    A1 = block4(tl1, C1, mat_mul(B1, tl1), mat_mul(B1, C1))
     tl2 = tuple(tuple((th2 if i == j else 0) - B2[i][j] for j in range(2))
                 for i in range(2))
-    A2 = block4(tl2, I2, _mul(B2, tl2), B2)
+    A2 = block4(tl2, I2, mat_mul(B2, tl2), B2)
     A3 = block4(C31, C32, Z2, Z2)
     return A1, A2, A3
 
@@ -435,7 +425,7 @@ def _state_from_mats_2222(par, mats, t):
     _need(det, "det C1")
     C1inv = ((C1[1][1] / det, -C1[0][1] / det),
              (-C1[1][0] / det, C1[0][0] / det))
-    B1 = _mul(BR, C1inv)
+    B1 = mat_mul(BR, C1inv)
     q = (C1[0][0], C1[1][0], C1[1][1])
     p = (-B1[0][0], -B1[0][1], -B1[1][1])
     return q, p

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dual_gradient
-from .catalog import PhaseState, full_params, lookup, vector_field
+from .catalog import PhaseState, constraint_rate, full_params
 
 __all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
            "rigid_rhs", "specialization_residual", "constraint_flow_drift",
@@ -421,22 +420,7 @@ def specialization_residual(case: RigidCase, params, state: PhaseState):
 
 def constraint_flow_drift(case: RigidCase, params, state: PhaseState):
     """Max |d g_k/dt_i| along the parent flow, on the manifold."""
-    desc = lookup(case.parent)
-    par = full_params(case.parent, params)
-    n = desc.n_pairs
-    worst = 0.0
-    for i in range(1, desc.n_times + 1):
-        dq, dp = vector_field(case.parent, i, params, state)
-        dz = list(dq) + list(dp) + [1.0]
-        for g in case.constraints:
-            def f(*w, g=g):
-                tt = tuple(w[2 * n] if m == i - 1 else state.t[m]
-                           for m in range(desc.n_times))
-                return g(w[:n], w[n:2 * n], tt, par)
-
-            _, grad = dual_gradient(f, state.q + state.p + state.t[i - 1:i])
-            worst = max(worst, abs(sum(a * b for a, b in zip(grad, dz))))
-    return worst
+    return constraint_rate(case.parent, params, state, case.constraints)
 
 
 def lift_solution(case: RigidCase, params, ys, times_list):

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Dual, dual_gradient
+from .algebra import dual_gradient, mat_mul
 from .catalog import PhaseState, full_params, lookup
 from .fuchsian import FuchsianSystem
-from .parametrizations import assemble, parametrization
+from .parametrizations import parametrization
 
 __all__ = [
     "schlesinger_rhs",
@@ -23,7 +23,6 @@ __all__ = [
     "trace_hamiltonian",
     "bc_rhs",
     "to_canonical",
-    "from_canonical",
     "bc_vector",
     "state_from_bc_vector",
     "realign_to_slice",
@@ -82,15 +81,19 @@ def schlesinger_flow_rhs(points, i):
 
 
 def trace_hamiltonian(points, mats, i):
-    """H_i = sum over the other finite points of tr(A_i A_j)/(t_i - t_j)."""
+    """H_i = sum over the other finite points of tr(A_i A_j)/(t_i - t_j),
+    entrywise, so that matrices of :class:`~painlab.algebra.Dual` work too."""
     _check_times(points, i)
-    Ai = mats[i - 1]
     ti = points[i - 1]
-    out = 0.0 + 0.0j
-    for j, (tj, Aj) in enumerate(zip(points, mats)):
+    Ai = mats[i - 1]
+    L = len(Ai)
+    out = 0
+    for j, tj in enumerate(points):
         if j == i - 1:
             continue
-        out += np.trace(np.asarray(Ai) @ np.asarray(Aj)) / (ti - tj)
+        Aj = mats[j]
+        tr = sum(Ai[r][k] * Aj[k][r] for r in range(L) for k in range(L))
+        out = out + tr / (ti - tj)
     return out
 
 
@@ -126,11 +129,6 @@ def bc_rhs(points, Bs, Cs, i):
 # ---------------------------------------------------------------------------
 
 
-def from_canonical(sid, params, state: PhaseState) -> FuchsianSystem:
-    """Residue matrices at a phase-space point (gauge-fixed)."""
-    return assemble(sid, params, state)
-
-
 def to_canonical(sid, params, sys: FuchsianSystem) -> PhaseState:
     """Phase-space point of a gauge-fixed matrix tuple."""
     pz = parametrization(sid)
@@ -157,19 +155,6 @@ def state_from_bc_vector(sid, params, bc, t):
     return PhaseState(q, p, t)
 
 
-def _generic_trace_h(points, mats, i):
-    ti = points[i - 1]
-    L = len(mats[0])
-    out = 0
-    for j, tj in enumerate(points):
-        if j == i - 1:
-            continue
-        Ai, Aj = mats[i - 1], mats[j]
-        tr = sum(Ai[r][k] * Aj[k][r] for r in range(L) for k in range(L))
-        out = out + tr / (ti - tj)
-    return out
-
-
 def realign_to_slice(sid, params, mats, max_iter=50, tol=1e-12):
     """Conjugate raw matrices back onto the gauge slice of the parametrization.
 
@@ -184,27 +169,12 @@ def realign_to_slice(sid, params, mats, max_iter=50, tol=1e-12):
                                   "headline three-by-three system only")
     A = [np.asarray(m, dtype=complex) for m in mats]
 
-    def conditions(u):
-        x, y, z, d2, d3 = u
+    def conditions(x, y, z, d2, d3):
         g = ((1, 0, 0), (x, d2, 0), (y, z, d3))
         gi = ((1, 0, 0),
               (-x / d2, 1 / d2, 0),
               ((x * z - y * d2) / (d2 * d3), -z / (d2 * d3), 1 / d3))
-
-        def conj(M):
-            rows = []
-            for r in range(3):
-                row = []
-                for s in range(3):
-                    val = 0
-                    for a in range(3):
-                        for b in range(3):
-                            val = val + gi[r][a] * M[a][b] * g[b][s]
-                    row.append(val)
-                rows.append(tuple(row))
-            return tuple(rows)
-
-        B = [conj(m) for m in A]
+        B = [mat_mul(mat_mul(gi, m), g) for m in A]
         B4, B3 = B[3], B[2]
         col = max(range(3), key=lambda j: abs(A[3][0, j]))
         u4 = tuple(B4[r][col] for r in range(3))
@@ -214,13 +184,9 @@ def realign_to_slice(sid, params, mats, max_iter=50, tol=1e-12):
 
     u = [0.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j, 1.0 + 0j]
     for _ in range(max_iter):
-        seeds = [Dual(v, tuple(1.0 if j == m else 0.0 for j in range(5)))
-                 for m, v in enumerate(u)]
-        out = conditions(seeds)
-        F = np.array([o.val for o in out])
+        F, J = map(np.array, dual_gradient(conditions, u))
         if np.max(np.abs(F)) < tol:
             break
-        J = np.array([list(o.grad) for o in out])
         du = np.linalg.solve(J, -F)
         u = [ui + d for ui, d in zip(u, du)]
     else:
@@ -248,18 +214,19 @@ def induced_state_field(sid, params, state: PhaseState, i):
 
     def H(*z):
         mats = pz.matrices_from_bc(par, z[:nb], z[nb:])
-        return _generic_trace_h(points, mats, i)
+        return trace_hamiltonian(points, mats, i)
 
     _, g = dual_gradient(H, tuple(b) + tuple(c))
     bdot = [g[nb + k] for k in range(nb)]
     cdot = [-g[k] for k in range(nb)]
 
-    k = 2 * nb + 1
-    seeds = [Dual(v, tuple(1.0 if j == m else 0.0 for j in range(k)))
-             for m, v in enumerate(list(b) + list(c) + [state.t[i - 1]])]
-    tt = tuple(seeds[2 * nb] if m == i - 1 else state.t[m]
-               for m in range(desc.n_times))
-    q, p = pz.state_from_bc(par, seeds[:nb], seeds[nb:2 * nb], tt)
+    def qp(*w):
+        tt = tuple(w[2 * nb] if m == i - 1 else state.t[m]
+                   for m in range(desc.n_times))
+        q, p = pz.state_from_bc(par, w[:nb], w[nb:2 * nb], tt)
+        return tuple(q) + tuple(p)
+
+    _, rows = dual_gradient(qp, tuple(b) + tuple(c) + (state.t[i - 1],))
     dz = bdot + cdot + [1.0]
-    der = [sum(v.grad[m] * dz[m] for m in range(k)) for v in q + p]
+    der = [sum(gm * dm for gm, dm in zip(g, dz)) for g in rows]
     return tuple(der[:desc.n_pairs]), tuple(der[desc.n_pairs:])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog, degenerations, rigid
 from ._gradients import gradient
-from .algebra import Dual
+from .algebra import dual_gradient
 from .catalog import PhaseState, full_params, lookup, vector_field
 from .fuchsian import accessory_count
 from .integrator import ComplexPath, integrate, integrate_two_time
@@ -231,10 +231,14 @@ def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
 # ---------------------------------------------------------------------------
 
 
+# draws of constrained_rigid_params before it gives up on a case
+MAX_PARAM_DRAWS = 100
+
+
 def constrained_rigid_params(case, rng):
     """Parent parameters satisfying the case's parameter constraint."""
     sid = case.parent
-    while True:
+    for _ in range(MAX_PARAM_DRAWS):
         par = sample_params(sid, rng, generic=True)
         if sid == "21,21,21,21,111":
             par["theta3"] = -par["rho2"] - par["theta1"]
@@ -259,11 +263,12 @@ def constrained_rigid_params(case, rng):
             continue
         if abs(case.parameter_constraint(merged)) > 1e-10:
             continue
-        vals = [v for v in merged.values() if isinstance(v, complex)]
         if merged.get("eta") is not None and abs(merged["eta"]) < 0.05 \
                 and case.case_id == "case-3122":
             continue
         return par
+    raise RuntimeError(f"{case.case_id}: no admissible parameters in "
+                       f"{MAX_PARAM_DRAWS} draws")
 
 
 def _match_multiset(values, targets, tol):
@@ -333,19 +338,14 @@ def _rigid_two_time_compat(case, par, side=0.2, rel_tol=1e-11):
 
 def _lift_chain_rule(case, merged, y, dy, t, i):
     """Exact d(q,p)/dt_i of the lifted point via dual numbers."""
-    k = 5
-    seeds = [Dual(v, tuple(1.0 if j == m else 0.0 for j in range(k)))
-             for m, v in enumerate(list(y) + [t[i - 1]])]
-    tt = tuple(seeds[4] if m == i - 1 else t[m] for m in range(len(t)))
-    q, p = case.lift(seeds[:4], tt, merged)
+    def qp(*w):
+        tt = tuple(w[4] if m == i - 1 else t[m] for m in range(len(t)))
+        q, p = case.lift(w[:4], tt, merged)
+        return tuple(q) + tuple(p)
+
+    _, rows = dual_gradient(qp, tuple(y) + (t[i - 1],))
     dz = list(dy) + [1.0]
-    out = []
-    for comp in q + p:
-        if isinstance(comp, Dual):
-            out.append(sum(comp.grad[m] * dz[m] for m in range(k)))
-        else:
-            out.append(0.0)
-    return out
+    return [sum(gm * dm for gm, dm in zip(g, dz)) for g in rows]
 
 
 def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,

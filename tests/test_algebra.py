@@ -23,6 +23,18 @@ def test_constant_function_has_zero_gradient():
     assert v == 7.5 and g == (0j, 0j)
 
 
+def test_tuple_output_gives_one_row_per_component():
+    x, y = 1.5 - 0.5j, 0.75 + 2j
+    vals, rows = dual_gradient(lambda a, b: (a * b, a / b, 3.0), [x, y])
+    assert vals == (x * y, x / y, 3.0)
+    want = ((y, x), (1 / y, -x / y ** 2))
+    for row, w in zip(rows, want):
+        assert max(abs(r - c) for r, c in zip(row, w)) < 1e-15
+    assert rows[2] == (0j, 0j)
+    # a scalar f still gets a (value, gradient) pair
+    assert dual_gradient(lambda a, b: a * b, [x, y]) == (x * y, (y, x))
+
+
 @given(a=finite_complex, b=finite_complex, c=finite_complex)
 @settings(max_examples=200, deadline=None)
 def test_leibniz_rule(a, b, c):

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from painlab.cli import main
 
 
@@ -74,3 +76,22 @@ def test_env_seed_override(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     main(["verify", "counts", "--out", str(out)])
     assert json.loads(out.read_text())["seed"] == 99
+
+
+@pytest.mark.parametrize("flags", [
+    ["--params", "{bad json"],
+    ["--params", "[1, 2]"],
+    ["--params", '{"alpha0": "x"}'],
+    # every alpha 1: the exponent trace relation is violated
+    ["--params", '{"alpha0": 1, "alpha1": 1, "alpha2": 1, "alpha3": 1, '
+                 '"alpha4": 1}'],
+    ["--t-end", "[1,"],
+], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
+        "malformed-t-end"])
+def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, flags):
+    code = main(["integrate", "--system", "11,11,11,11", *flags,
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()

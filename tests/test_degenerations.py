@@ -2,7 +2,7 @@
 
 import pytest
 
-from painlab.degenerations import RULES, check_rule, identity_rule_residual
+from painlab.degenerations import RULES, check_rule
 from painlab.sampling import rng_from_seed
 
 
@@ -13,11 +13,6 @@ def test_rule(label):
     h, tang = check_rule(rule, 20, rng)
     assert h < 1e-10, f"{label}: hamiltonian residual {h}"
     assert tang < 1e-10, f"{label}: tangency residual {tang}"
-
-
-def test_identity_degeneration_is_exact():
-    rng = rng_from_seed(2)
-    assert identity_rule_residual("21,21,111,111", rng) == 0.0
 
 
 def test_rule_count():

@@ -91,15 +91,3 @@ def test_report_serializes():
     assert set(d) == {"base", "loops", "matrices", "at_infinity", "traces"}
     assert len(d["matrices"]) == 3
     assert all(lp["radius"] > 0 for lp in d["loops"])
-
-
-def test_drift_report_table():
-    import json
-
-    from painlab.monodromy import drift_report
-
-    rng = rng_from_seed(8)
-    sys = small_random_system(rng)
-    rep = drift_report(lambda s: sys, [0.0, 1.0], rel_tol=1e-9)
-    assert rep["max_drift"] < 1e-9
-    json.dumps(rep)  # must be serializable as-is

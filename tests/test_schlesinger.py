@@ -6,10 +6,9 @@ import pytest
 from painlab.catalog import PhaseState, eval_h, lookup, vector_field
 from painlab.parametrizations import assemble
 from painlab.sampling import rng_from_seed, sample_params, sample_state
-from painlab.schlesinger import (bc_rhs, bc_vector, from_canonical,
-                                 induced_state_field, schlesinger_rhs,
-                                 state_from_bc_vector, to_canonical,
-                                 trace_hamiltonian)
+from painlab.schlesinger import (bc_rhs, bc_vector, induced_state_field,
+                                 schlesinger_rhs, state_from_bc_vector,
+                                 to_canonical, trace_hamiltonian)
 
 
 def random_system(rng, n_pts=4, L=2, scale=0.4):
@@ -193,7 +192,7 @@ def test_to_canonical_inverts_from_canonical():
         rng = rng_from_seed(11)
         par = sample_params(sid, rng, generic=True)
         st = sample_state(sid, rng)
-        sys = from_canonical(sid, par, st)
+        sys = assemble(sid, par, st)
         back = to_canonical(sid, par, sys)
         assert max(abs(np.array(back.q + back.p) - np.array(st.q + st.p))) \
             < 1e-9

@@ -9,8 +9,8 @@ entry by entry, and every residue keeps its eigenvalues on the way.
 
 import numpy as np
 
-from painlab.catalog import PhaseState, flow_rhs
-from painlab.integrator import ComplexPath, integrate
+from painlab.catalog import PhaseState, flow_states
+from painlab.integrator import integrate_time
 from painlab.parametrizations import assemble
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 from painlab.schlesinger import realign_to_slice, schlesinger_flow_rhs
@@ -22,19 +22,14 @@ st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
 st = PhaseState(tuple(0.4 * z for z in st.q), tuple(0.4 * z for z in st.p),
                 st.t)
 
-t0, t1 = st.t[0], st.t[0] + 0.3
-path = ComplexPath.polyline([t0, t1], singularities=[0, 1, st.t[1]])
-
-traj = integrate(flow_rhs(sid, 1, par, st.t),
-                 np.array(st.q + st.p, dtype=complex), path, rel_tol=1e-11)
-end = PhaseState(tuple(traj.end_state[:3]), tuple(traj.end_state[3:]),
-                 st.t).with_time(1, t1)
+t1 = st.t[0] + 0.3
+end = flow_states(sid, 1, par, st, t1, rel_tol=1e-11)[-1]
 mats_canonical = assemble(sid, par, end).residues
 
 sys0 = assemble(sid, par, st)
-trajS = integrate(schlesinger_flow_rhs(st.t + (1.0, 0.0), 1),
-                  np.concatenate([a.ravel() for a in sys0.residues]),
-                  path, rel_tol=1e-11)
+trajS = integrate_time(schlesinger_flow_rhs(st.t + (1.0, 0.0), 1),
+                       np.concatenate([a.ravel() for a in sys0.residues]),
+                       st.t, 1, t1, rel_tol=1e-11)
 mats_raw = [trajS.end_state[k * 9:(k + 1) * 9].reshape(3, 3)
             for k in range(4)]
 

@@ -8,11 +8,12 @@ logarithmic-derivative rule for y0 is a free consistency check.
 
 import numpy as np
 
+from painlab.algebra import time_derivative
 from painlab.catalog import full_params, vector_field
-from painlab.integrator import ComplexPath, integrate
+from painlab.integrator import integrate_time
 from painlab.rigid import RIGID_CASES, lift_solution, pfaff_residual, rigid_rhs
 from painlab.sampling import rng_from_seed
-from painlab.verify import _lift_chain_rule, constrained_rigid_params
+from painlab.verify import constrained_rigid_params
 
 rng = rng_from_seed(43)
 for cid, case in RIGID_CASES.items():
@@ -22,15 +23,17 @@ for cid, case in RIGID_CASES.items():
     other = times[1:]
     t0, t1 = times[0], times[0] + 0.25
     rhs = rigid_rhs(case, par, 1, other)
-    path = ComplexPath.polyline([t0, t1],
-                                singularities=[0.0, 1.0] + list(other))
-    traj = integrate(rhs, np.array([1.0, 0.1, 0.1, 0.1], dtype=complex),
-                     path, rel_tol=1e-11, samples=[0.5])
+
+    def qp(w, t):
+        q, p = case.lift(w, t, merged)
+        return tuple(q) + tuple(p)
+
+    traj = integrate_time(rhs, np.array([1.0, 0.1, 0.1, 0.1], dtype=complex),
+                          times, 1, t1, rel_tol=1e-11, samples=[0.5])
     worst_f = worst_p = 0.0
     for s, y in zip(traj.params, traj.states):
         tcur = (t0 + s * (t1 - t0),) + tuple(other)
-        dy = rhs(tcur[0], y)
-        der = _lift_chain_rule(case, merged, y, dy, tcur, 1)
+        der = time_derivative(qp, y, rhs(tcur[0], y), tcur, 1)
         st = lift_solution(case, par, [y], [tcur])[0]
         dq, dp = vector_field(case.parent, 1, par, st)
         worst_f = max(worst_f, float(np.max(np.abs(np.array(der)

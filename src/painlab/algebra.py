@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Dual",
     "dual_gradient",
+    "time_derivative",
     "value_of",
     "EigenMultiset",
     "EigenvalueError",
@@ -134,6 +135,22 @@ def dual_gradient(f, point):
         pairs = [split(o) for o in out]
         return (tuple(v for v, _ in pairs), tuple(g for _, g in pairs))
     return split(out)
+
+
+def time_derivative(f, w, dw, t, i):
+    """d/dt_i of ``f(w, t)`` while ``w`` moves with velocity ``dw``.
+
+    Only t_i of the times ``t`` moves.  The exact gradient over (w, t_i) is
+    contracted with (dw, 1), once per component for a tuple-valued ``f``.
+    """
+    k, t = len(w), tuple(t)
+    values, grad = dual_gradient(
+        lambda *z: f(z[:k], t[:i - 1] + (z[k],) + t[i:]),
+        tuple(w) + (t[i - 1],))
+    dz = list(dw) + [1.0]
+    rows = grad if isinstance(values, tuple) else [grad]
+    der = [sum(a * b for a, b in zip(row, dz)) for row in rows]
+    return der if isinstance(values, tuple) else der[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from ._gradients import gradient
-from .algebra import dual_gradient
+from .algebra import time_derivative
 from .hamiltonians import HAMILTONIANS
+from .integrator import integrate_time
 
 __all__ = [
     "LinearForm",
@@ -29,6 +32,7 @@ __all__ = [
     "eval_h",
     "vector_field",
     "flow_rhs",
+    "flow_states",
     "constraint_rate",
     "TIME_COLLISION_TOL",
 ]
@@ -359,9 +363,9 @@ def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
     Hamiltonian (1.0 is the true flow; other values give the negative
     controls of the isomonodromy check).
     """
-    import numpy as np
-
     desc = lookup(sid)
+    if not 1 <= i <= desc.n_times:
+        raise ValueError(f"{sid}: time index {i} out of range 1..{desc.n_times}")
     merged = full_params(sid, params)
     n = desc.n_pairs
     grad_h = gradient(sid, i)
@@ -381,6 +385,23 @@ def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
     return rhs
 
 
+def flow_states(sid: str, i: int, params, state: PhaseState, end,
+                samples=(), scale=1.0, rel_tol=1e-9, abs_tol=1e-12):
+    """States of the i-th flow as t_i moves straight to ``end``: the start,
+    one per sample fraction s (at t_i = t0 + s*(end - t0)) and the end, at
+    exactly t_i = ``end``.  ``scale`` is as in :func:`flow_rhs`."""
+    n = lookup(sid).n_pairs
+    traj = integrate_time(flow_rhs(sid, i, params, state.t, scale=scale),
+                          np.array(state.q + state.p, dtype=complex),
+                          state.t, i, end, rel_tol=rel_tol, abs_tol=abs_tol,
+                          samples=samples)
+    t0 = state.t[i - 1]
+    ts = [t0 + s * (end - t0) for s in traj.params[:-1]] + [end]
+    return [PhaseState(tuple(y[:n]), tuple(y[n:]),
+                       state.t[:i - 1] + (t,) + state.t[i:])
+            for t, y in zip(ts, traj.states)]
+
+
 def constraint_rate(sid: str, params, state: PhaseState, constraints):
     """Max |d g/dt_i| over every flow i of ``sid`` and every constraint g.
 
@@ -394,13 +415,8 @@ def constraint_rate(sid: str, params, state: PhaseState, constraints):
     worst = 0.0
     for i in range(1, desc.n_times + 1):
         dq, dp = vector_field(sid, i, params, state)
-        dz = list(dq) + list(dp) + [1.0]
         for g in constraints:
-            def f(*w, g=g):
-                tt = tuple(w[2 * n] if m == i - 1 else state.t[m]
-                           for m in range(desc.n_times))
-                return g(w[:n], w[n:2 * n], tt, par)
-
-            _, grad = dual_gradient(f, state.q + state.p + state.t[i - 1:i])
-            worst = max(worst, abs(sum(a * b for a, b in zip(grad, dz))))
+            rate = time_derivative(lambda w, t: g(w[:n], w[n:], t, par),
+                                   state.q + state.p, dq + dp, state.t, i)
+            worst = max(worst, abs(rate))
     return worst

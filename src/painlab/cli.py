@@ -23,7 +23,8 @@ import numpy as np
 
 from . import catalog, verify
 from .catalog import PhaseState, lookup
-from .integrator import ComplexPath, integrate, trajectory_to_csv
+from .integrator import (StepBudgetError, StepUnderflowError, integrate_time,
+                         trajectory_to_csv)
 from .sampling import rng_from_seed, sample_params, sample_state
 
 __all__ = ["main"]
@@ -33,11 +34,19 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return config
 
 
 # what malformed JSON values raise on their way to complex numbers
 _BAD_VALUE = (ValueError, TypeError, IndexError)
+
+
+def _error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _complex_from(v):
@@ -61,13 +70,11 @@ def cmd_list(args, config):
 def cmd_integrate(args, config):
     sid = args.system or config.get("system")
     if sid is None:
-        print("error: --system is required", file=sys.stderr)
-        return 2
+        return _error("--system is required")
     try:
         desc = lookup(sid)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     seed = _resolve_seed(args, config)
     rng = rng_from_seed(seed)
 
@@ -82,50 +89,57 @@ def cmd_integrate(args, config):
             raise TypeError("expected a JSON object")
         par = {k: _complex_from(v) for k, v in params.items()}
     except _BAD_VALUE as exc:
-        print(f"error: bad parameters: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"bad parameters: {exc}")
     missing = [n for n in desc.param_names if n not in par]
     if missing:
-        print(f"error: missing parameters {missing}", file=sys.stderr)
-        return 2
+        return _error(f"missing parameters {missing}")
 
-    time_index = args.time_index or int(config.get("time_index", 1))
+    time_index = (args.time_index if args.time_index is not None
+                  else config.get("time_index", 1))
+    rel_tol = (args.rel_tol if args.rel_tol is not None
+               else config.get("rel_tol", 1e-9))
+    if type(time_index) is not int or not 1 <= time_index <= desc.n_times:
+        return _error(f"time index {time_index} outside 1..{desc.n_times}")
+    if type(rel_tol) not in (int, float) or not rel_tol > 0:
+        return _error(f"rel_tol {rel_tol} is not a positive number")
     state_cfg = config.get("state")
-    if state_cfg is not None:
-        st = PhaseState(tuple(_complex_from(z) for z in state_cfg["q"]),
-                        tuple(_complex_from(z) for z in state_cfg["p"]),
-                        tuple(_complex_from(z) for z in state_cfg["t"]))
-    else:
-        st = sample_state(sid, rng)
-        st = PhaseState(tuple(0.4 * z for z in st.q),
-                        tuple(0.4 * z for z in st.p), st.t)
-    t_default = st.t[time_index - 1] + 0.3
     try:
+        if state_cfg is None:
+            st = sample_state(sid, rng)
+            st = PhaseState(tuple(0.4 * z for z in st.q),
+                            tuple(0.4 * z for z in st.p), st.t)
+        else:
+            st = PhaseState(*(tuple(_complex_from(z) for z in state_cfg[k])
+                              for k in "qpt"))
+            n = desc.n_pairs
+            if [len(st.q), len(st.p), len(st.t)] != [n, n, desc.n_times]:
+                raise ValueError("state has wrong dimensions")
         t_end = (_complex_from(json.loads(args.t_end)) if args.t_end
-                 else _complex_from(config.get("t_end", t_default)))
+                 else _complex_from(config.get("t_end",
+                                               st.t[time_index - 1] + 0.3)))
+    except KeyError as exc:
+        return _error(f"state has no {exc}")
     except _BAD_VALUE as exc:
-        print(f"error: bad t_end: {exc}", file=sys.stderr)
-        return 2
-    rel_tol = args.rel_tol or float(config.get("rel_tol", 1e-9))
+        return _error(f"bad state or t_end: {exc}")
 
-    sing = [0.0, 1.0] + [st.t[k] for k in range(desc.n_times)
-                         if k != time_index - 1]
     try:
-        path = ComplexPath.polyline([st.t[time_index - 1], t_end],
-                                    singularities=sing)
         # full_params raises here on a violated trace relation
         rhs = catalog.flow_rhs(sid, time_index, par, st.t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    y0 = np.array(st.q + st.p, dtype=complex)
-    traj = integrate(rhs, y0, path, rel_tol=rel_tol,
-                     samples=list(np.linspace(0.1, 0.9, 9)))
+        # a stiff flow overflows in trial steps, which are then rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate_time(rhs, np.array(st.q + st.p, dtype=complex),
+                                  st.t, time_index, t_end, rel_tol=rel_tol,
+                                  samples=list(np.linspace(0.1, 0.9, 9)))
+    except (ValueError, StepUnderflowError, StepBudgetError) as exc:
+        return _error(exc)
     names = [f"q{k+1}" for k in range(desc.n_pairs)] + \
             [f"p{k+1}" for k in range(desc.n_pairs)]
     out = args.out or config.get("out", "trajectory.csv")
-    with open(out, "w") as fh:
-        trajectory_to_csv(traj, fh, component_names=names)
+    try:
+        with open(out, "w") as fh:
+            trajectory_to_csv(traj, fh, component_names=names)
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote {out} ({traj.n_steps} accepted steps, "
           f"{traj.n_rejected} rejected)")
     return 0
@@ -182,7 +196,10 @@ def main(argv=None):
     p_ver.add_argument("--out")
 
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
+    try:
+        config = _load_config(args.config)
+    except (OSError, ValueError) as exc:
+        return _error(f"bad config: {exc}")
     if args.command == "list":
         return cmd_list(args, config)
     if args.command == "integrate":

@@ -21,8 +21,10 @@ __all__ = [
     "ComplexPath",
     "PathMarginError",
     "StepUnderflowError",
+    "StepBudgetError",
     "Trajectory",
     "integrate",
+    "integrate_time",
     "integrate_two_time",
     "trajectory_to_csv",
 ]
@@ -36,6 +38,10 @@ class StepUnderflowError(RuntimeError):
     """Step size collapsed, typically near a singularity of the rhs."""
 
 
+class StepBudgetError(RuntimeError):
+    """A segment took more than MAX_SEGMENT_STEPS steps (a stiff rhs)."""
+
+
 @dataclass(frozen=True)
 class Line:
     start: complex
@@ -46,6 +52,12 @@ class Line:
 
     def velocity(self, s):
         return self.end - self.start
+
+    def distance(self, z):
+        """Exact distance from z to the segment (clamped projection)."""
+        d = self.end - self.start
+        s = ((z - self.start) * d.conjugate()).real / abs(d) ** 2 if d else 0.0
+        return abs(z - self.point(min(1.0, max(0.0, s))))
 
     @property
     def length(self):
@@ -72,6 +84,14 @@ class Arc:
         return 1j * self.sweep * self.radius * np.exp(
             1j * (self.angle0 + s * self.sweep))
 
+    def distance(self, z):
+        """Exact distance from z to the arc (radial, or to an endpoint)."""
+        sweep = abs(self.sweep)
+        turn = np.sign(self.sweep) * (np.angle(z - self.center) - self.angle0)
+        if sweep >= 2 * np.pi or turn % (2 * np.pi) <= sweep:
+            return abs(abs(z - self.center) - self.radius)
+        return min(abs(z - self.point(0.0)), abs(z - self.point(1.0)))
+
     @property
     def length(self):
         return abs(self.sweep) * self.radius
@@ -91,9 +111,8 @@ def default_margin(singularities) -> float:
 class ComplexPath:
     """Piecewise path that must keep a margin from declared singular points.
 
-    Construction fails fast if any segment (sampled densely) comes closer
-    than ``margin`` to a singularity; the 1/(z - t) coefficients downstream
-    blow up there.
+    Construction fails fast if any segment comes closer than ``margin`` to
+    a singularity; the 1/(z - t) coefficients downstream blow up there.
     """
 
     segments: tuple
@@ -110,10 +129,8 @@ class ComplexPath:
         object.__setattr__(self, "margin", float(m))
         if self.singularities and self.margin > 0:
             for seg in self.segments:
-                ss = np.linspace(0.0, 1.0, 65)
-                pts = np.array([seg.point(s) for s in ss])
                 for z0 in self.singularities:
-                    d = np.min(np.abs(pts - z0))
+                    d = seg.distance(z0)
                     if d < self.margin:
                         raise PathMarginError(
                             f"path comes within {d:.3g} of singular point "
@@ -189,6 +206,8 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+# accepted plus rejected steps one segment may take before StepBudgetError
+MAX_SEGMENT_STEPS = 50_000
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
@@ -196,8 +215,8 @@ def _error_norm(err, y0, y1, rel_tol, abs_tol):
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops):
-    """Advance y across one segment, landing exactly on each stop in (0,1]."""
+def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
+    """Advance y across segment k, landing exactly on each stop in (0,1]."""
 
     def f(s, y):
         return seg.velocity(s) * np.asarray(rhs(seg.point(s), y), dtype=complex)
@@ -205,15 +224,20 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops):
     s = 0.0
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
+    tries = 0  # accepted plus rejected steps on this segment
     k1 = f(s, y)
     for stop in stops:
         while s < stop:
             h = min(h, stop - s)
             if h < 1e-14:
                 raise StepUnderflowError(
-                    f"step underflow at path parameter {s:.6f}")
+                    f"step underflow on segment {k} at s={s:.6f}, h={h:.3g}")
+            tries += 1
+            if tries > MAX_SEGMENT_STEPS:
+                raise StepBudgetError(
+                    f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
+                    f"at s={s:.6f}, h={h:.3g}")
             ks = [k1]
-            failed = False
             for row in range(1, 7):
                 a = _DP_A[row]
                 yk = y + h * sum(a[j] * ks[j] for j in range(len(a)))
@@ -252,11 +276,25 @@ def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,
     for k, seg in enumerate(path.segments):
         local = sorted({s - k for s in samples if k < s <= k + 1} | {1.0})
         for stop, y_at in _integrate_segment(rhs, seg, y, rel_tol, abs_tol,
-                                             traj, local):
+                                             traj, local, k):
             traj.params.append(k + stop)
             traj.states.append(y_at.copy())
             y = y_at
     return traj
+
+
+def integrate_time(rhs, y0, times, i, end, rel_tol=1e-9, abs_tol=1e-12,
+                   samples=None) -> Trajectory:
+    """Integrate along the straight leg moving t_i from times[i-1] to end,
+    the other times frozen; they, 0 and 1 are the leg's singular points.
+    ``samples`` are fractions of the leg, as in :func:`integrate`."""
+    if not 1 <= i <= len(times):
+        raise ValueError(f"time index {i} out of range 1..{len(times)}")
+    others = [t for k, t in enumerate(times) if k != i - 1]
+    path = ComplexPath.polyline([times[i - 1], end],
+                                singularities=[0.0, 1.0] + others)
+    return integrate(rhs, y0, path, rel_tol=rel_tol, abs_tol=abs_tol,
+                     samples=samples)
 
 
 def integrate_two_time(sid, params, state, i_first, end_first, i_second,
@@ -267,26 +305,12 @@ def integrate_two_time(sid, params, state, i_first, end_first, i_second,
     other times frozen; returns the endpoint PhaseState.  Raises
     PathMarginError if a leg passes too close to {0, 1, other times}.
     """
-    from .catalog import PhaseState, flow_rhs, lookup
+    from .catalog import flow_states
 
-    desc = lookup(sid)
-    cur = state
-    for i, target in ((i_first, end_first), (i_second, end_second)):
-        if not 1 <= i <= desc.n_times:
-            raise ValueError(f"{sid}: time index {i} out of range")
-        z0 = cur.t[i - 1]
-        z1 = complex(target)
-        if z0 == z1:
-            continue
-        sing = [0.0, 1.0] + [cur.t[k] for k in range(desc.n_times) if k != i - 1]
-        path = ComplexPath.polyline([z0, z1], singularities=sing)
-        rhs = flow_rhs(sid, i, params, cur.t)
-        y0 = np.array(cur.q + cur.p, dtype=complex)
-        traj = integrate(rhs, y0, path, rel_tol=rel_tol, abs_tol=abs_tol)
-        y = traj.end_state
-        n = desc.n_pairs
-        cur = PhaseState(tuple(y[:n]), tuple(y[n:]), cur.t).with_time(i, z1)
-    return cur
+    for i, end in ((i_first, end_first), (i_second, end_second)):
+        state = flow_states(sid, i, params, state, end, rel_tol=rel_tol,
+                            abs_tol=abs_tol)[-1]
+    return state
 
 
 def trajectory_to_csv(traj: Trajectory, fileobj, component_names=None):

@@ -144,17 +144,15 @@ def invariant_traces(rep: MonodromyRepresentation):
     return np.array(out)
 
 
-def isomonodromy_drift(assemble_at, checkpoints, rel_tol=1e-10) -> float:
+def isomonodromy_drift(systems, rel_tol=1e-10) -> float:
     """Max drift of the invariant traces across a family of systems.
 
-    ``assemble_at`` maps a checkpoint parameter to a FuchsianSystem;
-    ``checkpoints`` lists the deformation samples (the first is the
-    reference).  Returns the largest absolute trace deviation.
+    ``systems`` lists FuchsianSystems along a deformation; the first is
+    the reference.  Returns the largest absolute trace deviation.
     """
     ref = None
     worst = 0.0
-    for s in checkpoints:
-        sys = assemble_at(s)
+    for sys in systems:
         tr = invariant_traces(monodromy_representation(sys, rel_tol=rel_tol))
         if ref is None:
             ref = tr

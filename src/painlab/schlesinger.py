@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import dual_gradient, mat_mul
+from .algebra import dual_gradient, mat_mul, time_derivative
 from .catalog import PhaseState, full_params, lookup
 from .fuchsian import FuchsianSystem
 from .parametrizations import parametrization
@@ -220,13 +220,9 @@ def induced_state_field(sid, params, state: PhaseState, i):
     bdot = [g[nb + k] for k in range(nb)]
     cdot = [-g[k] for k in range(nb)]
 
-    def qp(*w):
-        tt = tuple(w[2 * nb] if m == i - 1 else state.t[m]
-                   for m in range(desc.n_times))
-        q, p = pz.state_from_bc(par, w[:nb], w[nb:2 * nb], tt)
+    def qp(w, t):
+        q, p = pz.state_from_bc(par, w[:nb], w[nb:], t)
         return tuple(q) + tuple(p)
 
-    _, rows = dual_gradient(qp, tuple(b) + tuple(c) + (state.t[i - 1],))
-    dz = bdot + cdot + [1.0]
-    der = [sum(gm * dm for gm, dm in zip(g, dz)) for g in rows]
+    der = time_derivative(qp, tuple(b) + tuple(c), bdot + cdot, state.t, i)
     return tuple(der[:desc.n_pairs]), tuple(der[desc.n_pairs:])

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import catalog, degenerations, rigid
 from ._gradients import gradient
-from .algebra import dual_gradient
-from .catalog import PhaseState, full_params, lookup, vector_field
+from .algebra import time_derivative
+from .catalog import PhaseState, flow_states, full_params, lookup, vector_field
 from .fuchsian import accessory_count
-from .integrator import ComplexPath, integrate, integrate_two_time
+from .integrator import integrate_time, integrate_two_time
 from .monodromy import isomonodromy_drift
 from .parametrizations import assemble, parametrization
 from .sampling import rng_from_seed, sample_params, sample_state
@@ -138,21 +138,15 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
     st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
     st = PhaseState(tuple(0.4 * z for z in st.q),
                     tuple(0.4 * z for z in st.p), st.t)
-    t0v, t1v = st.t[0], st.t[0] + length
-    path = ComplexPath.polyline([t0v, t1v], singularities=[0, 1, st.t[1]])
-
-    rhs = catalog.flow_rhs(sid, 1, par, st.t)
-    y0 = np.array(st.q + st.p, dtype=complex)
-    traj = integrate(rhs, y0, path, rel_tol=1e-11, abs_tol=1e-13)
-    end = PhaseState(tuple(traj.end_state[:3]), tuple(traj.end_state[3:]),
-                     st.t).with_time(1, t1v)
+    t1v = st.t[0] + length
+    end = flow_states(sid, 1, par, st, t1v, rel_tol=1e-11, abs_tol=1e-13)[-1]
     mats_ham = assemble(sid, par, end).residues
 
     sys0 = assemble(sid, par, st)
     pts = st.t + (1.0, 0.0)
-    trajS = integrate(schlesinger_flow_rhs(pts, 1),
-                      np.concatenate([a.ravel() for a in sys0.residues]),
-                      path, rel_tol=1e-11, abs_tol=1e-13)
+    trajS = integrate_time(schlesinger_flow_rhs(pts, 1),
+                           np.concatenate([a.ravel() for a in sys0.residues]),
+                           st.t, 1, t1v, rel_tol=1e-11, abs_tol=1e-13)
     mats_raw = [trajS.end_state[k * 9:(k + 1) * 9].reshape(3, 3)
                 for k in range(4)]
     realigned = realign_to_slice(sid, par, mats_raw)
@@ -176,28 +170,6 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
 # ---------------------------------------------------------------------------
 
 
-def _deformed_states(sid, par, st, length, scale_h, rel_tol, n_check):
-    n = lookup(sid).n_pairs
-    rhs = catalog.flow_rhs(sid, 1, par, st.t, scale=scale_h)
-    t0v, t1v = st.t[0], st.t[0] + length
-    sing = [0.0, 1.0] + list(st.t[1:])
-    path = ComplexPath.polyline([t0v, t1v], singularities=sing)
-    samples = list(np.linspace(0, 1, n_check))[1:-1]
-    traj = integrate(rhs, np.array(st.q + st.p, dtype=complex), path,
-                     rel_tol=rel_tol, abs_tol=1e-13, samples=samples)
-    out = []
-    for s, y in zip(traj.params, traj.states):
-        tcur = t0v + s * (t1v - t0v)
-        out.append(PhaseState(tuple(y[:n]), tuple(y[n:]),
-                              (tcur,) + st.t[1:]))
-    return out
-
-
-def _trace_drift(sid, par, states, rel_tol):
-    return isomonodromy_drift(lambda k: assemble(sid, par, states[k]),
-                              range(len(states)), rel_tol=rel_tol)
-
-
 _MONO_IDS = ("21,21,21,21,111", "22,22,211,211")
 
 
@@ -216,10 +188,15 @@ def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
         st = sample_state(sid, rng, times=times)
         st = PhaseState(tuple(0.4 * z for z in st.q),
                         tuple(0.4 * z for z in st.p), st.t)
-        states = _deformed_states(sid, par, st, length, 1.0, rel_tol, 3)
-        drift = _trace_drift(sid, par, states, rel_tol)
-        states_c = _deformed_states(sid, par, st, length, 1.1, rel_tol, 3)
-        control = _trace_drift(sid, par, states_c, rel_tol)
+
+        def trace_drift(scale):
+            states = flow_states(sid, 1, par, st, st.t[0] + length,
+                                 samples=(0.5,), scale=scale,
+                                 rel_tol=rel_tol, abs_tol=1e-13)
+            return isomonodromy_drift([assemble(sid, par, s) for s in states],
+                                      rel_tol=rel_tol)
+
+        drift, control = trace_drift(1.0), trace_drift(1.1)
         rows[sid] = {"drift": drift, "negative_control": control}
         ok = ok and drift < tol and control > control_min
     return _result("isomonodromy", ok, t0, tolerance=tol,
@@ -317,35 +294,21 @@ def _rigid_two_time_compat(case, par, side=0.2, rel_tol=1e-11):
     times = (1.7 + 0.6j, -0.8 + 0.5j)
     y0 = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
 
-    def leg(y, i, frm, to, other):
-        path = ComplexPath.polyline([frm, to],
-                                    singularities=[0.0, 1.0, other])
-        rhs = rigid.rigid_rhs(case, par, i, (other,))
-        return integrate(rhs, y, path, rel_tol=rel_tol,
-                         abs_tol=1e-14).end_state
+    def leg(y, times, i, end):
+        rhs = rigid.rigid_rhs(case, par, i, times[:i - 1] + times[i:])
+        return integrate_time(rhs, y, times, i, end, rel_tol=rel_tol,
+                              abs_tol=1e-14).end_state
 
     ta, tb = times
     ta2, tb2 = ta + side, tb + side
-    y_ab = leg(leg(y0, 1, ta, ta2, tb), 2, tb, tb2, ta2)
-    y_ba = leg(leg(y0, 2, tb, tb2, ta), 1, ta, ta2, tb2)
+    y_ab = leg(leg(y0, (ta, tb), 1, ta2), (ta2, tb), 2, tb2)
+    y_ba = leg(leg(y0, (ta, tb), 2, tb2), (ta, tb2), 1, ta2)
     return float(np.max(np.abs(y_ab - y_ba)))
 
 
 # ---------------------------------------------------------------------------
 # 7. particular solutions: lifts of rigid trajectories
 # ---------------------------------------------------------------------------
-
-
-def _lift_chain_rule(case, merged, y, dy, t, i):
-    """Exact d(q,p)/dt_i of the lifted point via dual numbers."""
-    def qp(*w):
-        tt = tuple(w[4] if m == i - 1 else t[m] for m in range(len(t)))
-        q, p = case.lift(w[:4], tt, merged)
-        return tuple(q) + tuple(p)
-
-    _, rows = dual_gradient(qp, tuple(y) + (t[i - 1],))
-    dz = list(dy) + [1.0]
-    return [sum(gm * dm for gm, dm in zip(g, dz)) for g in rows]
 
 
 def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
@@ -359,20 +322,22 @@ def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
         merged = full_params(case.parent, par)
         times = ((1.7 + 0.6j, -0.8 + 0.5j) if case.n_times == 2
                  else (1.7 + 0.6j,))
-        other = times[1:]
-        t0v = times[0]
+        t0v, other = times[0], times[1:]
         t1v = t0v + 0.25
-        path = ComplexPath.polyline([t0v, t1v],
-                                    singularities=[0.0, 1.0] + list(other))
         rhs = rigid.rigid_rhs(case, par, 1, other)
+
+        def qp(w, t):
+            q, p = case.lift(w, t, merged)
+            return tuple(q) + tuple(p)
+
         y0 = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
-        traj = integrate(rhs, y0, path, rel_tol=rel_tol, abs_tol=1e-14,
-                         samples=list(np.linspace(0.15, 0.85, 4)))
+        traj = integrate_time(rhs, y0, times, 1, t1v, rel_tol=rel_tol,
+                              abs_tol=1e-14,
+                              samples=list(np.linspace(0.15, 0.85, 4)))
         worst_f = worst_p = 0.0
         for s, y in zip(traj.params, traj.states):
             tcur = (t0v + s * (t1v - t0v),) + tuple(other)
-            dy = rhs(tcur[0], y)
-            der = _lift_chain_rule(case, merged, y, dy, tcur, 1)
+            der = time_derivative(qp, y, rhs(tcur[0], y), tcur, 1)
             q, p = case.lift(tuple(y), tcur, merged)
             st = PhaseState(q, p, tcur)
             dq, dp = vector_field(case.parent, 1, par, st)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painlab.algebra import Dual, dual_gradient, eigen_small
+from painlab.algebra import Dual, dual_gradient, eigen_small, time_derivative
 from painlab.catalog import full_params
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
@@ -33,6 +33,25 @@ def test_tuple_output_gives_one_row_per_component():
     assert rows[2] == (0j, 0j)
     # a scalar f still gets a (value, gradient) pair
     assert dual_gradient(lambda a, b: a * b, [x, y]) == (x * y, (y, x))
+
+
+def test_time_derivative_closed_form():
+    w, dw, t = (0.5 + 1j, -1.5 + 0.25j), (0.3 - 2j, 1.25j), (1.7 + 0.6j, -0.8j)
+
+    def f(w, t):
+        return (w[0] * w[1] * t[0] ** 2, w[0] + t[1])
+
+    def f_scalar(w, t):
+        return f(w, t)[0]
+
+    dg = ((dw[0] * w[1] + w[0] * dw[1]) * t[0] ** 2
+          + 2 * w[0] * w[1] * t[0])
+    assert abs(time_derivative(f_scalar, w, dw, t, 1) - dg) < 1e-14
+    d1 = time_derivative(f, w, dw, t, 1)
+    assert abs(d1[0] - dg) < 1e-14 and d1[1] == dw[0]  # t_2 is frozen
+    d2 = time_derivative(f, w, dw, t, 2)
+    assert abs(d2[0] - (dw[0] * w[1] + w[0] * dw[1]) * t[0] ** 2) < 1e-14
+    assert d2[1] == dw[0] + 1.0
 
 
 @given(a=finite_complex, b=finite_complex, c=finite_complex)

@@ -3,8 +3,9 @@
 import pytest
 
 from painlab.catalog import (PhaseState, alpha_relation_residual,
-                             derive_alphas, eval_h, full_params, list_systems,
-                             lookup, vector_field)
+                             derive_alphas, eval_h, flow_rhs, flow_states,
+                             full_params, list_systems, lookup, vector_field)
+from painlab.integrator import integrate_two_time
 from painlab.fuchsian import accessory_count
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
@@ -114,6 +115,32 @@ def test_eval_h_validates_index():
     st = sample_state("21,21,111,111", rng)
     with pytest.raises(ValueError):
         eval_h("21,21,111,111", 2, par, st)
+
+
+def test_flow_rhs_validates_index():
+    rng = rng_from_seed(6)
+    par = sample_params("21,21,111,111", rng)
+    for i in (0, 2):
+        with pytest.raises(ValueError):
+            flow_rhs("21,21,111,111", i, par, (1.7 + 0.6j,))
+
+
+def test_flow_states_times_and_endpoint():
+    sid = "11,11,11,11,11"
+    rng = rng_from_seed(5)
+    par = sample_params(sid, rng, generic=True)
+    st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
+    end = st.t[1] + 0.1 + 0.05j
+    states = flow_states(sid, 2, par, st, end, samples=(0.25, 0.5))
+    assert [s.t[0] for s in states] == [st.t[0]] * 4
+    assert [s.t[1] for s in states] == [
+        st.t[1] + f * (end - st.t[1]) for f in (0.0, 0.25, 0.5)] + [end]
+    assert states[0].q + states[0].p == st.q + st.p
+    # the two-time route with a still first leg lands on the same state
+    other = integrate_two_time(sid, par, st, 1, st.t[0], 2, end)
+    assert other.t == states[-1].t
+    assert max(abs(a - b) for a, b in zip(other.q + other.p,
+                                          states[-1].q + states[-1].p)) < 1e-8
 
 
 def test_state_dimension_checked():

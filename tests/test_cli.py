@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from painlab import integrator
 from painlab.cli import main
 
 
@@ -78,19 +79,47 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 99
 
 
-@pytest.mark.parametrize("flags", [
-    ["--params", "{bad json"],
-    ["--params", "[1, 2]"],
-    ["--params", '{"alpha0": "x"}'],
+# a flow so stiff that an explicit step must stay tiny
+STIFF = ('{"alpha0": 1e6, "alpha1": 0, "alpha2": 0.5, "alpha3": 0, '
+         '"alpha4": -1e6}')
+ABSENT = object()  # --config names a file that does not exist
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--params", "{bad json"], None),
+    (["--params", "[1, 2]"], None),
+    (["--params", '{"alpha0": "x"}'], None),
     # every alpha 1: the exponent trace relation is violated
-    ["--params", '{"alpha0": 1, "alpha1": 1, "alpha2": 1, "alpha3": 1, '
-                 '"alpha4": 1}'],
-    ["--t-end", "[1,"],
+    (["--params", '{"alpha0": 1, "alpha1": 1, "alpha2": 1, "alpha3": 1, '
+                  '"alpha4": 1}'], None),
+    (["--t-end", "[1,"], None),
+    (["--time-index", "3"], None),
+    (["--time-index", "0"], None),
+    (["--rel-tol", "0"], None),
+    (["--params", STIFF], None),
+    (["--out", "{tmp}"], None),
+    ([], ABSENT),
+    ([], "{bad json"),
+    ([], "[1, 2]"),
+    ([], '{"state": {"q": [0.1], "t": [2.0]}}'),
+    ([], '{"state": {"q": [0.1, 0.2], "p": [0.1], "t": [2.0]}}'),
+    ([], '{"state": {"q": [0.1], "p": [0.1], "t": [1.0]}}'),
 ], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
-        "malformed-t-end"])
-def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, flags):
-    code = main(["integrate", "--system", "11,11,11,11", *flags,
-                 "--out", str(tmp_path / "x.csv")])
+        "malformed-t-end", "time-index-too-large", "time-index-zero",
+        "rel-tol-zero", "integrator-stall", "unwritable-out",
+        "config-missing", "config-malformed", "config-not-an-object",
+        "config-state-without-p", "config-state-wrong-length",
+        "config-state-time-one"])
+def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                               flags, config):
+    monkeypatch.setattr(integrator, "MAX_SEGMENT_STEPS", 300)
+    cfg = tmp_path / "cfg.json"
+    if isinstance(config, str):
+        cfg.write_text(config)
+    head = [] if config is None else ["--config", str(cfg)]
+    flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    code = main(head + ["integrate", "--system", "11,11,11,11",
+                        "--out", str(tmp_path / "x.csv"), *flags])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

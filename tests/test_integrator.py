@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from painlab.catalog import PhaseState
-from painlab.integrator import (Arc, ComplexPath, PathMarginError,
-                                integrate, integrate_two_time,
-                                trajectory_to_csv)
+from painlab import integrator
+from painlab.integrator import (Arc, ComplexPath, Line, PathMarginError,
+                                StepBudgetError, integrate, integrate_time,
+                                integrate_two_time, trajectory_to_csv)
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
 
@@ -50,13 +51,13 @@ def test_tolerance_monotonicity():
     from painlab.catalog import flow_rhs
 
     rhs = flow_rhs(sid, 1, par, st.t)
-    path = ComplexPath.polyline([st.t[0], st.t[0] + 0.6],
-                                singularities=[0.0, 1.0])
     y0 = np.array(st.q + st.p, dtype=complex)
-    ref = integrate(rhs, y0, path, rel_tol=1e-12, abs_tol=1e-14).end_state
+    ref = integrate_time(rhs, y0, st.t, 1, st.t[0] + 0.6, rel_tol=1e-12,
+                         abs_tol=1e-14).end_state
     errors = []
     for tol in (1e-5, 1e-7, 1e-9):
-        end = integrate(rhs, y0, path, rel_tol=tol, abs_tol=1e-14).end_state
+        end = integrate_time(rhs, y0, st.t, 1, st.t[0] + 0.6, rel_tol=tol,
+                             abs_tol=1e-14).end_state
         errors.append(float(np.max(np.abs(end - ref))))
     assert errors[0] > errors[1] > errors[2]
     assert errors[0] / errors[2] > 100
@@ -66,6 +67,52 @@ def test_margin_violation_rejected_at_construction():
     with pytest.raises(PathMarginError):
         ComplexPath.polyline([-1.0, 1.0], singularities=[0.0, 5.0],
                              margin=0.1)
+    # singular points on the path but between the points of a 65-sample probe
+    with pytest.raises(PathMarginError):
+        ComplexPath.polyline([-1.0, 1.0], singularities=[1 / 64, 5.0],
+                             margin=0.01)
+    with pytest.raises(PathMarginError):
+        ComplexPath.circle(0.0, 1.0, singularities=[np.exp(1j * np.pi / 64),
+                                                    5.0], margin=0.04)
+
+
+@pytest.mark.parametrize("seg", [
+    Line(-1.0 + 0.5j, 2.0 - 1.0j),
+    Arc(0.5j, 1.5, 0.3, 2.0),
+    Arc(0.0, 0.7, 2.5, -4.0),
+    Arc(1.0, 1.0, -1.0, 2 * np.pi),
+])
+def test_segment_distance_matches_dense_sampling(seg):
+    rng = np.random.default_rng(4)
+    pts = seg.point(np.linspace(0.0, 1.0, 200001))
+    for z in rng.normal(scale=2.0, size=20) + 1j * rng.normal(scale=2.0,
+                                                                size=20):
+        dense = float(np.min(np.abs(pts - z)))
+        assert dense - 1e-4 <= seg.distance(z) <= dense + 1e-12
+
+
+def test_integrate_time_moves_one_time():
+    traj = integrate_time(lambda z, y: y, np.array([1.0 + 0j]),
+                          (2.0, 3.0 + 1j), 1, 2.5, rel_tol=1e-11,
+                          samples=[0.5])
+    assert traj.params == [0.0, 0.5, 1.0]
+    assert abs(traj.end_state[0] - np.exp(0.5)) < 1e-9
+    with pytest.raises(ValueError):
+        integrate_time(lambda z, y: y, [1.0], (2.0, 3.0), 0, 2.5)
+    with pytest.raises(ValueError):
+        integrate_time(lambda z, y: y, [1.0], (2.0, 3.0), 3, 2.5)
+    # the leg of t_1 would pass through t_2
+    with pytest.raises(PathMarginError):
+        integrate_time(lambda z, y: y, [1.0], (2.0, 3.0), 1, 4.0)
+
+
+def test_step_budget_stops_a_stiff_segment(monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_SEGMENT_STEPS", 200)
+    path = ComplexPath.polyline([0.0, 1.0, 2.0])
+    with pytest.raises(StepBudgetError, match="on segment 1 at s="):
+        # stiff on the second segment only: explicit steps must stay ~1e-6
+        integrate(lambda z, y: (-1e6 if z.real > 1 else 1.0) * y,
+                  np.array([1.0 + 0j]), path)
 
 
 def test_degenerate_arc_rejected():

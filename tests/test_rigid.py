@@ -125,9 +125,9 @@ def test_case_3122_manifold_not_invariant_documented():
 @pytest.mark.parametrize("cid", ["case-21x4", "case-3131", "case-21-111",
                                  "case-3122"])
 def test_lift_satisfies_parent_field(cid):
+    from painlab.algebra import time_derivative
     from painlab.catalog import vector_field
-    from painlab.integrator import ComplexPath, integrate
-    from painlab.verify import _lift_chain_rule
+    from painlab.integrator import integrate_time
 
     rng = rng_from_seed(7)
     case = rigid_case(cid)
@@ -137,14 +137,17 @@ def test_lift_satisfies_parent_field(cid):
     other = times[1:]
     t0, t1 = times[0], times[0] + 0.25
     rhs = rigid_rhs(case, par, 1, other)
-    path = ComplexPath.polyline([t0, t1],
-                                singularities=[0.0, 1.0] + list(other))
-    traj = integrate(rhs, np.array([1.0, 0.1, 0.1, 0.1], dtype=complex),
-                     path, rel_tol=1e-11, abs_tol=1e-14, samples=[0.4, 0.8])
+
+    def qp(w, t):
+        q, p = case.lift(w, t, merged)
+        return tuple(q) + tuple(p)
+
+    traj = integrate_time(rhs, np.array([1.0, 0.1, 0.1, 0.1], dtype=complex),
+                          times, 1, t1, rel_tol=1e-11, abs_tol=1e-14,
+                          samples=[0.4, 0.8])
     for s, y in zip(traj.params, traj.states):
         tcur = (t0 + s * (t1 - t0),) + tuple(other)
-        dy = rhs(tcur[0], y)
-        der = _lift_chain_rule(case, merged, y, dy, tcur, 1)
+        der = time_derivative(qp, y, rhs(tcur[0], y), tcur, 1)
         st = lift_solution(case, par, [y], [tcur])[0]
         dq, dp = vector_field(case.parent, 1, par, st)
         assert max(abs(np.array(der) - np.array(dq + dp))) < 1e-6

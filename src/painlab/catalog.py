@@ -327,11 +327,17 @@ class PhaseState:
         return PhaseState(self.q, self.p, tuple(t))
 
 
-def eval_h(sid: str, i: int, params, state: PhaseState):
-    """Value of the i-th Hamiltonian at a phase-space point."""
+def _lookup_flow(sid: str, i: int):
+    """Descriptor of ``sid``; raises ValueError unless 1 <= i <= n_times."""
     desc = lookup(sid)
     if not 1 <= i <= desc.n_times:
         raise ValueError(f"{sid}: time index {i} out of range 1..{desc.n_times}")
+    return desc
+
+
+def eval_h(sid: str, i: int, params, state: PhaseState):
+    """Value of the i-th Hamiltonian at a phase-space point."""
+    desc = _lookup_flow(sid, i)
     if len(state.q) != desc.n_pairs or len(state.t) != desc.n_times:
         raise ValueError(f"{sid}: state has wrong dimensions")
     merged = full_params(sid, params)
@@ -344,7 +350,7 @@ def vector_field(sid: str, i: int, params, state: PhaseState):
     Convention: t_i(t_i-1) dq_j/dt_i = +dH_i/dp_j and
     t_i(t_i-1) dp_j/dt_i = -dH_i/dq_j.
     """
-    desc = lookup(sid)
+    desc = _lookup_flow(sid, i)
     merged = full_params(sid, params)
     n = desc.n_pairs
     grad = gradient(sid, i)(merged, state.q, state.p, state.t)
@@ -363,9 +369,7 @@ def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
     Hamiltonian (1.0 is the true flow; other values give the negative
     controls of the isomonodromy check).
     """
-    desc = lookup(sid)
-    if not 1 <= i <= desc.n_times:
-        raise ValueError(f"{sid}: time index {i} out of range 1..{desc.n_times}")
+    desc = _lookup_flow(sid, i)
     merged = full_params(sid, params)
     n = desc.n_pairs
     grad_h = gradient(sid, i)

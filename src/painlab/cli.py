@@ -157,14 +157,19 @@ def _resolve_seed(args, config):
 def cmd_verify(args, config):
     seed = _resolve_seed(args, config)
     names = list(verify.CHECKS) if args.what == "all" else [args.what]
-    results = verify.run_checks(names, seed=seed)
-    report = {"seed": seed, "results": results,
-              "passed": all(r["passed"] for r in results)}
-    for r in results:
-        mark = "PASS" if r["passed"] else "FAIL"
-        print(f"{mark} {r['name']} ({r['seconds']}s)")
     out = args.out or config.get("report", "report.json")
-    with open(out, "w") as fh:
+    try:
+        # opened before the checks run, so a bad path costs no check time
+        fh = open(out, "w")
+    except OSError as exc:
+        return _error(exc)
+    with fh:
+        results = verify.run_checks(names, seed=seed)
+        report = {"seed": seed, "results": results,
+                  "passed": all(r["passed"] for r in results)}
+        for r in results:
+            mark = "PASS" if r["passed"] else "FAIL"
+            print(f"{mark} {r['name']} ({r['seconds']}s)")
         json.dump(report, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
     print(f"wrote {out}")

@@ -88,13 +88,16 @@ class FuchsianSystem:
 
     def rhs(self):
         """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened)."""
-        pts = self.points
-        res = self.residues
+        # stacked once; add.reduce over axis 0 keeps the left-to-right order
+        # of a plain sum of A_i/(x - t_i), where a product with a weight
+        # vector would round differently
+        pts = np.array(self.points)
+        res = np.array(self.residues)
         L = self.size
 
         def f(x, y):
             Y = y.reshape(L, L)
-            M = sum(a / (x - t) for a, t in zip(res, pts))
+            M = np.add.reduce(res / (x - pts)[:, None, None])
             return (M @ Y).ravel()
 
         return f

@@ -200,6 +200,12 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+# row-k weights as columns, to scale the stage rows K[:k] in one product;
+# np.add.reduce over axis 0 then adds the rows left to right, in the order
+# of a plain Python sum (a matrix product may reassociate and move bits)
+_DP_A_COLS = [a[:, None] for a in _DP_A]
+_DP_B5_COL = _DP_B5[:, None]
+_DP_E_COL = (_DP_B5 - _DP_B4)[:, None]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -212,20 +218,29 @@ MAX_SEGMENT_STEPS = 50_000
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    r = np.abs(err / scale) ** 2
+    return float(np.sqrt(np.add.reduce(r) / r.size))
 
 
 def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     """Advance y across segment k, landing exactly on each stop in (0,1]."""
 
-    def f(s, y):
-        return seg.velocity(s) * np.asarray(rhs(seg.point(s), y), dtype=complex)
+    if isinstance(seg, Line):
+        v = seg.end - seg.start
+
+        def f(s, y):
+            return v * np.asarray(rhs(seg.point(s), y), dtype=complex)
+    else:
+        def f(s, y):
+            return seg.velocity(s) * np.asarray(rhs(seg.point(s), y),
+                                                dtype=complex)
 
     s = 0.0
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    k1 = f(s, y)
+    K = np.empty((7, len(y)), dtype=complex)  # the seven stage rows
+    K[0] = f(s, y)
     for stop in stops:
         while s < stop:
             h = min(h, stop - s)
@@ -237,18 +252,16 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                 raise StepBudgetError(
                     f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
                     f"at s={s:.6f}, h={h:.3g}")
-            ks = [k1]
             for row in range(1, 7):
-                a = _DP_A[row]
-                yk = y + h * sum(a[j] * ks[j] for j in range(len(a)))
-                ks.append(f(s + _DP_C[row] * h, yk))
-            y5 = y + h * sum(_DP_B5[j] * ks[j] for j in range(7))
-            err = h * sum((_DP_B5[j] - _DP_B4[j]) * ks[j] for j in range(7))
+                yk = y + h * np.add.reduce(_DP_A_COLS[row] * K[:row])
+                K[row] = f(s + _DP_C[row] * h, yk)
+            y5 = y + h * np.add.reduce(_DP_B5_COL * K)
+            err = h * np.add.reduce(_DP_E_COL * K)
             enorm = _error_norm(err, y, y5, rel_tol, abs_tol)
             if enorm <= 1.0:
                 s += h
                 y = y5
-                k1 = ks[6]  # FSAL
+                K[0] = K[6]  # FSAL
                 traj.n_steps += 1
                 factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
                     * err_prev ** _PI_BETA

@@ -2,7 +2,11 @@
 
 Generators are "lasso" loops from a common base point: straight approach
 to a small circle around one singular point, the full circle, and the
-return leg.  Only conjugacy-invariant data (traces of the monodromy
+return leg.  The return leg retraces the approach, so its transport is
+the inverse of the approach's: a lasso is integrated up to the end of
+its circle and the return is obtained by inversion, while the loop at
+infinity is integrated in full and keeps the product relation an
+independent check.  Only conjugacy-invariant data (traces of the monodromy
 matrices and of their pairwise products) is compared across a
 deformation; fundamental-solution normalization at a moving singularity
 configuration is gauge.
@@ -40,7 +44,11 @@ def _loop_radius(points, k) -> float:
 
 
 def lasso(points, k, x0=None) -> ComplexPath:
-    """Approach-circle-return loop around the k-th finite singular point."""
+    """Approach-circle-return loop around the k-th finite singular point.
+
+    The return leg is the approach reversed; :func:`monodromy_matrix`
+    obtains its transport by inverting the approach's.
+    """
     pts = [complex(z) for z in points]
     if x0 is None:
         x0 = base_point(pts)
@@ -74,11 +82,24 @@ def big_circle(points, x0=None, clockwise=True) -> ComplexPath:
 
 def monodromy_matrix(sys: FuchsianSystem, loop: ComplexPath, rel_tol=1e-10,
                      abs_tol=1e-13):
-    """Transport matrix of the fundamental solution around a closed loop."""
+    """Transport matrix of the fundamental solution around a closed loop.
+
+    A loop that starts with a straight line and ends by retracing it (a
+    lasso) is integrated without that last segment: with P the transport
+    along the first segment and C P the transport up to the return leg,
+    the matrix is P^-1 C P.  Every other loop is integrated in full.
+    """
     L = sys.size
     y0 = np.eye(L, dtype=complex).ravel()
+    first, last = loop.segments[0], loop.segments[-1]
+    retraced = isinstance(first, Line) and last == Line(first.end, first.start)
+    if retraced:
+        loop = ComplexPath(loop.segments[:-1], loop.singularities, loop.margin)
     traj = integrate(sys.rhs(), y0, loop, rel_tol=rel_tol, abs_tol=abs_tol)
-    return traj.end_state.reshape(L, L)
+    end = traj.end_state.reshape(L, L)
+    if retraced:
+        return np.linalg.solve(traj.states[1].reshape(L, L), end)
+    return end
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,16 @@ def test_flow_rhs_validates_index():
             flow_rhs("21,21,111,111", i, par, (1.7 + 0.6j,))
 
 
+def test_vector_field_validates_index():
+    sid = "11,11,11,11,11"
+    rng = rng_from_seed(6)
+    par = sample_params(sid, rng, generic=True)
+    st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="time index"):
+            vector_field(sid, i, par, st)
+
+
 def test_flow_states_times_and_endpoint():
     sid = "11,11,11,11,11"
     rng = rng_from_seed(5)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from painlab import integrator
+from painlab import integrator, verify
 from painlab.cli import main
 
 
@@ -98,6 +98,8 @@ ABSENT = object()  # --config names a file that does not exist
     (["--rel-tol", "0"], None),
     (["--params", STIFF], None),
     (["--out", "{tmp}"], None),
+    # verify, not integrate: the bad --out is caught before any check runs
+    (["verify", "all", "--out", "{tmp}/missing/r.json"], None),
     ([], ABSENT),
     ([], "{bad json"),
     ([], "[1, 2]"),
@@ -107,6 +109,7 @@ ABSENT = object()  # --config names a file that does not exist
 ], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
         "malformed-t-end", "time-index-too-large", "time-index-zero",
         "rel-tol-zero", "integrator-stall", "unwritable-out",
+        "verify-unwritable-out",
         "config-missing", "config-malformed", "config-not-an-object",
         "config-state-without-p", "config-state-wrong-length",
         "config-state-time-one"])
@@ -118,9 +121,15 @@ def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
         cfg.write_text(config)
     head = [] if config is None else ["--config", str(cfg)]
     flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
-    code = main(head + ["integrate", "--system", "11,11,11,11",
-                        "--out", str(tmp_path / "x.csv"), *flags])
-    err = capsys.readouterr().err
-    assert code == 2
+    if flags[:1] == ["verify"]:
+        monkeypatch.setattr(verify, "run_checks", None)  # must not be called
+        argv = flags
+    else:
+        argv = ["integrate", "--system", "11,11,11,11",
+                "--out", str(tmp_path / "x.csv"), *flags]
+    code = main(head + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()

@@ -1,11 +1,16 @@
 """Numerical monodromy: generators, relations, invariance."""
 
 import numpy as np
+import pytest
+
+from painlab.catalog import PhaseState, lookup
 from painlab.fuchsian import FuchsianSystem
-from painlab.monodromy import (base_point, invariant_traces,
+from painlab.integrator import ComplexPath, integrate
+from painlab.monodromy import (base_point, big_circle, invariant_traces,
                                isomonodromy_drift, lasso, monodromy_matrix,
                                monodromy_representation)
-from painlab.sampling import rng_from_seed
+from painlab.parametrizations import SUPPORTED, assemble
+from painlab.sampling import rng_from_seed, sample_params, sample_state
 
 
 def small_random_system(rng, n_pts=3, L=2, scale=0.3):
@@ -20,8 +25,6 @@ def test_empty_loop_gives_identity():
     sys = small_random_system(rng)
     x0 = base_point(sys.points)
     # a small circle far from every singularity encloses nothing
-    from painlab.integrator import ComplexPath
-
     loop = ComplexPath.circle(x0, 0.05, singularities=sys.points)
     M = monodromy_matrix(sys, loop, rel_tol=1e-11)
     assert np.max(np.abs(M - np.eye(2))) < 1e-9
@@ -91,3 +94,42 @@ def test_report_serializes():
     assert set(d) == {"base", "loops", "matrices", "at_infinity", "traces"}
     assert len(d["matrices"]) == 3
     assert all(lp["radius"] > 0 for lp in d["loops"])
+
+
+def _assembled(sid, rng):
+    desc = lookup(sid)
+    par = {k: 0.25 * v for k, v in
+           sample_params(sid, rng, generic=True).items()}
+    times = ((1.7 + 0.8j, -0.6 + 0.5j) if desc.n_times == 2
+             else (1.7 + 0.8j,))
+    st = sample_state(sid, rng, times=times)
+    st = PhaseState(tuple(0.4 * z for z in st.q),
+                    tuple(0.4 * z for z in st.p), st.t)
+    return assemble(sid, par, st)
+
+
+def _transport(sys, loop):
+    y0 = np.eye(sys.size, dtype=complex).ravel()
+    traj = integrate(sys.rhs(), y0, loop, rel_tol=1e-10, abs_tol=1e-13)
+    return traj.end_state.reshape(sys.size, sys.size)
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_lasso_by_inversion_matches_full_transport(sid):
+    # the return leg is inverted, not integrated: the generators must
+    # still agree with integration over all three legs
+    sys = _assembled(sid, rng_from_seed(8))
+    for k in range(len(sys.points)):
+        loop = lasso(sys.points, k)
+        M, full = monodromy_matrix(sys, loop), _transport(sys, loop)
+        assert np.linalg.norm(M - full) <= 1e-9 * np.linalg.norm(full)
+
+
+def test_loops_that_do_not_retrace_are_integrated_in_full():
+    sys = _assembled("22,22,211,211", rng_from_seed(9))
+    x0 = base_point(sys.points)
+    triangle = ComplexPath.polyline([x0, 3 + 1j, -3 + 1.5j, x0],
+                                    singularities=sys.points)
+    for loop in (triangle, big_circle(sys.points)):
+        assert np.array_equal(monodromy_matrix(sys, loop),
+                              _transport(sys, loop))

@@ -164,6 +164,9 @@ def _make_catalog():
 
     def add(sid, n_times, n_pairs, L, family, params, fuchs,
             alpha_relation=None):
+        if family != "sixdim":
+            # alpha-native: the trace relation is the printed alpha relation
+            alpha_relation = fuchs
         entries.append(SystemDescriptor(
             sid=sid, n_times=n_times, n_pairs=n_pairs, matrix_size=L,
             family=family, param_names=tuple(params), fuchs_relation=fuchs,
@@ -173,8 +176,7 @@ def _make_catalog():
     a = lambda k: tuple(f"alpha{j}" for j in range(k))
 
     add("11,11,11,11", 1, 1, 2, "classical", a(5),
-        _uniform(a(5), alpha2=2, const=-1),
-        alpha_relation=_uniform(a(5), alpha2=2, const=-1))
+        _uniform(a(5), alpha2=2, const=-1))
 
     sixdim = "sixdim"
     add("21,21,21,21,111", 2, 3, 3, sixdim,
@@ -215,38 +217,24 @@ def _make_catalog():
         _lf(theta1=3, theta2=1, theta31=2, theta32=2, rho1=2, rho2=2, rho3=2))
 
     comp = "sixdim-companion"
-    add("11,11,11,11,11,11", 3, 3, 2, comp, a(7),
-        _uniform(a(7), alpha0=2),
-        alpha_relation=_uniform(a(7), alpha0=2))
+    add("11,11,11,11,11,11", 3, 3, 2, comp, a(7), _uniform(a(7), alpha0=2))
     add("31,31,1111,1111", 1, 3, 4, comp, a(8) + ("eta",),
-        _uniform(a(8), const=-1),
-        alpha_relation=_uniform(a(8), const=-1))
+        _uniform(a(8), const=-1))
     add("33,33,33,321", 1, 3, 6, comp, a(6),
-        _lf(alpha0=1, alpha1=1, alpha2=2, alpha3=1, alpha4=1, const=-1),
-        alpha_relation=_lf(alpha0=1, alpha1=1, alpha2=2, alpha3=1, alpha4=1,
-                           const=-1))
+        _lf(alpha0=1, alpha1=1, alpha2=2, alpha3=1, alpha4=1, const=-1))
     add("51,33,33,111111", 1, 3, 6, comp, a(9),
         _lf(alpha0=1, alpha1=1, alpha2=2, alpha3=2, alpha4=2, alpha5=2,
-            alpha6=2, alpha7=1, alpha8=1, const=-1),
-        alpha_relation=_lf(alpha0=1, alpha1=1, alpha2=2, alpha3=2, alpha4=2,
-                           alpha5=2, alpha6=2, alpha7=1, alpha8=1, const=-1))
+            alpha6=2, alpha7=1, alpha8=1, const=-1))
 
     four = "fourdim"
-    add("11,11,11,11,11", 2, 2, 2, four, a(6),
-        _uniform(a(6), alpha0=2),
-        alpha_relation=_uniform(a(6), alpha0=2))
+    add("11,11,11,11,11", 2, 2, 2, four, a(6), _uniform(a(6), alpha0=2))
     add("21,21,111,111", 1, 2, 3, four, a(6) + ("eta",),
-        _uniform(a(6), const=-1),
-        alpha_relation=_uniform(a(6), const=-1))
+        _uniform(a(6), const=-1))
     add("22,22,22,211", 1, 2, 4, four, a(6),
-        _lf(alpha0=1, alpha1=1, alpha2=2, alpha3=1, alpha4=1, const=-1),
-        alpha_relation=_lf(alpha0=1, alpha1=1, alpha2=2, alpha3=1, alpha4=1,
-                           const=-1))
+        _lf(alpha0=1, alpha1=1, alpha2=2, alpha3=1, alpha4=1, const=-1))
     add("31,22,22,1111", 1, 2, 4, four, a(7),
         _lf(alpha0=1, alpha1=1, alpha2=2, alpha3=2, alpha4=2, alpha5=1,
-            alpha6=1, const=-1),
-        alpha_relation=_lf(alpha0=1, alpha1=1, alpha2=2, alpha3=2, alpha4=2,
-                           alpha5=1, alpha6=1, const=-1))
+            alpha6=1, const=-1))
 
     return {e.sid: e for e in entries}
 

@@ -75,7 +75,11 @@ def cmd_integrate(args, config):
         desc = lookup(sid)
     except KeyError as exc:
         return _error(exc)
-    seed = _resolve_seed(args, config)
+    try:
+        seed = _resolve_seed(args, config)
+        out = _resolve_path(args.out, config, "out", "trajectory.csv")
+    except ValueError as exc:
+        return _error(exc)
     rng = rng_from_seed(seed)
 
     params = config.get("params")
@@ -134,7 +138,6 @@ def cmd_integrate(args, config):
         return _error(exc)
     names = [f"q{k+1}" for k in range(desc.n_pairs)] + \
             [f"p{k+1}" for k in range(desc.n_pairs)]
-    out = args.out or config.get("out", "trajectory.csv")
     try:
         with open(out, "w") as fh:
             trajectory_to_csv(traj, fh, component_names=names)
@@ -146,18 +149,37 @@ def cmd_integrate(args, config):
 
 
 def _resolve_seed(args, config):
+    """The flag, else PAINLAB_SEED, else the config field, else the default;
+    ValueError unless it is a non-negative integer."""
     env = os.environ.get("PAINLAB_SEED")
     if args.seed is not None:
-        return int(args.seed)
-    if env is not None:
-        return int(env)
-    return int(config.get("seed", verify.DEFAULT_SEED))
+        source, seed = "--seed", args.seed
+    elif env is not None:
+        source, seed = "PAINLAB_SEED", env.strip()
+        if seed.isdecimal():
+            seed = int(seed)
+    else:
+        source, seed = "config seed", config.get("seed", verify.DEFAULT_SEED)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{source} {seed!r} is not a non-negative integer")
+    return seed
+
+
+def _resolve_path(flag, config, field, default):
+    """The flag, else the config field, else the default: a path string."""
+    path = flag or config.get(field, default)
+    if not isinstance(path, str):
+        raise ValueError(f"config {field} {path!r} is not a path string")
+    return path
 
 
 def cmd_verify(args, config):
-    seed = _resolve_seed(args, config)
+    try:
+        seed = _resolve_seed(args, config)
+        out = _resolve_path(args.out, config, "report", "report.json")
+    except ValueError as exc:
+        return _error(exc)
     names = list(verify.CHECKS) if args.what == "all" else [args.what]
-    out = args.out or config.get("report", "report.json")
     try:
         # opened before the checks run, so a bad path costs no check time
         fh = open(out, "w")

@@ -1,8 +1,9 @@
 """The degeneration rules between catalog systems.
 
 Each rule pins an invariant submanifold (plus a parameter condition) of a
-bigger system on which its Hamiltonians reduce to a smaller system's.
-``check_rule`` reports two residuals per rule:
+bigger system on which its Hamiltonians reduce to a smaller system's;
+the rules are the rows of ``RULES``.  ``check_rule`` reports two
+residuals per rule:
 
 - the Hamiltonian residual: |H_big - H_small| under the rule's coordinate
   identification, except for the momentum-type rule (see below) where it
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import (PhaseState, constraint_rate, derive_alphas, eval_h,
-                      full_params, lookup)
-from .sampling import rational_complex, sample_params, sample_state
+from .catalog import PhaseState, constraint_rate, derive_alphas, eval_h, lookup
+from .sampling import (MAX_DRAWS, rational_complex, sample_params,
+                       sample_state, tied_params)
 
 __all__ = ["DegenerationRule", "RULES", "check_rule"]
 
@@ -32,31 +33,36 @@ class DegenerationRule:
     label: str
     big: str
     small: str
-    sample_params: callable     # rng -> big params (constraints solved exactly)
-    small_params: callable      # big params -> small params
-    onto_manifold: callable     # rng, params, times -> PhaseState on manifold
+    onto_manifold: callable     # rule, rng, big params -> PhaseState on it
     constraints: tuple          # g(q, p, t, par) expressions cut the manifold
-    hamiltonian_residual: callable  # params, state -> float
+    hamiltonian_residual: callable  # rule, params, state -> float
+    # the parameter condition: one parameter preset to 0 (its draw is
+    # skipped), or a tie (name, par -> value, solved name) as in
+    # sampling.tied_params
+    zero: str | None = None
+    tie: tuple | None = None
+
+    def draw_params(self, rng):
+        """Big-system parameters on which the condition holds exactly."""
+        if self.tie is None:
+            return sample_params(self.big, rng, fixed={self.zero: 0.0})
+        return tied_params(self.big, rng, *self.tie)
 
 
-def _project_first_pairs(sid_small):
-    def resid(rule, params, state):
-        small_par = rule.small_params(params)
-        small_state = PhaseState(state.q[:2], state.p[:2],
-                                 state.t[:lookup(sid_small).n_times])
-        n_times = lookup(rule.big).n_times
-        worst = 0.0
-        for i in range(1, n_times + 1):
-            hb = eval_h(rule.big, i, params, state)
-            hs = eval_h(sid_small, i, small_par, small_state)
-            worst = max(worst, abs(hb - hs))
-        return worst
-
-    return resid
+def _project_first_pairs(rule, params, state):
+    small_par = derive_alphas(rule.big, params)
+    small_state = PhaseState(state.q[:2], state.p[:2],
+                             state.t[:lookup(rule.small).n_times])
+    worst = 0.0
+    for i in range(1, lookup(rule.big).n_times + 1):
+        hb = eval_h(rule.big, i, params, state)
+        hs = eval_h(rule.small, i, small_par, small_state)
+        worst = max(worst, abs(hb - hs))
+    return worst
 
 
 def _trace_form_residual(rule, params, state):
-    small_par = rule.small_params(params)
+    small_par = derive_alphas(rule.big, params)
     q1, q2, q3 = state.q
     p1, p2, p3 = state.p
     qs = ((q1 + q3) / 2, -q2 - (q1 - q3) ** 2 / 4)
@@ -80,183 +86,87 @@ def _descent_residual(rule, params, state):
     return abs(value(1.0) - value(1.45 - 0.35j))
 
 
-def _alphas(big):
-    def f(params):
-        return derive_alphas(big, params)
-
-    return f
+def _zero_q3(rule, rng, params):
+    st = sample_state(rule.big, rng)
+    return PhaseState((st.q[0], st.q[1], 0.0), st.p, st.t)
 
 
-def _mk_rule_1():
-    big, small = "21,21,21,21,111", "11,11,11,11,11"
-
-    def sample(rng):
-        return sample_params(big, rng, fixed={"rho3": 0.0})
-
-    def onto(rng, params, times):
-        st = sample_state(big, rng, times=times)
-        return PhaseState(st.q, (st.p[0], st.p[1], 0.0), st.t)
-
-    return DegenerationRule(
-        label="p3-and-last-exponent-zero", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big), onto_manifold=onto,
-        constraints=(lambda q, p, t, par: p[2],),
-        hamiltonian_residual=_project_first_pairs(small))
+def _zero_p3(rule, rng, params):
+    st = sample_state(rule.big, rng)
+    return PhaseState(st.q, (st.p[0], st.p[1], 0.0), st.t)
 
 
-def _mk_rule_2():
-    big, small = "31,31,22,22,22", "11,11,11,11,11"
-
-    def sample(rng):
-        par = sample_params(big, rng)
-        par["theta2"] = -par["theta1"]
-        par["rho2"] = -(par["theta1"] + par["theta2"] + 2 * par["theta3"]
-                        + 2 * par["theta4"] + 2 * par["rho1"]) / 2
-        return par
-
-    def onto(rng, params, times):
-        st = sample_state(big, rng, times=times)
-        return PhaseState((st.q[0], st.q[1], 0.0), st.p, st.t)
-
-    return DegenerationRule(
-        label="q3-and-exponent-sum-zero", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big), onto_manifold=onto,
-        constraints=(lambda q, p, t, par: q[2],),
-        hamiltonian_residual=_project_first_pairs(small))
+def _momentum_level(rule, rng, params):
+    st = sample_state(rule.big, rng)
+    q1, q2, _ = st.q
+    p1, p2, _ = st.p
+    q3 = rational_complex(rng, nonzero=True)
+    alpha2 = derive_alphas(rule.big, params)["alpha2"]
+    p3 = ((q1 - st.t[0]) * p1 - alpha2) / q3
+    return PhaseState((q1, q2, q3), (p1, p2, p3), st.t)
 
 
-def _mk_rule_3():
-    big, small = "21,111,111,111", "21,21,111,111"
-
-    def sample(rng):
-        return sample_params(big, rng, fixed={"theta21": 0.0})
-
-    def onto(rng, params, times):
-        st = sample_state(big, rng, times=times)
-        return PhaseState((st.q[0], st.q[1], 0.0), st.p, st.t)
-
-    return DegenerationRule(
-        label="q3-and-first-exponent-zero", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big),
-        onto_manifold=onto,
-        constraints=(lambda q, p, t, par: q[2],),
-        hamiltonian_residual=_project_first_pairs(small))
+def _trace_merge(rule, rng, params):
+    st = sample_state(rule.big, rng)
+    q1, q2, q3 = st.q
+    p1, p2, _ = st.p
+    return PhaseState(st.q, (p1, p2, p1 - (q1 - q3) * p2), st.t)
 
 
-def _mk_rule_4():
-    big, small = "31,22,211,1111", "21,21,111,111"
+_Q3 = (lambda q, p, t, par: q[2],)
+_P3 = (lambda q, p, t, par: p[2],)
+_MOMENTUM = (lambda q, p, t, par:
+             (q[0] - t[0]) * p[0] - q[2] * p[2] - par["alpha2"],)
+_MERGE = (lambda q, p, t, par: p[0] - p[2] - (q[0] - q[2]) * p[1],)
 
-    def sample(rng):
-        return sample_params(big, rng, fixed={"rho4": 0.0})
-
-    def onto(rng, params, times):
-        st = sample_state(big, rng, times=times)
-        return PhaseState(st.q, (st.p[0], st.p[1], 0.0), st.t)
-
-    return DegenerationRule(
-        label="p3-and-last-exponent-zero-4dim", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big),
-        onto_manifold=onto,
-        constraints=(lambda q, p, t, par: p[2],),
-        hamiltonian_residual=_project_first_pairs(small))
-
-
-def _mk_rule_5():
-    big, small = "31,22,211,1111", "31,22,22,1111"
-
-    def sample(rng):
-        par = sample_params(big, rng)
-        par["theta32"] = par["theta31"]
-        par["rho4"] = -(par["theta1"] + 2 * par["theta2"] + par["theta31"]
-                        + par["theta32"] + par["rho1"] + par["rho2"]
-                        + par["rho3"])
-        return par
-
-    def onto(rng, params, times):
-        merged = full_params(big, params)
-        st = sample_state(big, rng, times=times)
-        q1, q2, _ = st.q
-        p1, p2, _ = st.p
-        q3 = rational_complex(rng, nonzero=True)
-        p3 = ((q1 - st.t[0]) * p1 - merged["alpha2"]) / q3
-        return PhaseState((q1, q2, q3), (p1, p2, p3), st.t)
-
-    return DegenerationRule(
-        label="momentum-level-reduction", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big),
-        onto_manifold=onto,
-        constraints=(lambda q, p, t, par:
-                     (q[0] - t[0]) * p[0] - q[2] * p[2] - par["alpha2"],),
-        hamiltonian_residual=_descent_residual)
-
-
-def _mk_rule_6():
-    big, small = "22,22,211,211", "22,22,22,211"
-
-    def sample(rng):
-        par = sample_params(big, rng)
-        par["theta32"] = par["theta31"]
-        par["rho2"] = -(2 * par["theta1"] + 2 * par["theta2"] + par["theta31"]
-                        + par["theta32"] + par["rho1"] + 2 * par["rho3"])
-        return par
-
-    def onto(rng, params, times):
-        st = sample_state(big, rng, times=times)
-        q1, q2, q3 = st.q
-        p1, p2, _ = st.p
-        return PhaseState(st.q, (p1, p2, p1 - (q1 - q3) * p2), st.t)
-
-    return DegenerationRule(
-        label="trace-form-merge", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big), onto_manifold=onto,
-        constraints=(lambda q, p, t, par:
-                     p[0] - p[2] - (q[0] - q[2]) * p[1],),
-        hamiltonian_residual=_trace_form_residual)
-
-
-def _mk_rule_7():
-    big, small = "22,22,22,1111", "22,22,22,211"
-
-    def sample(rng):
-        par = sample_params(big, rng)
-        par["rho4"] = par["rho3"]
-        par["rho2"] = -(2 * par["theta1"] + 2 * par["theta2"]
-                        + 2 * par["theta3"] + par["rho1"] + par["rho3"]
-                        + par["rho4"])
-        return par
-
-    def onto(rng, params, times):
-        st = sample_state(big, rng, times=times)
-        q1, q2, q3 = st.q
-        p1, p2, _ = st.p
-        return PhaseState(st.q, (p1, p2, p1 - (q1 - q3) * p2), st.t)
-
-    return DegenerationRule(
-        label="trace-form-merge-4dim", big=big, small=small,
-        sample_params=sample, small_params=_alphas(big), onto_manifold=onto,
-        constraints=(lambda q, p, t, par:
-                     p[0] - p[2] - (q[0] - q[2]) * p[1],),
-        hamiltonian_residual=_trace_form_residual)
-
-
+# verify_degeneration threads one rng through the rules in this order
 RULES = {r.label: r for r in (
-    _mk_rule_1(), _mk_rule_2(), _mk_rule_3(), _mk_rule_4(),
-    _mk_rule_5(), _mk_rule_6(), _mk_rule_7())}
+    DegenerationRule("p3-and-last-exponent-zero", "21,21,21,21,111",
+                     "11,11,11,11,11", _zero_p3, _P3, _project_first_pairs,
+                     zero="rho3"),
+    DegenerationRule("q3-and-exponent-sum-zero", "31,31,22,22,22",
+                     "11,11,11,11,11", _zero_q3, _Q3, _project_first_pairs,
+                     tie=("theta2", lambda par: -par["theta1"], "rho2")),
+    DegenerationRule("q3-and-first-exponent-zero", "21,111,111,111",
+                     "21,21,111,111", _zero_q3, _Q3, _project_first_pairs,
+                     zero="theta21"),
+    DegenerationRule("p3-and-last-exponent-zero-4dim", "31,22,211,1111",
+                     "21,21,111,111", _zero_p3, _P3, _project_first_pairs,
+                     zero="rho4"),
+    DegenerationRule("momentum-level-reduction", "31,22,211,1111",
+                     "31,22,22,1111", _momentum_level, _MOMENTUM,
+                     _descent_residual,
+                     tie=("theta32", lambda par: par["theta31"], "rho4")),
+    DegenerationRule("trace-form-merge", "22,22,211,211", "22,22,22,211",
+                     _trace_merge, _MERGE, _trace_form_residual,
+                     tie=("theta32", lambda par: par["theta31"], "rho2")),
+    DegenerationRule("trace-form-merge-4dim", "22,22,22,1111",
+                     "22,22,22,211", _trace_merge, _MERGE,
+                     _trace_form_residual,
+                     tie=("rho4", lambda par: par["rho3"], "rho2")),
+)}
 
 
 def check_rule(rule: DegenerationRule, n_samples, rng):
-    """(max Hamiltonian residual, max tangency residual) over samples."""
-    worst_h = worst_t = 0.0
-    done = 0
-    while done < n_samples:
-        params = rule.sample_params(rng)
-        try:
-            state = rule.onto_manifold(rng, params, None)
-            worst_h = max(worst_h, rule.hamiltonian_residual(rule, params, state))
-            worst_t = max(worst_t, constraint_rate(rule.big, params, state,
-                                                   rule.constraints))
-        except (ValueError, ZeroDivisionError):
-            continue
-        done += 1
-    return worst_h, worst_t
+    """(max Hamiltonian residual, max tangency residual) over samples.
 
+    A sample whose residuals cannot be evaluated is redrawn, at most
+    ``MAX_DRAWS`` times, and counts towards neither maximum.
+    """
+    worst_h = worst_t = 0.0
+    for _ in range(n_samples):
+        for _ in range(MAX_DRAWS):
+            params = rule.draw_params(rng)
+            try:
+                state = rule.onto_manifold(rule, rng, params)
+                h = rule.hamiltonian_residual(rule, params, state)
+                tang = constraint_rate(rule.big, params, state,
+                                       rule.constraints)
+            except (ValueError, ZeroDivisionError):
+                continue
+            break
+        else:
+            raise RuntimeError(f"{rule.label}: no admissible sample in "
+                               f"{MAX_DRAWS} draws")
+        worst_h, worst_t = max(worst_h, h), max(worst_t, tang)
+    return worst_h, worst_t

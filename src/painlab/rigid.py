@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import PhaseState, constraint_rate, full_params
+from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
            "rigid_rhs", "specialization_residual", "constraint_flow_drift",
-           "lift_solution", "pfaff_residual", "riemann_scheme_columns",
-           "lift_report_csv"]
+           "lift_solution", "pfaff_residual", "riemann_scheme_columns"]
 
 _E23 = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -37,6 +37,9 @@ class RigidCase:
     n_times: int
     # map merged parent params -> violation of the parameter constraint
     parameter_constraint: callable
+    # (name, par -> value, solved name): the parent draw on which the
+    # parameter constraint holds, as in sampling.tied_params
+    tie: tuple
     # per deformation time: merged params -> (M_t | None, M_1, M_0)
     matrices: callable
     # constraint expressions g_k(q, p, t, par) cutting the submanifold
@@ -272,8 +275,6 @@ def _scheme54(par):
 
 
 def _manifold51(rng, par, times):
-    from .sampling import rational_complex
-
     q1 = rational_complex(rng, nonzero=True)
     q2 = rational_complex(rng)
     p3 = rational_complex(rng)
@@ -281,22 +282,16 @@ def _manifold51(rng, par, times):
 
 
 def _manifold52(rng, par, times):
-    from .sampling import rational_complex
-
     p = tuple(rational_complex(rng) for _ in range(3))
     return PhaseState((0.0, 0.0, 0.0), p, times)
 
 
 def _manifold53(rng, par, times):
-    from .sampling import rational_complex
-
     q = tuple(rational_complex(rng) for _ in range(3))
     return PhaseState(q, (0.0, 0.0, 0.0), times)
 
 
 def _manifold54(rng, par, times):
-    from .sampling import rational_complex
-
     p1 = rational_complex(rng, nonzero=True)
     p2 = rational_complex(rng)
     p3 = rational_complex(rng)
@@ -311,6 +306,7 @@ RIGID_CASES = {
         n_times=2,
         parameter_constraint=lambda par: (par["alpha0"] + par["alpha1"]
                                           + par["alpha5"] + 1),
+        tie=("theta3", lambda par: -par["rho2"] - par["theta1"], "rho3"),
         matrices=_mats_case51,
         constraints=(
             lambda q, p, t, par: q[0] * p[0] - par["alpha1"],
@@ -328,6 +324,7 @@ RIGID_CASES = {
         spectral_type="31,22,22,22",
         n_times=2,
         parameter_constraint=lambda par: par["alpha1"],
+        tie=("theta1", lambda par: 0.0, "rho2"),
         matrices=_mats_case52,
         constraints=(
             lambda q, p, t, par: q[0],
@@ -345,6 +342,9 @@ RIGID_CASES = {
         spectral_type="211,211,211",
         n_times=1,
         parameter_constraint=lambda par: par["eta"],
+        tie=("rho1",
+             lambda par: -(par["theta1"] + par["theta21"] + par["theta31"]),
+             "rho3"),
         matrices=_mats_case53,
         constraints=(
             lambda q, p, t, par: p[0],
@@ -363,6 +363,7 @@ RIGID_CASES = {
         n_times=1,
         parameter_constraint=lambda par: (par["alpha1"] + par["alpha3"]
                                           - par["eta"]),
+        tie=("theta1", lambda par: 0.0, "rho4"),
         matrices=_mats_case54,
         constraints=(
             lambda q, p, t, par: q[0] * p[0] + par["alpha1"],
@@ -452,21 +453,3 @@ def riemann_scheme_columns(case: RigidCase, params):
     """Printed exponent columns, one tuple of columns per deformation time."""
     par = full_params(case.parent, params)
     return case.scheme(par)
-
-
-def lift_report_csv(case: RigidCase, params, ys, times_list, fileobj):
-    """CSV of deformation time, lifted (q, p), and constraint residuals."""
-    par = full_params(case.parent, params)
-    n_g = len(case.constraints)
-    cols = ["re_t", "im_t"]
-    for name in ("q1", "q2", "q3", "p1", "p2", "p3"):
-        cols += [f"re_{name}", f"im_{name}"]
-    cols += [f"constraint_{k}" for k in range(n_g)]
-    fileobj.write(",".join(cols) + "\n")
-    for st in lift_solution(case, params, ys, times_list):
-        row = [f"{st.t[0].real:.16g}", f"{st.t[0].imag:.16g}"]
-        for z in st.q + st.p:
-            row += [f"{z.real:.16g}", f"{z.imag:.16g}"]
-        for g in case.constraints:
-            row.append(f"{abs(g(st.q, st.p, st.t, par)):.3e}")
-        fileobj.write(",".join(row) + "\n")

@@ -13,7 +13,11 @@ import numpy as np
 
 from .catalog import PhaseState, lookup
 
-__all__ = ["rational_complex", "sample_params", "sample_state", "rng_from_seed"]
+__all__ = ["MAX_DRAWS", "rational_complex", "sample_params", "tied_params",
+           "sample_state", "rng_from_seed"]
+
+# draws a rejection loop makes before it gives up with a RuntimeError
+MAX_DRAWS = 100
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -22,7 +26,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def rational_complex(rng, max_mod=2.0, nonzero=False) -> complex:
     """Random rational complex value with |z| <= max_mod."""
-    while True:
+    for _ in range(MAX_DRAWS):
         den = int(rng.integers(1, 5))
         hi = int(max_mod * den)
         z = complex(int(rng.integers(-hi, hi + 1)) / den,
@@ -32,6 +36,8 @@ def rational_complex(rng, max_mod=2.0, nonzero=False) -> complex:
         if nonzero and abs(z) < 0.25:
             continue
         return z
+    raise RuntimeError(f"no rational value with |z| <= {max_mod} in "
+                       f"{MAX_DRAWS} draws")
 
 
 def sample_params(sid: str, rng, fixed=None, solve_name=None, generic=False,
@@ -51,7 +57,7 @@ def sample_params(sid: str, rng, fixed=None, solve_name=None, generic=False,
     if solve_name is None:
         candidates = [n for n in free if n in desc.fuchs_relation.coeffs]
         solve_name = candidates[-1]
-    for _ in range(400):
+    for _ in range(MAX_DRAWS):
         values = {}
         for n in names:
             if n in fixed:
@@ -66,18 +72,34 @@ def sample_params(sid: str, rng, fixed=None, solve_name=None, generic=False,
                 abs(vals[i] - vals[j]) > separation
                 for i in range(len(vals)) for j in range(i + 1, len(vals))):
             return values
-    raise RuntimeError("could not draw generic parameters")
+    raise RuntimeError(f"{sid}: no generic parameters in {MAX_DRAWS} draws")
 
 
-def _good_times(rng, n_times):
+def tied_params(sid: str, rng, name, value, solve, generic=False):
+    """A :func:`sample_params` draw with ``name`` tied to ``value(par)``
+    and the trace relation re-solved for ``solve``.
+
+    The tie overwrites a full draw rather than presetting ``name`` through
+    ``fixed``, so the rng advances exactly as for an untied draw.
+    """
+    par = sample_params(sid, rng, generic=generic)
+    par[name] = value(par)
+    par[solve] = lookup(sid).fuchs_relation.solve_for(solve, par)
+    return par
+
+
+def _good_times(rng, sid):
     """Times of moderate size, separated from 0, 1 and each other."""
-    while True:
-        ts = [rational_complex(rng, max_mod=2.0) for _ in range(n_times)]
+    for _ in range(MAX_DRAWS):
+        ts = [rational_complex(rng, max_mod=2.0)
+              for _ in range(lookup(sid).n_times)]
         pts = [0.0, 1.0] + ts
         ok = all(abs(pts[i] - pts[j]) > 0.3
                  for i in range(len(pts)) for j in range(i + 1, len(pts)))
         if ok:
             return tuple(ts)
+    raise RuntimeError(f"{sid}: no separated deformation times in "
+                       f"{MAX_DRAWS} draws")
 
 
 def sample_state(sid: str, rng, times=None) -> PhaseState:
@@ -85,5 +107,5 @@ def sample_state(sid: str, rng, times=None) -> PhaseState:
     n = desc.n_pairs
     q = tuple(rational_complex(rng) for _ in range(n))
     p = tuple(rational_complex(rng) for _ in range(n))
-    t = tuple(times) if times is not None else _good_times(rng, desc.n_times)
+    t = tuple(times) if times is not None else _good_times(rng, sid)
     return PhaseState(q, p, t)

@@ -2,7 +2,7 @@
 
 Each ``verify_*`` function returns a result dict with the fields
 ``name``, ``passed``, ``details`` (residuals and tolerances) and
-``seconds``.  ``verify_all`` runs the whole battery; the command line
+``seconds``.  ``run_checks`` runs a list of them; the command line
 driver serializes the results to JSON.  All randomness flows through a
 single seed, so reports are reproducible.
 """
@@ -21,10 +21,11 @@ from .fuchsian import accessory_count
 from .integrator import integrate_time, integrate_two_time
 from .monodromy import isomonodromy_drift
 from .parametrizations import assemble, parametrization
-from .sampling import rng_from_seed, sample_params, sample_state
+from .sampling import (MAX_DRAWS, rng_from_seed, sample_params, sample_state,
+                       tied_params)
 from .schlesinger import realign_to_slice, schlesinger_flow_rhs
 
-__all__ = ["verify_all", "CHECKS", "run_checks"]
+__all__ = ["CHECKS", "run_checks"]
 
 DEFAULT_SEED = 20260810
 
@@ -208,33 +209,12 @@ def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
 # ---------------------------------------------------------------------------
 
 
-# draws of constrained_rigid_params before it gives up on a case
-MAX_PARAM_DRAWS = 100
-
-
 def constrained_rigid_params(case, rng):
-    """Parent parameters satisfying the case's parameter constraint."""
+    """Parent parameters drawn with the case's tie, kept once the trace
+    relation and the parameter constraint check out independently."""
     sid = case.parent
-    for _ in range(MAX_PARAM_DRAWS):
-        par = sample_params(sid, rng, generic=True)
-        if sid == "21,21,21,21,111":
-            par["theta3"] = -par["rho2"] - par["theta1"]
-            par["rho3"] = -(par["theta1"] + par["theta2"] + par["theta3"]
-                            + par["theta4"] + par["rho1"] + par["rho2"])
-        elif sid == "31,31,22,22,22":
-            par["theta1"] = 0.0
-            par["rho2"] = -(par["theta1"] + par["theta2"] + 2 * par["theta3"]
-                            + 2 * par["theta4"] + 2 * par["rho1"]) / 2
-        elif sid == "21,111,111,111":
-            par["rho1"] = -(par["theta1"] + par["theta21"] + par["theta31"])
-            par["rho3"] = -(par["theta1"] + par["theta21"] + par["theta22"]
-                            + par["theta31"] + par["theta32"] + par["rho1"]
-                            + par["rho2"])
-        elif sid == "31,22,211,1111":
-            par["theta1"] = 0.0
-            par["rho4"] = -(2 * par["theta2"] + par["theta31"]
-                            + par["theta32"] + par["rho1"] + par["rho2"]
-                            + par["rho3"])
+    for _ in range(MAX_DRAWS):
+        par = tied_params(sid, rng, *case.tie, generic=True)
         merged = full_params(sid, par, check=False)
         if abs(lookup(sid).fuchs_relation(par)) > 1e-10:
             continue
@@ -245,7 +225,7 @@ def constrained_rigid_params(case, rng):
             continue
         return par
     raise RuntimeError(f"{case.case_id}: no admissible parameters in "
-                       f"{MAX_PARAM_DRAWS} draws")
+                       f"{MAX_DRAWS} draws")
 
 
 def _match_multiset(values, targets, tol):
@@ -374,33 +354,36 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
         Om_qp[:n, n:] = np.eye(n)
         Om_qp[n:, :n] = -np.eye(n)
         worst = 0.0
-        done = 0
-        while done < n_samples:
-            par = sample_params(sid, rng, generic=True)
-            merged = full_params(sid, par)
-            st = sample_state(sid, rng)
-            z0 = np.array(st.q + st.p, dtype=complex)
+        for _ in range(n_samples):
+            for _ in range(MAX_DRAWS):
+                par = sample_params(sid, rng, generic=True)
+                merged = full_params(sid, par)
+                st = sample_state(sid, rng)
+                z0 = np.array(st.q + st.p, dtype=complex)
 
-            def F(z):
-                b, c = pz.bc_from_state(merged, tuple(z[:n]), tuple(z[n:]),
-                                        st.t)
-                return np.array(list(b) + list(c), dtype=complex)
+                def F(z):
+                    b, c = pz.bc_from_state(merged, tuple(z[:n]),
+                                            tuple(z[n:]), st.t)
+                    return np.array(list(b) + list(c), dtype=complex)
 
-            def central(dh):
-                J = np.zeros((2 * nb, 2 * n), dtype=complex)
-                for k in range(2 * n):
-                    zp, zm = z0.copy(), z0.copy()
-                    zp[k] += dh
-                    zm[k] -= dh
-                    J[:, k] = (F(zp) - F(zm)) / (2 * dh)
-                return J
+                def central(dh):
+                    J = np.zeros((2 * nb, 2 * n), dtype=complex)
+                    for k in range(2 * n):
+                        zp, zm = z0.copy(), z0.copy()
+                        zp[k] += dh
+                        zm[k] -= dh
+                        J[:, k] = (F(zp) - F(zm)) / (2 * dh)
+                    return J
 
-            try:
-                # Richardson-extrapolated central differences: O(h^4)
-                J = (4 * central(h / 2) - central(h)) / 3
-            except ValueError:
-                continue
-            done += 1
+                try:
+                    # Richardson-extrapolated central differences: O(h^4)
+                    J = (4 * central(h / 2) - central(h)) / 3
+                except ValueError:
+                    continue
+                break
+            else:
+                raise RuntimeError(f"{sid}: no sample off the chart's "
+                                   f"singular set in {MAX_DRAWS} draws")
             worst = max(worst, float(np.max(np.abs(
                 J.T @ Om_bc @ J - Om_qp))))
         rows[sid] = worst
@@ -466,7 +449,3 @@ def run_checks(names, seed=DEFAULT_SEED):
     for name in names:
         results.append(CHECKS[name](seed=seed))
     return results
-
-
-def verify_all(seed=DEFAULT_SEED):
-    return run_checks(list(CHECKS), seed=seed)

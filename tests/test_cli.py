@@ -106,13 +106,21 @@ ABSENT = object()  # --config names a file that does not exist
     ([], '{"state": {"q": [0.1], "t": [2.0]}}'),
     ([], '{"state": {"q": [0.1, 0.2], "p": [0.1], "t": [2.0]}}'),
     ([], '{"state": {"q": [0.1], "p": [0.1], "t": [1.0]}}'),
+    (["--seed", "-1"], None),
+    ([], '{"seed": "x"}'),
+    ([], '{"seed": 1.5}'),
+    (["PAINLAB_SEED=abc", "verify", "counts"], None),
+    (["integrate", "--system", "11,11,11,11"], '{"out": 1}'),
+    (["verify", "counts"], '{"report": 5}'),
 ], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
         "malformed-t-end", "time-index-too-large", "time-index-zero",
         "rel-tol-zero", "integrator-stall", "unwritable-out",
         "verify-unwritable-out",
         "config-missing", "config-malformed", "config-not-an-object",
         "config-state-without-p", "config-state-wrong-length",
-        "config-state-time-one"])
+        "config-state-time-one", "negative-seed", "config-seed-string",
+        "config-seed-float", "env-seed-not-an-integer", "config-out-number",
+        "config-report-number"])
 def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                flags, config):
     monkeypatch.setattr(integrator, "MAX_SEGMENT_STEPS", 300)
@@ -121,8 +129,12 @@ def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
         cfg.write_text(config)
     head = [] if config is None else ["--config", str(cfg)]
     flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    if flags and flags[0].startswith("PAINLAB_SEED="):
+        # a leading NAME=value sets the environment, as in a shell
+        monkeypatch.setenv("PAINLAB_SEED", flags.pop(0).split("=", 1)[1])
     if flags[:1] == ["verify"]:
         monkeypatch.setattr(verify, "run_checks", None)  # must not be called
+    if flags[:1] in (["verify"], ["integrate"]):
         argv = flags
     else:
         argv = ["integrate", "--system", "11,11,11,11",

@@ -1,9 +1,11 @@
 """Reductions between catalog systems: residuals and invariance."""
 
+import dataclasses
+
 import pytest
 
 from painlab.degenerations import RULES, check_rule
-from painlab.sampling import rng_from_seed
+from painlab.sampling import MAX_DRAWS, rng_from_seed
 
 
 @pytest.mark.parametrize("label", list(RULES))
@@ -17,3 +19,34 @@ def test_rule(label):
 
 def test_rule_count():
     assert len(RULES) == 7
+
+
+def test_rule_that_never_samples_stops():
+    def onto(rule, rng, params):
+        raise ZeroDivisionError
+
+    rule = dataclasses.replace(RULES["trace-form-merge"], onto_manifold=onto)
+    with pytest.raises(RuntimeError,
+                       match=f"trace-form-merge: .* {MAX_DRAWS} draws"):
+        check_rule(rule, 3, rng_from_seed(1))
+
+
+def test_rejected_sample_is_not_reported():
+    # the first sample has a huge Hamiltonian residual but its tangency
+    # cannot be evaluated, so it is redrawn and counts towards neither
+    base = RULES["trace-form-merge"]
+    calls = []
+
+    def residual(rule_, params, state):
+        calls.append(None)
+        return 1e6 if len(calls) == 1 else 0.0
+
+    def constraint(q, p, t, par):
+        if len(calls) == 1:
+            raise ZeroDivisionError
+        return base.constraints[0](q, p, t, par)
+
+    rule = dataclasses.replace(base, hamiltonian_residual=residual,
+                               constraints=(constraint,))
+    h, tang = check_rule(rule, 3, rng_from_seed(1))
+    assert len(calls) == 4 and h == 0.0 and tang < 1e-10

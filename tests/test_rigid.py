@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from painlab.catalog import PhaseState, full_params
+from painlab.catalog import PhaseState, full_params, lookup
 from painlab.fuchsian import accessory_count
 from painlab.rigid import (RIGID_CASES, build_rigid_matrices,
                            constraint_flow_drift, lift_solution,
                            pfaff_residual, rigid_case, rigid_rhs,
                            riemann_scheme_columns, specialization_residual)
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.sampling import (rng_from_seed, sample_params, sample_state,
+                              tied_params)
 from painlab.verify import constrained_rigid_params
 
 TIMES2 = (1.7 + 0.6j, -0.8 + 0.5j)
@@ -174,18 +175,12 @@ def test_lift_fails_cleanly_when_y0_vanishes():
         lift_solution(case, par, [y], [TIMES1])
 
 
-def test_lift_report_csv():
-    import io
-
-    from painlab.rigid import lift_report_csv
-
-    rng = rng_from_seed(10)
-    case = rigid_case("case-21-111")
-    par = constrained_rigid_params(case, rng)
-    ys = [np.array([1.0, 0.1, 0.2, 0.3], dtype=complex)]
-    buf = io.StringIO()
-    lift_report_csv(case, par, ys, [TIMES1], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("re_t,im_t,re_q1")
-    assert lines[0].endswith("constraint_0,constraint_1,constraint_2")
-    assert len(lines) == 2
+@pytest.mark.parametrize("cid", list(RIGID_CASES))
+def test_tie_satisfies_parameter_constraint(cid):
+    case = RIGID_CASES[cid]
+    rng = rng_from_seed(11)
+    for _ in range(20):
+        par = tied_params(case.parent, rng, *case.tie, generic=True)
+        assert abs(lookup(case.parent).fuchs_relation(par)) < 1e-12
+        merged = full_params(case.parent, par, check=False)
+        assert abs(case.parameter_constraint(merged)) < 1e-12

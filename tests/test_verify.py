@@ -10,7 +10,7 @@ import pytest
 
 import painlab
 from painlab import rigid, verify
-from painlab.sampling import rng_from_seed
+from painlab.sampling import MAX_DRAWS, rng_from_seed
 
 GOLDEN = Path(__file__).parent / "data" / "verify_details_20260810.json"
 
@@ -29,7 +29,7 @@ def test_unsatisfiable_parameter_constraint_raises():
     case = dataclasses.replace(rigid.RIGID_CASES["case-21x4"],
                                parameter_constraint=lambda par: 1.0)
     with pytest.raises(RuntimeError,
-                       match=f"case-21x4: .* {verify.MAX_PARAM_DRAWS} draws"):
+                       match=f"case-21x4: .* {MAX_DRAWS} draws"):
         verify.constrained_rigid_params(case, rng_from_seed(1))
 
 

@@ -7,7 +7,7 @@ negative control.
 """
 
 from painlab.catalog import PhaseState, flow_states
-from painlab.monodromy import isomonodromy_drift
+from painlab.monodromy import isomonodromy_drift, monodromy_representation
 from painlab.parametrizations import assemble
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
@@ -23,6 +23,6 @@ for label, scale in (("along the Hamiltonian flow", 1.0),
                      ("with the Hamiltonian scaled by 1.1", 1.1)):
     states = flow_states(sid, 1, par, st, st.t[0] + 0.2, samples=(0.5,),
                          scale=scale, rel_tol=1e-10, abs_tol=1e-13)
-    drift = isomonodromy_drift([assemble(sid, par, s) for s in states],
-                               rel_tol=1e-10)
+    drift = isomonodromy_drift([monodromy_representation(
+        assemble(sid, par, s), rel_tol=1e-10) for s in states])
     print(f"trace drift {label}: {drift:.3e}")

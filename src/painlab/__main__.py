@@ -1,0 +1,8 @@
+"""``python -m painlab``: the command line driver of :mod:`painlab.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

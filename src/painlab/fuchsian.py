@@ -87,18 +87,22 @@ class FuchsianSystem:
         return -sum(self.residues)
 
     def rhs(self):
-        """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened)."""
-        # stacked once; add.reduce over axis 0 keeps the left-to-right order
-        # of a plain sum of A_i/(x - t_i), where a product with a weight
-        # vector would round differently
+        """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened).
+
+        Broadcasts over a leading stack axis: (B, 1) points x with (B, L*L)
+        states y give (B, L*L), one member per row.
+        """
+        # stacked once; add.reduce over the point axis keeps the
+        # left-to-right order of a plain sum of A_i/(x - t_i), where a
+        # product with a weight vector would round differently
         pts = np.array(self.points)
         res = np.array(self.residues)
         L = self.size
 
         def f(x, y):
-            Y = y.reshape(L, L)
-            M = np.add.reduce(res / (x - pts)[:, None, None])
-            return (M @ Y).ravel()
+            Y = y.reshape(y.shape[:-1] + (L, L))
+            M = np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
+            return (M @ Y).reshape(y.shape)
 
         return f
 

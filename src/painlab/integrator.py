@@ -7,11 +7,18 @@ segment chart.  A Dormand-Prince 5(4) pair with PI step control does the
 stepping; "dense output" at requested parameters is realized by landing
 on them exactly, which is simpler and slightly more accurate than an
 interpolant at desk scale.
+
+A state of shape (B, n) is a stack of B members, each on its own path:
+:meth:`ComplexPath.stack` joins B member paths of matching segment kinds
+into one path whose segment fields are (B, 1) columns.  The members share
+the parameter s and the step h; the error norm is the largest member's
+RMS norm, so no member is stepped more coarsely than it would be alone.
+A 1-D state is the unstacked case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -50,9 +57,6 @@ class Line:
     def point(self, s):
         return self.start + s * (self.end - self.start)
 
-    def velocity(self, s):
-        return self.end - self.start
-
     def distance(self, z):
         """Exact distance from z to the segment (clamped projection)."""
         d = self.end - self.start
@@ -74,15 +78,12 @@ class Arc:
     sweep: float
 
     def __post_init__(self):
-        if self.radius <= 0 or self.sweep == 0:
+        # np.any: the fields of a stacked arc are (B, 1) columns
+        if np.any(self.radius <= 0) or np.any(self.sweep == 0):
             raise ValueError("degenerate arc")
 
     def point(self, s):
         return self.center + self.radius * np.exp(1j * (self.angle0 + s * self.sweep))
-
-    def velocity(self, s):
-        return 1j * self.sweep * self.radius * np.exp(
-            1j * (self.angle0 + s * self.sweep))
 
     def distance(self, z):
         """Exact distance from z to the arc (radial, or to an endpoint)."""
@@ -150,6 +151,27 @@ class ComplexPath:
                                  float(angle0), float(sweep)),),
                    singularities=singularities, margin=margin)
 
+    @classmethod
+    def stack(cls, members):
+        """One path stepping B member paths together on a shared parameter.
+
+        Each segment's fields become (B, 1) columns, one row per member.
+        The members have passed their own margin checks, so the stack
+        declares no singular points.  Raises ValueError unless every
+        member has the same segment kinds in the same order.
+        """
+        members = tuple(members)
+        kinds = {tuple(type(seg) for seg in m.segments) for m in members}
+        if len(kinds) != 1:
+            raise ValueError("stacked paths must share their segment kinds "
+                             f"and count, got {len(kinds)} layouts")
+        segs = []
+        for column in zip(*(m.segments for m in members)):
+            fields = zip(*(astuple(seg) for seg in column))
+            segs.append(type(column[0])(*(np.array(f)[:, None]
+                                          for f in fields)))
+        return cls(tuple(segs))
+
     @property
     def length(self):
         return sum(seg.length for seg in self.segments)
@@ -203,9 +225,12 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 # row-k weights as columns, to scale the stage rows K[:k] in one product;
 # np.add.reduce over axis 0 then adds the rows left to right, in the order
 # of a plain Python sum (a matrix product may reassociate and move bits)
-_DP_A_COLS = [a[:, None] for a in _DP_A]
-_DP_B5_COL = _DP_B5[:, None]
-_DP_E_COL = (_DP_B5 - _DP_B4)[:, None]
+# (stage weights, b5, error) columns per state rank: a 1-D state's stage
+# rows K[:k] are (k, n), a stack's are (k, B, n)
+_DP_COLS = {ndim: ([a.reshape((-1,) + (1,) * ndim) for a in _DP_A],
+                   _DP_B5.reshape((-1,) + (1,) * ndim),
+                   (_DP_B5 - _DP_B4).reshape((-1,) + (1,) * ndim))
+            for ndim in (1, 2)}
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -217,29 +242,37 @@ MAX_SEGMENT_STEPS = 50_000
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
+    """RMS of the scaled error; of a (B, n) stack, the largest member's."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
     r = np.abs(err / scale) ** 2
-    return float(np.sqrt(np.add.reduce(r) / r.size))
+    ms = np.add.reduce(r, axis=-1) / r.shape[-1]
+    return float(np.sqrt(ms if r.ndim == 1 else ms.max()))
 
 
 def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     """Advance y across segment k, landing exactly on each stop in (0,1]."""
 
+    # the chart z(s) and its velocity, with the parts constant in s hoisted
+    # (the same arithmetic as Line.point and Arc.point)
     if isinstance(seg, Line):
-        v = seg.end - seg.start
+        z0, v = seg.start, seg.end - seg.start
 
         def f(s, y):
-            return v * np.asarray(rhs(seg.point(s), y), dtype=complex)
+            return v * np.asarray(rhs(z0 + s * v, y), dtype=complex)
     else:
+        c, r, a0, sweep = seg.center, seg.radius, seg.angle0, seg.sweep
+        turn = 1j * sweep * r  # velocity over exp(i angle)
+
         def f(s, y):
-            return seg.velocity(s) * np.asarray(rhs(seg.point(s), y),
-                                                dtype=complex)
+            e = np.exp(1j * (a0 + s * sweep))
+            return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
 
     s = 0.0
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    K = np.empty((7, len(y)), dtype=complex)  # the seven stage rows
+    a_cols, b5_col, e_col = _DP_COLS[y.ndim]
+    K = np.empty((7,) + y.shape, dtype=complex)  # the seven stage rows
     K[0] = f(s, y)
     for stop in stops:
         while s < stop:
@@ -253,10 +286,10 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                     f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
                     f"at s={s:.6f}, h={h:.3g}")
             for row in range(1, 7):
-                yk = y + h * np.add.reduce(_DP_A_COLS[row] * K[:row])
+                yk = y + h * np.add.reduce(a_cols[row] * K[:row])
                 K[row] = f(s + _DP_C[row] * h, yk)
-            y5 = y + h * np.add.reduce(_DP_B5_COL * K)
-            err = h * np.add.reduce(_DP_E_COL * K)
+            y5 = y + h * np.add.reduce(b5_col * K)
+            err = h * np.add.reduce(e_col * K)
             enorm = _error_norm(err, y, y5, rel_tol, abs_tol)
             if enorm <= 1.0:
                 s += h
@@ -280,8 +313,15 @@ def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,
 
     ``samples``: optional increasing path parameters (in [0, n_segments])
     at which states are recorded in addition to segment endpoints.
+
+    A (B, n) ``y0`` is a stack on a :meth:`ComplexPath.stack` path: rhs
+    then gets (B, 1) points and (B, n) states and must broadcast over
+    the leading axis.
     """
     y = np.asarray(y0, dtype=complex).copy()
+    if y.ndim not in _DP_COLS:
+        raise ValueError(f"state must be 1-D or a (B, n) stack, got shape "
+                         f"{y.shape}")
     traj = Trajectory(rel_tol=rel_tol, abs_tol=abs_tol)
     traj.params.append(0.0)
     traj.states.append(y.copy())

@@ -4,8 +4,10 @@ Generators are "lasso" loops from a common base point: straight approach
 to a small circle around one singular point, the full circle, and the
 return leg.  The return leg retraces the approach, so its transport is
 the inverse of the approach's: a lasso is integrated up to the end of
-its circle and the return is obtained by inversion, while the loop at
-infinity is integrated in full and keeps the product relation an
+its circle and the return is obtained by inversion.  All lassos of a
+representation are transported together, as one stacked linear ODE on a
+shared path parameter in a single integrate call.  The loop at infinity
+is integrated apart and in full, which keeps the product relation an
 independent check.  Only conjugacy-invariant data (traces of the monodromy
 matrices and of their pairwise products) is compared across a
 deformation; fundamental-solution normalization at a moving singularity
@@ -80,25 +82,40 @@ def big_circle(points, x0=None, clockwise=True) -> ComplexPath:
                        singularities=tuple(pts), margin=None)
 
 
-def monodromy_matrix(sys: FuchsianSystem, loop: ComplexPath, rel_tol=1e-10,
+def _retraces(loop: ComplexPath) -> bool:
+    first, last = loop.segments[0], loop.segments[-1]
+    return isinstance(first, Line) and last == Line(first.end, first.start)
+
+
+def monodromy_matrix(sys: FuchsianSystem, loop, rel_tol=1e-10,
                      abs_tol=1e-13):
     """Transport matrix of the fundamental solution around a closed loop.
 
-    A loop that starts with a straight line and ends by retracing it (a
-    lasso) is integrated without that last segment: with P the transport
-    along the first segment and C P the transport up to the return leg,
-    the matrix is P^-1 C P.  Every other loop is integrated in full.
+    ``loop`` is one ComplexPath, giving an (L, L) matrix, or a sequence
+    of B loops with matching segment kinds, transported as one stack
+    (:meth:`ComplexPath.stack`) in a single integrate call and giving a
+    (B, L, L) array.  Loops that all start with a straight line and end
+    by retracing it (lassos) are integrated without that last segment:
+    with P the transport along the first segment and C P the transport
+    up to the return leg, the matrix is P^-1 C P.  Every other loop is
+    integrated in full.
     """
+    stacked = not isinstance(loop, ComplexPath)
+    members = tuple(loop) if stacked else (loop,)
+    retraced = all(_retraces(m) for m in members)
+    if retraced:
+        members = tuple(ComplexPath(m.segments[:-1], m.singularities,
+                                    m.margin) for m in members)
     L = sys.size
     y0 = np.eye(L, dtype=complex).ravel()
-    first, last = loop.segments[0], loop.segments[-1]
-    retraced = isinstance(first, Line) and last == Line(first.end, first.start)
+    if stacked:
+        y0 = np.tile(y0, (len(members), 1))
+    path = ComplexPath.stack(members) if stacked else members[0]
+    traj = integrate(sys.rhs(), y0, path, rel_tol=rel_tol, abs_tol=abs_tol)
+    shape = y0.shape[:-1] + (L, L)
+    end = traj.end_state.reshape(shape)
     if retraced:
-        loop = ComplexPath(loop.segments[:-1], loop.singularities, loop.margin)
-    traj = integrate(sys.rhs(), y0, loop, rel_tol=rel_tol, abs_tol=abs_tol)
-    end = traj.end_state.reshape(L, L)
-    if retraced:
-        return np.linalg.solve(traj.states[1].reshape(L, L), end)
+        return np.linalg.solve(traj.states[1].reshape(shape), end)
     return end
 
 
@@ -110,12 +127,19 @@ class MonodromyRepresentation:
     at_infinity: np.ndarray  # computed independently along a large circle
 
     def product_defect(self) -> float:
-        """|M_inf . M_last ... M_first - 1| for the generator ordering."""
+        """|M_inf . M_last ... M_first - 1| over the product of the factor
+        sizes max(1, max|M|), for the generator ordering.
+
+        Each factor carries a relative transport error, so the absolute
+        defect grows with the size of the factors; the scaled one does not.
+        """
         prod = self.at_infinity.copy()
+        scale = max(1.0, float(np.max(np.abs(prod))))
         for m in self.matrices[::-1]:
             prod = prod @ m
+            scale *= max(1.0, float(np.max(np.abs(m))))
         L = prod.shape[0]
-        return float(np.max(np.abs(prod - np.eye(L))))
+        return float(np.max(np.abs(prod - np.eye(L)))) / scale
 
     def to_json_dict(self):
         def mat(m):
@@ -136,20 +160,19 @@ def monodromy_representation(sys: FuchsianSystem, rel_tol=1e-10,
                              x0=None) -> MonodromyRepresentation:
     """Generators around every finite point, ordered by visual angle.
 
-    The independent loop at infinity (large clockwise circle) closes the
-    product relation M_inf . M_last ... M_first = 1; generators are
-    ordered by the angle of t_k - x0 so their composite is the full
-    counterclockwise sweep.
+    All lassos go through one stacked :func:`monodromy_matrix` call; the
+    independent loop at infinity (large clockwise circle, its own call)
+    closes the product relation M_inf . M_last ... M_first = 1.
+    Generators are ordered by the angle of t_k - x0 so their composite is
+    the full counterclockwise sweep.
     """
     pts = sys.points
     if x0 is None:
         x0 = base_point(pts)
     order = sorted(range(len(pts)), key=lambda k: np.angle(pts[k] - x0))
-    mats_by_point = {}
-    for k in order:
-        mats_by_point[k] = monodromy_matrix(sys, lasso(pts, k, x0), rel_tol)
+    ordered = tuple(monodromy_matrix(sys, [lasso(pts, k, x0) for k in order],
+                                     rel_tol))
     minf = monodromy_matrix(sys, big_circle(pts, x0, clockwise=True), rel_tol)
-    ordered = tuple(mats_by_point[k] for k in order)
     loops = tuple((pts[k], _loop_radius(pts, k)) for k in order)
     return MonodromyRepresentation(base=complex(x0), loops=loops,
                                    matrices=ordered, at_infinity=minf)
@@ -165,18 +188,12 @@ def invariant_traces(rep: MonodromyRepresentation):
     return np.array(out)
 
 
-def isomonodromy_drift(systems, rel_tol=1e-10) -> float:
-    """Max drift of the invariant traces across a family of systems.
+def isomonodromy_drift(reps) -> float:
+    """Max drift of the invariant traces across a family of representations.
 
-    ``systems`` lists FuchsianSystems along a deformation; the first is
-    the reference.  Returns the largest absolute trace deviation.
+    ``reps`` lists MonodromyRepresentations along a deformation; the first
+    is the reference.  Returns the largest absolute trace deviation.
     """
-    ref = None
-    worst = 0.0
-    for sys in systems:
-        tr = invariant_traces(monodromy_representation(sys, rel_tol=rel_tol))
-        if ref is None:
-            ref = tr
-        else:
-            worst = max(worst, float(np.max(np.abs(tr - ref))))
-    return worst
+    ref = invariant_traces(reps[0])
+    return max((float(np.max(np.abs(invariant_traces(rep) - ref)))
+                for rep in reps[1:]), default=0.0)

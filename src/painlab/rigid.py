@@ -40,6 +40,8 @@ class RigidCase:
     # (name, par -> value, solved name): the parent draw on which the
     # parameter constraint holds, as in sampling.tied_params
     tie: tuple
+    # merged params -> whether the case's matrices are defined there
+    admissible: callable
     # per deformation time: merged params -> (M_t | None, M_1, M_0)
     matrices: callable
     # constraint expressions g_k(q, p, t, par) cutting the submanifold
@@ -298,6 +300,10 @@ def _manifold54(rng, par, times):
     return PhaseState((-par["alpha1"] / p1, 0.0, 0.0), (p1, p2, p3), times)
 
 
+def _everywhere(par):
+    return True
+
+
 RIGID_CASES = {
     "case-21x4": RigidCase(
         case_id="case-21x4",
@@ -307,6 +313,7 @@ RIGID_CASES = {
         parameter_constraint=lambda par: (par["alpha0"] + par["alpha1"]
                                           + par["alpha5"] + 1),
         tie=("theta3", lambda par: -par["rho2"] - par["theta1"], "rho3"),
+        admissible=_everywhere,
         matrices=_mats_case51,
         constraints=(
             lambda q, p, t, par: q[0] * p[0] - par["alpha1"],
@@ -325,6 +332,7 @@ RIGID_CASES = {
         n_times=2,
         parameter_constraint=lambda par: par["alpha1"],
         tie=("theta1", lambda par: 0.0, "rho2"),
+        admissible=_everywhere,
         matrices=_mats_case52,
         constraints=(
             lambda q, p, t, par: q[0],
@@ -345,6 +353,7 @@ RIGID_CASES = {
         tie=("rho1",
              lambda par: -(par["theta1"] + par["theta21"] + par["theta31"]),
              "rho3"),
+        admissible=_everywhere,
         matrices=_mats_case53,
         constraints=(
             lambda q, p, t, par: p[0],
@@ -364,6 +373,8 @@ RIGID_CASES = {
         parameter_constraint=lambda par: (par["alpha1"] + par["alpha3"]
                                           - par["eta"]),
         tie=("theta1", lambda par: 0.0, "rho4"),
+        # _mats_case54 divides by eta
+        admissible=lambda par: abs(par["eta"]) >= 0.05,
         matrices=_mats_case54,
         constraints=(
             lambda q, p, t, par: q[0] * p[0] + par["alpha1"],

@@ -1,7 +1,11 @@
 """Command line driver: listing, integration runs, verification reports."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +149,18 @@ def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m painlab from a source checkout, without an installed script
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = tmp_path / "report.json"
+    run = subprocess.run([sys.executable, "-m", "painlab", "verify", "counts",
+                          "--out", str(out)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("PASS counts")
+    assert json.loads(out.read_text())["passed"] is True

@@ -65,7 +65,8 @@ def test_product_relation_with_independent_infinity_loop():
     rng = rng_from_seed(4)
     sys = small_random_system(rng)
     rep = monodromy_representation(sys, rel_tol=1e-11)
-    assert rep.product_defect() < 1e-7
+    # relative to the product of the factor sizes (here about 3e5)
+    assert rep.product_defect() < 1e-13
 
 
 def test_base_point_independence_of_traces():
@@ -82,7 +83,8 @@ def test_base_point_independence_of_traces():
 def test_zero_length_deformation_has_zero_drift():
     rng = rng_from_seed(6)
     sys = small_random_system(rng)
-    drift = isomonodromy_drift([sys, sys], rel_tol=1e-10)
+    drift = isomonodromy_drift([monodromy_representation(sys, rel_tol=1e-10)
+                                for _ in range(2)])
     assert drift == 0.0
 
 
@@ -133,3 +135,30 @@ def test_loops_that_do_not_retrace_are_integrated_in_full():
     for loop in (triangle, big_circle(sys.points)):
         assert np.array_equal(monodromy_matrix(sys, loop),
                               _transport(sys, loop))
+
+
+def test_one_member_stack_is_the_unstacked_transport():
+    sys = _assembled("22,22,211,211", rng_from_seed(10))
+    loop = lasso(sys.points, 1)
+    y0 = np.eye(sys.size, dtype=complex).ravel()
+    solo = integrate(sys.rhs(), y0, loop, rel_tol=1e-10, abs_tol=1e-13)
+    stack = integrate(sys.rhs(), y0[None], ComplexPath.stack([loop]),
+                      rel_tol=1e-10, abs_tol=1e-13)
+
+    def bits(y):
+        return [(z.real.hex(), z.imag.hex()) for z in np.ravel(y)]
+
+    assert bits(stack.end_state) == bits(solo.end_state)
+    assert (stack.n_steps, stack.n_rejected) == (solo.n_steps,
+                                                 solo.n_rejected)
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_stacked_generators_match_per_loop_transport(sid):
+    sys = _assembled(sid, rng_from_seed(8))
+    loops = [lasso(sys.points, k) for k in range(len(sys.points))]
+    stacked = monodromy_matrix(sys, loops)
+    assert stacked.shape == (len(loops), sys.size, sys.size)
+    for M, loop in zip(stacked, loops):
+        solo = monodromy_matrix(sys, loop)
+        assert np.linalg.norm(M - solo) <= 1e-9 * np.linalg.norm(solo)

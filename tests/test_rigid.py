@@ -184,3 +184,13 @@ def test_tie_satisfies_parameter_constraint(cid):
         assert abs(lookup(case.parent).fuchs_relation(par)) < 1e-12
         merged = full_params(case.parent, par, check=False)
         assert abs(case.parameter_constraint(merged)) < 1e-12
+
+
+def test_case_3122_draws_keep_eta_away_from_zero():
+    # _mats_case54 divides by eta; tied draw 81 from seed 1 has eta = 0
+    case = RIGID_CASES["case-3122"]
+    assert not case.admissible({"eta": 0j})
+    rng = rng_from_seed(1)
+    for _ in range(90):
+        par = constrained_rigid_params(case, rng)
+        assert abs(full_params(case.parent, par, check=False)["eta"]) >= 0.05

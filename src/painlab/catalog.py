@@ -332,16 +332,17 @@ def eval_h(sid: str, i: int, params, state: PhaseState):
     return HAMILTONIANS[sid](i, merged, state.q, state.p, state.t)
 
 
-def vector_field(sid: str, i: int, params, state: PhaseState):
+def vector_field(sid: str, i: int, params, state: PhaseState, merged=False):
     """(dq/dt_i, dp/dt_i): the canonical flow of H_i.
 
     Convention: t_i(t_i-1) dq_j/dt_i = +dH_i/dp_j and
-    t_i(t_i-1) dp_j/dt_i = -dH_i/dq_j.
+    t_i(t_i-1) dp_j/dt_i = -dH_i/dq_j.  ``merged``: ``params`` already
+    went through :func:`full_params`, which is then not derived again.
     """
     desc = _lookup_flow(sid, i)
-    merged = full_params(sid, params)
+    par = params if merged else full_params(sid, params)
     n = desc.n_pairs
-    grad = gradient(sid, i)(merged, state.q, state.p, state.t)
+    grad = gradient(sid, i)(par, state.q, state.p, state.t)
     ti = state.t[i - 1]
     scale = 1.0 / (ti * (ti - 1))
     dq = tuple(scale * grad[n + j] for j in range(n))
@@ -406,7 +407,7 @@ def constraint_rate(sid: str, params, state: PhaseState, constraints):
     n = desc.n_pairs
     worst = 0.0
     for i in range(1, desc.n_times + 1):
-        dq, dp = vector_field(sid, i, params, state)
+        dq, dp = vector_field(sid, i, par, state, merged=True)
         for g in constraints:
             rate = time_derivative(lambda w, t: g(w[:n], w[n:], t, par),
                                    state.q + state.p, dq + dp, state.t, i)

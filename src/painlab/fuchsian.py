@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EigenMultiset, eigen_small
+from .integrator import LinearRhs
 
 __all__ = [
     "FuchsianSystem",
@@ -89,8 +90,10 @@ class FuchsianSystem:
     def rhs(self):
         """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened).
 
-        Broadcasts over a leading stack axis: (B, 1) points x with (B, L*L)
-        states y give (B, L*L), one member per row.
+        A :class:`~painlab.integrator.LinearRhs`: its coefficient is
+        M(x) = sum A_i/(x - t_i).  Broadcasts over a leading stack axis:
+        (B, 1) points x with (B, L*L) states y give (B, L*L), one member
+        per row.
         """
         # stacked once; add.reduce over the point axis keeps the
         # left-to-right order of a plain sum of A_i/(x - t_i), where a
@@ -99,12 +102,13 @@ class FuchsianSystem:
         res = np.array(self.residues)
         L = self.size
 
-        def f(x, y):
-            Y = y.reshape(y.shape[:-1] + (L, L))
-            M = np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
-            return (M @ Y).reshape(y.shape)
+        def coef(x):
+            return np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
 
-        return f
+        def act(M, y):
+            return (M @ y.reshape(y.shape[:-1] + (L, L))).reshape(y.shape)
+
+        return LinearRhs(coef, act)
 
     # -- serialization ---------------------------------------------------
 

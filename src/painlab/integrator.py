@@ -14,6 +14,13 @@ into one path whose segment fields are (B, 1) columns.  The members share
 the parameter s and the step h; the error norm is the largest member's
 RMS norm, so no member is stepped more coarsely than it would be alone.
 A 1-D state is the unstacked case.
+
+A right-hand side linear in the state, f(x, y) = M(x) y, can be passed as
+a :class:`LinearRhs` that exposes M.  The stepper then evaluates the
+chart and M at a step's five distinct stage abscissae in one broadcast,
+and each stage only forms its state and applies its M, in the same
+operation order (velocity times (M y)) as a call of f: the result is bit
+for bit the per-stage one.  Any other callable is called once per stage.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "Line",
     "Arc",
     "ComplexPath",
+    "LinearRhs",
     "PathMarginError",
     "StepUnderflowError",
     "StepBudgetError",
@@ -187,18 +195,47 @@ class ComplexPath:
         return ComplexPath(tuple(segs), self.singularities, self.margin)
 
 
+class LinearRhs:
+    """A right-hand side linear in the state: f(x, y) = act(coef(x), y).
+
+    ``coef(x)`` is the coefficient M(x).  It takes points as the
+    integrator passes them, a scalar for a 1-D state or (B, 1) columns for
+    a stack, and broadcasts over leading axes: points of shape S + (1,)
+    give M of shape S + M's own shape (a scalar counts as shape (1,)).
+    ``act(M, y)`` applies M to the state.  Calling the object computes f
+    itself; :func:`integrate` instead evaluates the coefficient of one
+    step at all its stage abscissae in one broadcast.
+    """
+
+    __slots__ = ("coef", "act")
+
+    def __init__(self, coef, act):
+        self.coef = coef
+        self.act = act
+
+    def __call__(self, x, y):
+        return self.act(self.coef(x), y)
+
+
 @dataclass
 class Trajectory:
     """Integration result: states at strictly increasing path parameters.
 
     The path parameter counts segments: parameter k + s is the point at
     fraction s of segment k.  ``states[k]`` is the state at ``params[k]``.
+    ``n_rhs_evals`` counts the stage values computed (one per segment
+    for its first stage, six per step tried); ``h_min`` and ``h_max``
+    bound the accepted steps, as fractions of their segment (inf and 0
+    before the first one).
     """
 
     params: list = field(default_factory=list)
     states: list = field(default_factory=list)
     n_steps: int = 0
     n_rejected: int = 0
+    n_rhs_evals: int = 0
+    h_min: float = np.inf
+    h_max: float = 0.0
     rel_tol: float = 0.0
     abs_tol: float = 0.0
 
@@ -232,6 +269,12 @@ _DP_COLS = {ndim: ([a.reshape((-1,) + (1,) * ndim) for a in _DP_A],
                    (_DP_B5 - _DP_B4).reshape((-1,) + (1,) * ndim))
             for ndim in (1, 2)}
 
+# the six later stages sit at five distinct abscissae (c5 = c6 = 1): row
+# k's abscissa is _DP_C[1:6][_DP_STAGE[k]], as a column per state rank
+_DP_STAGE = (None, 0, 1, 2, 3, 4, 4)
+_DP_C_STAGES = {ndim: _DP_C[1:6].reshape((-1,) + (1,) * ndim)
+                for ndim in (1, 2)}
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -249,16 +292,27 @@ def _error_norm(err, y0, y1, rel_tol, abs_tol):
     return float(np.sqrt(ms if r.ndim == 1 else ms.max()))
 
 
+def _modulus(y):
+    """The state's largest modulus, for error messages."""
+    return float(np.max(np.abs(y)))
+
+
 def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     """Advance y across segment k, landing exactly on each stop in (0,1]."""
 
     # the chart z(s) and its velocity, with the parts constant in s hoisted
-    # (the same arithmetic as Line.point and Arc.point)
-    if isinstance(seg, Line):
+    # (the same arithmetic as Line.point and Arc.point): f is the rhs
+    # pulled back to one s, chart gives (velocity, z) at an array of s for
+    # a LinearRhs; f does not call chart, so a plain rhs pays no extra call
+    line = isinstance(seg, Line)
+    if line:
         z0, v = seg.start, seg.end - seg.start
 
         def f(s, y):
             return v * np.asarray(rhs(z0 + s * v, y), dtype=complex)
+
+        def chart(s):
+            return v, z0 + s * v
     else:
         c, r, a0, sweep = seg.center, seg.radius, seg.angle0, seg.sweep
         turn = 1j * sweep * r  # velocity over exp(i angle)
@@ -267,11 +321,20 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
             e = np.exp(1j * (a0 + s * sweep))
             return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
 
+        def chart(s):
+            e = np.exp(1j * (a0 + s * sweep))
+            return turn * e, c + r * e
+
     s = 0.0
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
     a_cols, b5_col, e_col = _DP_COLS[y.ndim]
+    if isinstance(rhs, LinearRhs):
+        coef, act = rhs.coef, rhs.act
+    else:
+        coef = None
+    c_stages = _DP_C_STAGES[y.ndim]
     K = np.empty((7,) + y.shape, dtype=complex)  # the seven stage rows
     K[0] = f(s, y)
     for stop in stops:
@@ -279,15 +342,25 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
             h = min(h, stop - s)
             if h < 1e-14:
                 raise StepUnderflowError(
-                    f"step underflow on segment {k} at s={s:.6f}, h={h:.3g}")
+                    f"step underflow on segment {k} at s={s:.6f}, h={h:.3g}, "
+                    f"|y|={_modulus(y):.3g}")
             tries += 1
             if tries > MAX_SEGMENT_STEPS:
                 raise StepBudgetError(
                     f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
-                    f"at s={s:.6f}, h={h:.3g}")
+                    f"at s={s:.6f}, h={h:.3g}, |y|={_modulus(y):.3g}")
+            if coef is not None:
+                # chart and coefficient at the five distinct abscissae
+                vel, z = chart(s + c_stages * h)
+                M = coef(z)
             for row in range(1, 7):
                 yk = y + h * np.add.reduce(a_cols[row] * K[:row])
-                K[row] = f(s + _DP_C[row] * h, yk)
+                if coef is None:
+                    K[row] = f(s + _DP_C[row] * h, yk)
+                else:
+                    j = _DP_STAGE[row]
+                    # a Line's velocity is one constant, an Arc's per stage
+                    K[row] = (vel if line else vel[j]) * act(M[j], yk)
             y5 = y + h * np.add.reduce(b5_col * K)
             err = h * np.add.reduce(e_col * K)
             enorm = _error_norm(err, y, y5, rel_tol, abs_tol)
@@ -296,6 +369,8 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                 y = y5
                 K[0] = K[6]  # FSAL
                 traj.n_steps += 1
+                traj.h_min = min(traj.h_min, h)
+                traj.h_max = max(traj.h_max, h)
                 factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
                     * err_prev ** _PI_BETA
                 err_prev = enorm + 1e-16
@@ -305,6 +380,7 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                 factor = _SAFETY * enorm ** (-_PI_ALPHA)
                 h *= min(1.0, max(_MIN_FACTOR, factor))
         yield stop, y
+    traj.n_rhs_evals += 1 + 6 * tries  # K[0], then six rows per step tried
 
 
 def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,

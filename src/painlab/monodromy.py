@@ -4,14 +4,17 @@ Generators are "lasso" loops from a common base point: straight approach
 to a small circle around one singular point, the full circle, and the
 return leg.  The return leg retraces the approach, so its transport is
 the inverse of the approach's: a lasso is integrated up to the end of
-its circle and the return is obtained by inversion.  All lassos of a
-representation are transported together, as one stacked linear ODE on a
-shared path parameter in a single integrate call.  The loop at infinity
-is integrated apart and in full, which keeps the product relation an
-independent check.  Only conjugacy-invariant data (traces of the monodromy
-matrices and of their pairwise products) is compared across a
-deformation; fundamental-solution normalization at a moving singularity
-configuration is gauge.
+its circle and the return is obtained by inversion.  The loop at
+infinity is one more lasso from the same base point: out along its ray
+to a circle of twice its modulus, one clockwise turn around every
+singular point, and back.  All lassos of a representation, that one
+included, are transported together, as one stacked linear ODE on a
+shared path parameter in a single integrate call.  The big circle is a
+transport of its own, not a product of the generators, so the product
+relation stays an independent check.  Only conjugacy-invariant data
+(traces of the monodromy matrices and of their pairwise products) is
+compared across a deformation; fundamental-solution normalization at a
+moving singularity configuration is gauge.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .integrator import Arc, ComplexPath, Line, integrate
 __all__ = [
     "base_point",
     "lasso",
+    "lasso_at_infinity",
     "monodromy_matrix",
     "MonodromyRepresentation",
     "monodromy_representation",
@@ -69,6 +73,28 @@ def lasso(points, k, x0=None) -> ComplexPath:
                                      for b in pts[i + 1:]) if len(pts) > 1 else r)
     return ComplexPath(segments=segments, singularities=tuple(others),
                        margin=margin)
+
+
+def lasso_at_infinity(points, x0=None) -> ComplexPath:
+    """Lasso around infinity: out along the ray of x0 to the circle of
+    radius 2|x0| about 0, one clockwise turn, and back.
+
+    From the default base point every finite singular point lies inside
+    the circle, so the loop is the clockwise :func:`big_circle` up to
+    homotopy; its return leg retraces the approach, like a :func:`lasso`.
+    """
+    pts = [complex(z) for z in points]
+    if x0 is None:
+        x0 = base_point(pts)
+    x0 = complex(x0)
+    far = 2 * x0
+    segments = (
+        Line(x0, far),
+        Arc(0j, abs(far), float(np.angle(x0)), -2 * np.pi),
+        Line(far, x0),
+    )
+    return ComplexPath(segments=segments, singularities=tuple(pts),
+                       margin=None)
 
 
 def big_circle(points, x0=None, clockwise=True) -> ComplexPath:
@@ -124,7 +150,7 @@ class MonodromyRepresentation:
     base: complex
     loops: tuple             # (encircled point, circle radius) per generator
     matrices: tuple          # one generator per finite singular point
-    at_infinity: np.ndarray  # computed independently along a large circle
+    at_infinity: np.ndarray  # its own lasso around a large circle
 
     def product_defect(self) -> float:
         """|M_inf . M_last ... M_first - 1| over the product of the factor
@@ -160,22 +186,23 @@ def monodromy_representation(sys: FuchsianSystem, rel_tol=1e-10,
                              x0=None) -> MonodromyRepresentation:
     """Generators around every finite point, ordered by visual angle.
 
-    All lassos go through one stacked :func:`monodromy_matrix` call; the
-    independent loop at infinity (large clockwise circle, its own call)
-    closes the product relation M_inf . M_last ... M_first = 1.
-    Generators are ordered by the angle of t_k - x0 so their composite is
-    the full counterclockwise sweep.
+    All lassos, the loop at infinity's (:func:`lasso_at_infinity`)
+    included, go through one stacked :func:`monodromy_matrix` call.  The
+    loop at infinity is transported along its own large circle, not
+    composed from the generators, so it independently closes the product
+    relation M_inf . M_last ... M_first = 1.  Generators are ordered by
+    the angle of t_k - x0 so their composite is the full counterclockwise
+    sweep.
     """
     pts = sys.points
     if x0 is None:
         x0 = base_point(pts)
     order = sorted(range(len(pts)), key=lambda k: np.angle(pts[k] - x0))
-    ordered = tuple(monodromy_matrix(sys, [lasso(pts, k, x0) for k in order],
-                                     rel_tol))
-    minf = monodromy_matrix(sys, big_circle(pts, x0, clockwise=True), rel_tol)
+    paths = [lasso(pts, k, x0) for k in order] + [lasso_at_infinity(pts, x0)]
+    *ordered, minf = monodromy_matrix(sys, paths, rel_tol)
     loops = tuple((pts[k], _loop_radius(pts, k)) for k in order)
     return MonodromyRepresentation(base=complex(x0), loops=loops,
-                                   matrices=ordered, at_infinity=minf)
+                                   matrices=tuple(ordered), at_infinity=minf)
 
 
 def invariant_traces(rep: MonodromyRepresentation):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import PhaseState, constraint_rate, full_params
+from .integrator import LinearRhs
 from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
@@ -408,18 +409,22 @@ def build_rigid_matrices(case: RigidCase, params, check=True, tol=1e-9):
 
 
 def rigid_rhs(case: RigidCase, params, i, other_times):
-    """dy/dt_i = (M_t/(t_i - t_j) + M_1/(t_i - 1) + M_0/t_i) y."""
+    """dy/dt_i = (M_t/(t_i - t_j) + M_1/(t_i - 1) + M_0/t_i) y, as a
+    :class:`~painlab.integrator.LinearRhs` whose coefficient is the
+    bracket."""
     mats = build_rigid_matrices(case, params)
     Mt, M1, M0 = mats[i - 1]
 
-    def rhs(z, y):
+    def coef(z):
+        if isinstance(z, np.ndarray):
+            z = z[..., None]  # points (..., 1) give M of shape (..., 4, 4)
         M = M1 / (z - 1) + M0 / z
         if Mt is not None:
             tj = other_times[0]
             M = M + Mt / (z - tj)
-        return M @ y
+        return M
 
-    return rhs
+    return LinearRhs(coef, np.matmul)
 
 
 def specialization_residual(case: RigidCase, params, state: PhaseState):

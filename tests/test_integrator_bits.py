@@ -1,4 +1,4 @@
-"""Bit-for-bit pin of the integrator on three representative transports.
+"""Bit-for-bit pin of the integrator on four representative transports.
 
 The endpoint (``float.hex`` of its real and imaginary parts), the
 accepted and the rejected step counts must repeat exactly.  A change to
@@ -17,8 +17,8 @@ import numpy as np
 
 from painlab import catalog
 from painlab.catalog import PhaseState, flow_states
-from painlab.integrator import integrate, integrate_time
-from painlab.monodromy import big_circle
+from painlab.integrator import ComplexPath, integrate, integrate_time
+from painlab.monodromy import big_circle, lasso
 from painlab.parametrizations import assemble
 from painlab.rigid import rigid_case, rigid_rhs
 from painlab.sampling import rng_from_seed, sample_params, sample_state
@@ -28,7 +28,8 @@ PIN = Path(__file__).parent / "data" / "integrator_bits_20260810.json"
 
 
 def _record(traj):
-    return {"end": [[z.real.hex(), z.imag.hex()] for z in traj.end_state],
+    return {"end": [[z.real.hex(), z.imag.hex()]
+                    for z in traj.end_state.ravel()],
             "n_steps": traj.n_steps, "n_rejected": traj.n_rejected}
 
 
@@ -67,7 +68,7 @@ def _rigid_leg():
                           abs_tol=1e-13)
 
 
-def _big_circle_transport():
+def _assembled():
     sid = "22,22,211,211"
     rng = rng_from_seed(20260812)
     par = {k: 0.25 * v for k, v in
@@ -75,14 +76,27 @@ def _big_circle_transport():
     st = sample_state(sid, rng, times=(1.7 + 0.8j,))
     st = PhaseState(tuple(0.4 * z for z in st.q),
                     tuple(0.4 * z for z in st.p), st.t)
-    sys = assemble(sid, par, st)
+    return assemble(sid, par, st)
+
+
+def _big_circle_transport():
+    sys = _assembled()
     y0 = np.eye(sys.size, dtype=complex).ravel()
     return integrate(sys.rhs(), y0, big_circle(sys.points), rel_tol=1e-10,
                      abs_tol=1e-13)
 
 
+def _stacked_lassos():
+    sys = _assembled()
+    pts = sys.points
+    path = ComplexPath.stack([lasso(pts, k) for k in range(len(pts))])
+    y0 = np.tile(np.eye(sys.size, dtype=complex).ravel(), (len(pts), 1))
+    return integrate(sys.rhs(), y0, path, rel_tol=1e-10, abs_tol=1e-13)
+
+
 CASES = {"catalog_flow": _catalog_flow, "rigid_leg": _rigid_leg,
-         "big_circle": _big_circle_transport}
+         "big_circle": _big_circle_transport,
+         "stacked_lassos": _stacked_lassos}
 
 
 def current():

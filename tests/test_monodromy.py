@@ -6,9 +6,10 @@ import pytest
 from painlab.catalog import PhaseState, lookup
 from painlab.fuchsian import FuchsianSystem
 from painlab.integrator import ComplexPath, integrate
+from painlab import monodromy
 from painlab.monodromy import (base_point, big_circle, invariant_traces,
-                               isomonodromy_drift, lasso, monodromy_matrix,
-                               monodromy_representation)
+                               isomonodromy_drift, lasso, lasso_at_infinity,
+                               monodromy_matrix, monodromy_representation)
 from painlab.parametrizations import SUPPORTED, assemble
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
@@ -162,3 +163,39 @@ def test_stacked_generators_match_per_loop_transport(sid):
     for M, loop in zip(stacked, loops):
         solo = monodromy_matrix(sys, loop)
         assert np.linalg.norm(M - solo) <= 1e-9 * np.linalg.norm(solo)
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_stacked_loop_at_infinity_matches_big_circle(sid):
+    # the lasso at infinity goes out to a circle of radius 2|x0|: it must
+    # give the monodromy of the big circle through x0, integrated alone
+    sys = _assembled(sid, rng_from_seed(8))
+    rep = monodromy_representation(sys)
+    full = _transport(sys, big_circle(sys.points))
+    assert np.linalg.norm(rep.at_infinity - full) <= 1e-9 * np.linalg.norm(
+        full)
+
+
+def test_representation_is_one_integrate_call(monkeypatch):
+    sys = _assembled("21,21,21,21,111", rng_from_seed(11))
+    calls = []
+
+    def counted(rhs, y0, path, **kwargs):
+        calls.append(np.shape(y0))
+        return integrate(rhs, y0, path, **kwargs)
+
+    monkeypatch.setattr(monodromy, "integrate", counted)
+    monodromy_representation(sys)
+    n = len(sys.points)
+    assert calls == [(n + 1, sys.size ** 2)]
+
+
+def test_lasso_at_infinity_goes_out_along_the_ray_of_x0():
+    pts = (0.6 + 0.3j, 1.0, 0.0)
+    x0 = base_point(pts)
+    out, circle, back = lasso_at_infinity(pts).segments
+    assert (out.start, out.end, back.start, back.end) == (x0, 2 * x0,
+                                                           2 * x0, x0)
+    assert circle.center == 0 and circle.radius == 2 * abs(x0)
+    assert circle.sweep == -2 * np.pi  # clockwise
+    assert abs(circle.point(0.0) - 2 * x0) < 1e-15

@@ -195,11 +195,12 @@ class EigenMultiset:
         return out
 
 
-def eigen_small(m, cluster_tol=None) -> EigenMultiset:
+def eigen_small(m) -> EigenMultiset:
     """Eigenvalues of a dense matrix of size 2..6, clustered by tolerance.
 
     Clusters are connected components of the "distance < tol" graph on
-    the raw eigenvalues; each cluster is reported as (mean, multiplicity).
+    the raw eigenvalues, with tol from :func:`default_cluster_tol`; each
+    cluster is reported as (mean, multiplicity).
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -211,7 +212,7 @@ def eigen_small(m, cluster_tol=None) -> EigenMultiset:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise EigenvalueError(f"eigenvalue iteration failed: {exc}") from exc
-    tol = default_cluster_tol(w) if cluster_tol is None else float(cluster_tol)
+    tol = default_cluster_tol(w)
 
     # single-linkage clustering; L <= 6 so the quadratic scan is fine
     labels = list(range(L))

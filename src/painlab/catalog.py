@@ -77,10 +77,6 @@ class SystemDescriptor:
             return tuple(self.alpha_map)
         return tuple(n for n in self.param_names if n.startswith(("alpha", "eta")))
 
-    @property
-    def partitions(self):
-        return tuple(tuple(int(ch) for ch in part) for part in self.sid.split(","))
-
 
 def _uniform(names, coeff=1.0, const=0.0, **overrides):
     coeffs = {n: overrides.get(n, coeff) for n in names}

@@ -8,7 +8,6 @@ partitions, one per singular point including infinity, in that order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,8 @@ __all__ = [
     "ClusterAmbiguityError",
     "parse_spectral_type",
     "accessory_count",
-    "residue_infinity",
     "spectral_type_of",
     "riemann_scheme_of",
-    "rank_decompose",
-    "RankAmbiguityError",
 ]
 
 
@@ -110,49 +106,13 @@ class FuchsianSystem:
 
         return LinearRhs(coef, act)
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self):
-        def cplx(z):
-            return [z.real, z.imag]
-
-        return {
-            "L": self.size,
-            "points": [cplx(z) for z in self.points],
-            "residues": [[cplx(z) for z in a.ravel()] for a in self.residues],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        L = int(d["L"])
-        pts = [complex(re, im) for re, im in d["points"]]
-        res = []
-        for flat in d["residues"]:
-            a = np.array([complex(re, im) for re, im in flat]).reshape(L, L)
-            res.append(a)
-        return cls(points=tuple(pts), residues=tuple(res))
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
-
-
-def residue_infinity(sys: FuchsianSystem, diag_tol=1e-10):
-    """A_infinity = -sum(A_i) and whether it is diagonal within tolerance."""
-    a = sys.residue_at_infinity
-    off = a - np.diag(np.diag(a))
-    return a, bool(np.max(np.abs(off)) <= diag_tol)
-
 
 class ClusterAmbiguityError(RuntimeError):
     """Two eigenvalue clusters are too close to call the multiplicities."""
 
 
-def _checked_multiset(a, cluster_tol, label) -> EigenMultiset:
-    em = eigen_small(a, cluster_tol)
+def _checked_multiset(a, label) -> EigenMultiset:
+    em = eigen_small(a)
     if em.separation <= 10 * em.tol:
         raise ClusterAmbiguityError(
             f"eigenvalue clusters at {label} separated by only "
@@ -160,14 +120,9 @@ def _checked_multiset(a, cluster_tol, label) -> EigenMultiset:
     return em
 
 
-def spectral_type_of(sys: FuchsianSystem, cluster_tol=None):
+def spectral_type_of(sys: FuchsianSystem):
     """Multiplicity partitions of all residues, finite points then infinity."""
-    parts = []
-    for t, a in zip(sys.points, sys.residues):
-        parts.append(_checked_multiset(a, cluster_tol, f"x={t}").partition)
-    parts.append(_checked_multiset(sys.residue_at_infinity, cluster_tol,
-                                   "x=inf").partition)
-    return tuple(parts)
+    return tuple(em.partition for em in riemann_scheme_of(sys).exponents)
 
 
 @dataclass(frozen=True)
@@ -186,33 +141,8 @@ class RiemannScheme:
         return abs(total)
 
 
-def riemann_scheme_of(sys: FuchsianSystem, cluster_tol=None) -> RiemannScheme:
-    ems = [_checked_multiset(a, cluster_tol, f"x={t}")
+def riemann_scheme_of(sys: FuchsianSystem) -> RiemannScheme:
+    ems = [_checked_multiset(a, f"x={t}")
            for t, a in zip(sys.points, sys.residues)]
-    ems.append(_checked_multiset(sys.residue_at_infinity, cluster_tol, "x=inf"))
+    ems.append(_checked_multiset(sys.residue_at_infinity, "x=inf"))
     return RiemannScheme(points=sys.points + ("inf",), exponents=tuple(ems))
-
-
-class RankAmbiguityError(RuntimeError):
-    """Singular values too close to the cut to decide the rank."""
-
-
-def rank_decompose(a, tol=None):
-    """Factor A = B C with inner dimension rank(A), via the SVD.
-
-    For the diagonalizable residues used here the rank equals the number
-    of nonzero eigenvalues.  Raises RankAmbiguityError when a singular
-    value sits within a factor 10 of the cut.
-    """
-    a = np.asarray(a, dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    smax = s[0] if len(s) else 0.0
-    cut = (1e-10 * (1.0 + smax)) if tol is None else tol
-    r = int(np.sum(s > cut))
-    ambiguous = [val for val in s if 0.1 * cut < val <= 10 * cut]
-    if ambiguous:
-        raise RankAmbiguityError(
-            f"singular values {ambiguous} too close to the rank cut {cut:.3e}")
-    B = u[:, :r] * s[:r]
-    C = vh[:r, :]
-    return B, C

@@ -71,10 +71,6 @@ class Line:
         s = ((z - self.start) * d.conjugate()).real / abs(d) ** 2 if d else 0.0
         return abs(z - self.point(min(1.0, max(0.0, s))))
 
-    @property
-    def length(self):
-        return abs(self.end - self.start)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -100,10 +96,6 @@ class Arc:
         if sweep >= 2 * np.pi or turn % (2 * np.pi) <= sweep:
             return abs(abs(z - self.center) - self.radius)
         return min(abs(z - self.point(0.0)), abs(z - self.point(1.0)))
-
-    @property
-    def length(self):
-        return abs(self.sweep) * self.radius
 
 
 def default_margin(singularities) -> float:
@@ -179,10 +171,6 @@ class ComplexPath:
             segs.append(type(column[0])(*(np.array(f)[:, None]
                                           for f in fields)))
         return cls(tuple(segs))
-
-    @property
-    def length(self):
-        return sum(seg.length for seg in self.segments)
 
     def reversed(self):
         segs = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fuchsian import FuchsianSystem
-from .integrator import Arc, ComplexPath, Line, integrate
+from .integrator import Arc, ComplexPath, Line, default_margin, integrate
 
 __all__ = [
     "base_point",
@@ -69,8 +69,7 @@ def lasso(points, k, x0=None) -> ComplexPath:
         Line(entry, x0),
     )
     others = [z for j, z in enumerate(pts) if j != k]
-    margin = min(0.5 * r, 0.05 * min(abs(a - b) for i, a in enumerate(pts)
-                                     for b in pts[i + 1:]) if len(pts) > 1 else r)
+    margin = min(0.5 * r, default_margin(pts))
     return ComplexPath(segments=segments, singularities=tuple(others),
                        margin=margin)
 
@@ -97,52 +96,42 @@ def lasso_at_infinity(points, x0=None) -> ComplexPath:
                        margin=None)
 
 
-def big_circle(points, x0=None, clockwise=True) -> ComplexPath:
+def big_circle(points, x0=None) -> ComplexPath:
+    """One clockwise turn about 0 through x0, all singular points inside."""
     pts = [complex(z) for z in points]
     if x0 is None:
         x0 = base_point(pts)
-    r = abs(x0)
-    angle0 = float(np.angle(x0))
-    sweep = -2 * np.pi if clockwise else 2 * np.pi
-    return ComplexPath(segments=(Arc(0.0, r, angle0, sweep),),
+    return ComplexPath(segments=(Arc(0.0, abs(x0), float(np.angle(x0)),
+                                     -2 * np.pi),),
                        singularities=tuple(pts), margin=None)
 
 
-def _retraces(loop: ComplexPath) -> bool:
-    first, last = loop.segments[0], loop.segments[-1]
-    return isinstance(first, Line) and last == Line(first.end, first.start)
+def monodromy_matrix(sys: FuchsianSystem, lassos, rel_tol=1e-10):
+    """Transport matrices of the fundamental solution around B lassos.
 
-
-def monodromy_matrix(sys: FuchsianSystem, loop, rel_tol=1e-10,
-                     abs_tol=1e-13):
-    """Transport matrix of the fundamental solution around a closed loop.
-
-    ``loop`` is one ComplexPath, giving an (L, L) matrix, or a sequence
-    of B loops with matching segment kinds, transported as one stack
-    (:meth:`ComplexPath.stack`) in a single integrate call and giving a
-    (B, L, L) array.  Loops that all start with a straight line and end
-    by retracing it (lassos) are integrated without that last segment:
-    with P the transport along the first segment and C P the transport
-    up to the return leg, the matrix is P^-1 C P.  Every other loop is
-    integrated in full.
+    The lassos, loops that start with a straight line and end by
+    retracing it, are transported as one stack (:meth:`ComplexPath.stack`)
+    in a single integrate call, giving a (B, L, L) array.  The return leg
+    is not integrated: with P the transport along the first segment and
+    C P the transport up to the return leg, the matrix is P^-1 C P.
+    Raises ValueError for a loop that does not retrace its first segment.
     """
-    stacked = not isinstance(loop, ComplexPath)
-    members = tuple(loop) if stacked else (loop,)
-    retraced = all(_retraces(m) for m in members)
-    if retraced:
-        members = tuple(ComplexPath(m.segments[:-1], m.singularities,
-                                    m.margin) for m in members)
+    members = []
+    for loop in lassos:
+        first, last = loop.segments[0], loop.segments[-1]
+        if not (isinstance(first, Line) and last == Line(first.end,
+                                                          first.start)):
+            raise ValueError("monodromy_matrix takes lassos: a loop must "
+                             "end by retracing its first, straight segment")
+        members.append(ComplexPath(loop.segments[:-1], loop.singularities,
+                                   loop.margin))
     L = sys.size
-    y0 = np.eye(L, dtype=complex).ravel()
-    if stacked:
-        y0 = np.tile(y0, (len(members), 1))
-    path = ComplexPath.stack(members) if stacked else members[0]
-    traj = integrate(sys.rhs(), y0, path, rel_tol=rel_tol, abs_tol=abs_tol)
-    shape = y0.shape[:-1] + (L, L)
-    end = traj.end_state.reshape(shape)
-    if retraced:
-        return np.linalg.solve(traj.states[1].reshape(shape), end)
-    return end
+    y0 = np.tile(np.eye(L, dtype=complex).ravel(), (len(members), 1))
+    traj = integrate(sys.rhs(), y0, ComplexPath.stack(members),
+                     rel_tol=rel_tol, abs_tol=1e-13)
+    shape = (len(members), L, L)
+    return np.linalg.solve(traj.states[1].reshape(shape),
+                           traj.end_state.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -166,20 +155,6 @@ class MonodromyRepresentation:
             scale *= max(1.0, float(np.max(np.abs(m))))
         L = prod.shape[0]
         return float(np.max(np.abs(prod - np.eye(L)))) / scale
-
-    def to_json_dict(self):
-        def mat(m):
-            return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
-
-        return {
-            "base": [self.base.real, self.base.imag],
-            "loops": [{"around": [z.real, z.imag], "radius": r}
-                      for z, r in self.loops],
-            "matrices": [mat(m) for m in self.matrices],
-            "at_infinity": mat(self.at_infinity),
-            "traces": [[np.trace(m).real, np.trace(m).imag]
-                       for m in self.matrices],
-        }
 
 
 def monodromy_representation(sys: FuchsianSystem, rel_tol=1e-10,

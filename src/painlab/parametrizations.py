@@ -34,7 +34,6 @@ __all__ = [
     "UnsupportedAssemblyError",
     "parametrization",
     "assemble",
-    "assembly_support",
     "SUPPORTED",
 ]
 
@@ -450,12 +449,6 @@ _TABLE = {
 }
 
 SUPPORTED = tuple(_TABLE)
-
-
-def assembly_support(sid: str) -> str:
-    if sid in _TABLE:
-        return _TABLE[sid].support
-    return "unsupported"
 
 
 def parametrization(sid: str) -> Parametrization:

@@ -40,23 +40,20 @@ def rational_complex(rng, max_mod=2.0, nonzero=False) -> complex:
                        f"{MAX_DRAWS} draws")
 
 
-def sample_params(sid: str, rng, fixed=None, solve_name=None, generic=False,
-                  separation=0.2):
+def sample_params(sid: str, rng, fixed=None, generic=False):
     """Random parameter assignment with the trace relation solved exactly.
 
     ``fixed`` presets some parameters (used by degeneration rules); the
-    relation is solved for ``solve_name`` (default: the last parameter
-    not preset).  With ``generic=True`` the draw is repeated until all
-    parameters are nonzero and pairwise distinct by ``separation``, which
-    keeps eigenvalue clusters of assembled systems well separated.
+    relation is solved for the last parameter not preset.  With
+    ``generic=True`` the draw is repeated until all parameters are nonzero
+    and pairwise distinct by 0.2, which keeps eigenvalue clusters of
+    assembled systems well separated.
     """
     desc = lookup(sid)
     fixed = dict(fixed or {})
     names = list(desc.param_names)
-    free = [n for n in names if n not in fixed]
-    if solve_name is None:
-        candidates = [n for n in free if n in desc.fuchs_relation.coeffs]
-        solve_name = candidates[-1]
+    solve_name = [n for n in names if n not in fixed
+                  and n in desc.fuchs_relation.coeffs][-1]
     for _ in range(MAX_DRAWS):
         values = {}
         for n in names:
@@ -68,8 +65,8 @@ def sample_params(sid: str, rng, fixed=None, solve_name=None, generic=False,
         if not generic:
             return values
         vals = list(values.values())
-        if all(abs(v) > separation for v in vals) and all(
-                abs(vals[i] - vals[j]) > separation
+        if all(abs(v) > 0.2 for v in vals) and all(
+                abs(vals[i] - vals[j]) > 0.2
                 for i in range(len(vals)) for j in range(i + 1, len(vals))):
             return values
     raise RuntimeError(f"{sid}: no generic parameters in {MAX_DRAWS} draws")

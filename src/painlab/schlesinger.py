@@ -155,7 +155,7 @@ def state_from_bc_vector(sid, params, bc, t):
     return PhaseState(q, p, t)
 
 
-def realign_to_slice(sid, params, mats, max_iter=50, tol=1e-12):
+def realign_to_slice(sid, params, mats):
     """Conjugate raw matrices back onto the gauge slice of the parametrization.
 
     The matrix deformation flow preserves the residue at infinity exactly,
@@ -183,9 +183,9 @@ def realign_to_slice(sid, params, mats, max_iter=50, tol=1e-12):
                 B3[0][1] - 1, B3[0][2] - 1, ainf21)
 
     u = [0.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j, 1.0 + 0j]
-    for _ in range(max_iter):
+    for _ in range(50):
         F, J = map(np.array, dual_gradient(conditions, u))
-        if np.max(np.abs(F)) < tol:
+        if np.max(np.abs(F)) < 1e-12:
             break
         du = np.linalg.solve(J, -F)
         u = [ui + d for ui, d in zip(u, du)]

@@ -6,7 +6,7 @@ from painlab.catalog import (PhaseState, alpha_relation_residual,
                              derive_alphas, eval_h, flow_rhs, flow_states,
                              full_params, list_systems, lookup, vector_field)
 from painlab.integrator import integrate_two_time
-from painlab.fuchsian import accessory_count
+from painlab.fuchsian import accessory_count, parse_spectral_type
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
 
@@ -30,7 +30,7 @@ def test_catalog_size():
 def test_partition_count_matches_times():
     for sid in list_systems():
         d = lookup(sid)
-        assert len(d.partitions) == d.n_times + 3
+        assert len(parse_spectral_type(sid)) == d.n_times + 3
 
 
 def test_accessory_count_equals_phase_dimension():

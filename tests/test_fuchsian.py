@@ -1,17 +1,14 @@
-"""Spectral types, accessory counts, assembly, factorization, serialization."""
+"""Spectral types, accessory counts, assembly."""
 
 import numpy as np
 import pytest
 
 from painlab.catalog import full_params, lookup
 from painlab.fuchsian import (ClusterAmbiguityError, FuchsianSystem,
-                              RankAmbiguityError, accessory_count,
-                              parse_spectral_type, rank_decompose,
-                              residue_infinity, riemann_scheme_of,
-                              spectral_type_of)
+                              accessory_count, parse_spectral_type,
+                              riemann_scheme_of, spectral_type_of)
 from painlab.parametrizations import (SUPPORTED, UnsupportedAssemblyError,
-                                      assemble, assembly_support,
-                                      parametrization)
+                                      assemble, parametrization)
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
 
@@ -50,12 +47,10 @@ def test_parse_rejects_mixed_sums():
 def test_residue_infinity_zero_cases():
     z = np.zeros((3, 3))
     sys = FuchsianSystem(points=(0.5, 1.0, 0.0), residues=(z, z, z))
-    a, diag = residue_infinity(sys)
-    assert np.all(a == 0) and diag
+    assert np.all(sys.residue_at_infinity == 0)
     a1 = np.array([[1.0, 2.0], [0.5, -1.0]])
     sys = FuchsianSystem(points=(0.5, 0.0), residues=(a1, -a1))
-    a, diag = residue_infinity(sys)
-    assert np.max(np.abs(a)) == 0
+    assert np.max(np.abs(sys.residue_at_infinity)) == 0
 
 
 def test_spectral_type_of_diagonal_residues():
@@ -154,7 +149,8 @@ def test_round_trip_state_matrices_state():
 
 
 def test_unsupported_assembly_raises():
-    assert assembly_support("42,33,33,222") == "unsupported"
+    with pytest.raises(UnsupportedAssemblyError):
+        parametrization("42,33,33,222")
     rng = rng_from_seed(29)
     par = sample_params("42,33,33,222", rng)
     st = sample_state("42,33,33,222", rng)
@@ -163,43 +159,6 @@ def test_unsupported_assembly_raises():
 
 
 def test_support_levels():
-    assert assembly_support("21,21,21,21,111") == "full"
-    assert assembly_support("22,22,211,211") == "full"
-    assert assembly_support("31,31,22,22,22") == "constrained"
-
-
-def test_rank_decompose():
-    rng = rng_from_seed(31)
-    u = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    a = np.outer(u, v)
-    B, C = rank_decompose(a)
-    assert B.shape == (4, 1) and C.shape == (1, 4)
-    assert np.max(np.abs(B @ C - a)) < 1e-12
-
-    z = np.zeros((3, 3))
-    B, C = rank_decompose(z)
-    assert B.shape == (3, 0) and C.shape == (0, 3)
-
-    b2 = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    c2 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    a2 = b2 @ c2
-    B, C = rank_decompose(a2)
-    assert B.shape[1] == 2
-    assert np.max(np.abs(B @ C - a2)) < 1e-10
-
-
-def test_rank_ambiguity():
-    a = np.diag([1.0, 1e-10, 0.0])
-    with pytest.raises(RankAmbiguityError):
-        rank_decompose(a)
-
-
-def test_json_round_trip():
-    rng = rng_from_seed(37)
-    par, st, sys = sample_assembly("21,21,21,21,111", rng)
-    s = sys.to_json()
-    back = FuchsianSystem.from_json(s)
-    assert back.points == sys.points
-    for a, b in zip(back.residues, sys.residues):
-        assert np.max(np.abs(a - b)) == 0
+    assert parametrization("21,21,21,21,111").support == "full"
+    assert parametrization("22,22,211,211").support == "full"
+    assert parametrization("31,31,22,22,22").support == "constrained"

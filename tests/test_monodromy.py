@@ -27,7 +27,7 @@ def test_empty_loop_gives_identity():
     x0 = base_point(sys.points)
     # a small circle far from every singularity encloses nothing
     loop = ComplexPath.circle(x0, 0.05, singularities=sys.points)
-    M = monodromy_matrix(sys, loop, rel_tol=1e-11)
+    M = _transport(sys, loop, rel_tol=1e-11)
     assert np.max(np.abs(M - np.eye(2))) < 1e-9
 
 
@@ -36,7 +36,7 @@ def test_scalar_loop_multiplier():
     z = np.zeros((2, 2))
     a0 = np.array([[theta, 0], [0, 0]])
     sys = FuchsianSystem(points=(0.5, 1.0, 0.0), residues=(z, z, a0))
-    M = monodromy_matrix(sys, lasso(sys.points, 2), rel_tol=1e-11)
+    M = monodromy_matrix(sys, [lasso(sys.points, 2)], rel_tol=1e-11)[0]
     assert abs(M[0, 0] - np.exp(2j * np.pi * theta)) < 1e-9
     assert abs(M[1, 1] - 1) < 1e-9
 
@@ -46,7 +46,8 @@ def test_generator_eigenvalues_match_residue_exponents():
     sys = small_random_system(rng)
     x0 = base_point(sys.points)
     for k, a in enumerate(sys.residues):
-        M = monodromy_matrix(sys, lasso(sys.points, k, x0), rel_tol=1e-11)
+        M = monodromy_matrix(sys, [lasso(sys.points, k, x0)],
+                             rel_tol=1e-11)[0]
         ev_m = np.sort_complex(np.linalg.eigvals(M))
         ev_a = np.sort_complex(np.exp(2j * np.pi * np.linalg.eigvals(a)))
         assert np.max(np.abs(ev_m - ev_a)) < 1e-7
@@ -89,16 +90,6 @@ def test_zero_length_deformation_has_zero_drift():
     assert drift == 0.0
 
 
-def test_report_serializes():
-    rng = rng_from_seed(7)
-    sys = small_random_system(rng)
-    rep = monodromy_representation(sys, rel_tol=1e-9)
-    d = rep.to_json_dict()
-    assert set(d) == {"base", "loops", "matrices", "at_infinity", "traces"}
-    assert len(d["matrices"]) == 3
-    assert all(lp["radius"] > 0 for lp in d["loops"])
-
-
 def _assembled(sid, rng):
     desc = lookup(sid)
     par = {k: 0.25 * v for k, v in
@@ -111,9 +102,10 @@ def _assembled(sid, rng):
     return assemble(sid, par, st)
 
 
-def _transport(sys, loop):
+def _transport(sys, loop, rel_tol=1e-10):
+    """Integration over the whole loop, return leg included."""
     y0 = np.eye(sys.size, dtype=complex).ravel()
-    traj = integrate(sys.rhs(), y0, loop, rel_tol=1e-10, abs_tol=1e-13)
+    traj = integrate(sys.rhs(), y0, loop, rel_tol=rel_tol, abs_tol=1e-13)
     return traj.end_state.reshape(sys.size, sys.size)
 
 
@@ -124,18 +116,18 @@ def test_lasso_by_inversion_matches_full_transport(sid):
     sys = _assembled(sid, rng_from_seed(8))
     for k in range(len(sys.points)):
         loop = lasso(sys.points, k)
-        M, full = monodromy_matrix(sys, loop), _transport(sys, loop)
+        M, full = monodromy_matrix(sys, [loop])[0], _transport(sys, loop)
         assert np.linalg.norm(M - full) <= 1e-9 * np.linalg.norm(full)
 
 
-def test_loops_that_do_not_retrace_are_integrated_in_full():
+def test_loops_that_do_not_retrace_are_rejected():
     sys = _assembled("22,22,211,211", rng_from_seed(9))
     x0 = base_point(sys.points)
     triangle = ComplexPath.polyline([x0, 3 + 1j, -3 + 1.5j, x0],
                                     singularities=sys.points)
     for loop in (triangle, big_circle(sys.points)):
-        assert np.array_equal(monodromy_matrix(sys, loop),
-                              _transport(sys, loop))
+        with pytest.raises(ValueError, match="retracing"):
+            monodromy_matrix(sys, [lasso(sys.points, 0), loop])
 
 
 def test_one_member_stack_is_the_unstacked_transport():
@@ -161,7 +153,7 @@ def test_stacked_generators_match_per_loop_transport(sid):
     stacked = monodromy_matrix(sys, loops)
     assert stacked.shape == (len(loops), sys.size, sys.size)
     for M, loop in zip(stacked, loops):
-        solo = monodromy_matrix(sys, loop)
+        solo = monodromy_matrix(sys, [loop])[0]
         assert np.linalg.norm(M - solo) <= 1e-9 * np.linalg.norm(solo)
 
 

@@ -25,4 +25,4 @@ for label, scale in (("along the Hamiltonian flow", 1.0),
                          scale=scale, rel_tol=1e-10, abs_tol=1e-13)
     drift = isomonodromy_drift([monodromy_representation(
         assemble(sid, par, s), rel_tol=1e-10) for s in states])
-    print(f"trace drift {label}: {drift:.3e}")
+    print(f"relative trace drift {label}: {drift:.3e}")

@@ -17,7 +17,6 @@ from .integrator import LinearRhs
 
 __all__ = [
     "FuchsianSystem",
-    "SpectralType",
     "RiemannScheme",
     "ClusterAmbiguityError",
     "parse_spectral_type",
@@ -34,9 +33,6 @@ def parse_spectral_type(sid: str):
     if len(sums) != 1:
         raise ValueError(f"partitions of {sid!r} do not share a common sum")
     return parts
-
-
-SpectralType = tuple
 
 
 def accessory_count(st) -> int:

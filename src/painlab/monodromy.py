@@ -97,12 +97,13 @@ def lasso_at_infinity(points, x0=None) -> ComplexPath:
 
 
 def big_circle(points, x0=None) -> ComplexPath:
-    """One clockwise turn about 0 through x0, all singular points inside."""
+    """One clockwise turn about 0 through x0."""
     pts = [complex(z) for z in points]
     if x0 is None:
         x0 = base_point(pts)
-    return ComplexPath(segments=(Arc(0.0, abs(x0), float(np.angle(x0)),
-                                     -2 * np.pi),),
+    r = abs(x0)
+    angle0 = float(np.angle(x0))
+    return ComplexPath(segments=(Arc(0.0, r, angle0, -2 * np.pi),),
                        singularities=tuple(pts), margin=None)
 
 
@@ -194,8 +195,11 @@ def isomonodromy_drift(reps) -> float:
     """Max drift of the invariant traces across a family of representations.
 
     ``reps`` lists MonodromyRepresentations along a deformation; the first
-    is the reference.  Returns the largest absolute trace deviation.
+    is the reference.  Returns the largest trace deviation relative to
+    max(1, max|reference trace|): each trace carries a relative transport
+    error, so large traces would otherwise fail an absolute tolerance.
     """
     ref = invariant_traces(reps[0])
-    return max((float(np.max(np.abs(invariant_traces(rep) - ref)))
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    return max((float(np.max(np.abs(invariant_traces(rep) - ref))) / scale
                 for rep in reps[1:]), default=0.0)

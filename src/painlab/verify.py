@@ -130,6 +130,19 @@ def verify_compat(seed=DEFAULT_SEED, side=0.2, rel_tol=1e-9, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
+def _eigenvalue_drift(mats0, mats1):
+    """Largest eigenvalue move between paired matrices, each relative to
+    1 + max|eigenvalue| of the first; eigenvalues are paired by nearness,
+    since an order by real part is decided by rounding noise when two
+    eigenvalues share a real part."""
+    drift = 0.0
+    for a0, a1 in zip(mats0, mats1):
+        e0 = np.linalg.eigvals(a0)
+        scale = 1.0 + float(np.max(np.abs(e0)))
+        drift = max(drift, _match_multiset(np.linalg.eigvals(a1), e0) / scale)
+    return drift
+
+
 def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
                        drift_tol=1e-8):
     t0 = time.time()
@@ -154,12 +167,7 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
     deviation = max(float(np.max(np.abs(a - b)))
                     for a, b in zip(mats_ham, realigned))
 
-    drift = 0.0
-    for a0, a1 in zip(sys0.residues, mats_raw):
-        e0 = np.sort_complex(np.linalg.eigvals(a0))
-        e1 = np.sort_complex(np.linalg.eigvals(a1))
-        scale = 1.0 + float(np.max(np.abs(e0)))
-        drift = max(drift, float(np.max(np.abs(e0 - e1))) / scale)
+    drift = _eigenvalue_drift(sys0.residues, mats_raw)
     ok = deviation < tol and drift < drift_tol
     return _result("isospectral", ok, t0, tolerance=tol,
                    matrix_deviation=deviation, eigenvalue_drift=drift,
@@ -238,14 +246,30 @@ def constrained_rigid_params(case, rng):
                        f"{MAX_DRAWS} draws")
 
 
-def _match_multiset(values, targets, tol):
+def _match_multiset(values, targets):
+    """Largest distance from each target to the nearest value not yet
+    taken by an earlier target."""
     values = list(values)
     worst = 0.0
     for w in targets:
         j = int(np.argmin([abs(v - w) for v in values]))
-        worst = max(worst, abs(values[j] - w))
+        worst = max(worst, float(abs(values[j] - w)))
         values.pop(j)
     return worst
+
+
+def _power_sum_residual(M, exponents):
+    """max over k = 1..L of |tr(M^k) - sum of w^k| / s^k, where
+    s = 1 + max(max|M|, max|w|).  By Newton's identities the power sums
+    fix the multiset; unlike the eigenvalues of a residue with a Jordan
+    block (error near sqrt(eps)), they are well conditioned."""
+    w = np.array([complex(x) for x in exponents])
+    s = 1.0 + max(float(np.max(np.abs(M))), float(np.max(np.abs(w))))
+    worst, Mk = 0.0, np.eye(len(w))
+    for k in range(1, len(w) + 1):
+        Mk = Mk @ M
+        worst = max(worst, abs(np.trace(Mk) - np.sum(w ** k)) / s ** k)
+    return float(worst)
 
 
 def verify_riemann_schemes(seed=DEFAULT_SEED, n_samples=20, tol=1e-9,
@@ -265,8 +289,7 @@ def verify_riemann_schemes(seed=DEFAULT_SEED, n_samples=20, tol=1e-9,
                 finite = [m for m in (Mt, M1, M0) if m is not None]
                 all_m = finite + [-sum(finite)]
                 for M, want in zip(all_m, colset):
-                    worst = max(worst, _match_multiset(
-                        np.linalg.eigvals(M), [complex(w) for w in want], tol))
+                    worst = max(worst, _power_sum_residual(M, want))
         entry = {"scheme_residual": worst,
                  "accessory_count": accessory_count(case.spectral_type)}
         case_ok = worst < tol and entry["accessory_count"] == 0

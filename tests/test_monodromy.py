@@ -1,5 +1,7 @@
 """Numerical monodromy: generators, relations, invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ def test_zero_length_deformation_has_zero_drift():
     drift = isomonodromy_drift([monodromy_representation(sys, rel_tol=1e-10)
                                 for _ in range(2)])
     assert drift == 0.0
+
+
+def test_scaled_generators_read_as_drift():
+    rep = monodromy_representation(small_random_system(rng_from_seed(6)),
+                                   rel_tol=1e-10)
+    scaled = dataclasses.replace(
+        rep, matrices=tuple((1 + 1e-4) * m for m in rep.matrices))
+    assert isomonodromy_drift([rep, scaled]) > 1e-5
 
 
 def _assembled(sid, rng):

@@ -83,9 +83,10 @@ class FuchsianSystem:
         """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened).
 
         A :class:`~painlab.integrator.LinearRhs`: its coefficient is
-        M(x) = sum A_i/(x - t_i).  Broadcasts over a leading stack axis:
-        (B, 1) points x with (B, L*L) states y give (B, L*L), one member
-        per row.
+        M(x) = sum A_i/(x - t_i).  Broadcasts over a leading axis: (B, 1)
+        points x with (B, L*L) states y give (B, L*L), one point per row,
+        as the series transport of :mod:`painlab.monodromy` checks a block
+        of chords.
         """
         # stacked once; add.reduce over the point axis keeps the
         # left-to-right order of a plain sum of A_i/(x - t_i), where a

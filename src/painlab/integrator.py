@@ -8,13 +8,6 @@ stepping; "dense output" at requested parameters is realized by landing
 on them exactly, which is simpler and slightly more accurate than an
 interpolant at desk scale.
 
-A state of shape (B, n) is a stack of B members, each on its own path:
-:meth:`ComplexPath.stack` joins B member paths of matching segment kinds
-into one path whose segment fields are (B, 1) columns.  The members share
-the parameter s and the step h; the error norm is the largest member's
-RMS norm, so no member is stepped more coarsely than it would be alone.
-A 1-D state is the unstacked case.
-
 A right-hand side linear in the state, f(x, y) = M(x) y, can be passed as
 a :class:`LinearRhs` that exposes M.  The stepper then evaluates the
 chart and M at a step's five distinct stage abscissae in one broadcast,
@@ -25,7 +18,7 @@ for bit the per-stage one.  Any other callable is called once per stage.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,8 +75,7 @@ class Arc:
     sweep: float
 
     def __post_init__(self):
-        # np.any: the fields of a stacked arc are (B, 1) columns
-        if np.any(self.radius <= 0) or np.any(self.sweep == 0):
+        if self.radius <= 0 or self.sweep == 0:
             raise ValueError("degenerate arc")
 
     def point(self, s):
@@ -151,27 +143,6 @@ class ComplexPath:
                                  float(angle0), float(sweep)),),
                    singularities=singularities, margin=margin)
 
-    @classmethod
-    def stack(cls, members):
-        """One path stepping B member paths together on a shared parameter.
-
-        Each segment's fields become (B, 1) columns, one row per member.
-        The members have passed their own margin checks, so the stack
-        declares no singular points.  Raises ValueError unless every
-        member has the same segment kinds in the same order.
-        """
-        members = tuple(members)
-        kinds = {tuple(type(seg) for seg in m.segments) for m in members}
-        if len(kinds) != 1:
-            raise ValueError("stacked paths must share their segment kinds "
-                             f"and count, got {len(kinds)} layouts")
-        segs = []
-        for column in zip(*(m.segments for m in members)):
-            fields = zip(*(astuple(seg) for seg in column))
-            segs.append(type(column[0])(*(np.array(f)[:, None]
-                                          for f in fields)))
-        return cls(tuple(segs))
-
     def reversed(self):
         segs = []
         for seg in reversed(self.segments):
@@ -186,10 +157,9 @@ class ComplexPath:
 class LinearRhs:
     """A right-hand side linear in the state: f(x, y) = act(coef(x), y).
 
-    ``coef(x)`` is the coefficient M(x).  It takes points as the
-    integrator passes them, a scalar for a 1-D state or (B, 1) columns for
-    a stack, and broadcasts over leading axes: points of shape S + (1,)
-    give M of shape S + M's own shape (a scalar counts as shape (1,)).
+    ``coef(x)`` is the coefficient M(x).  It broadcasts over leading
+    axes: points of shape S + (1,) give M of shape S + M's own shape (a
+    scalar point counts as shape (1,)).
     ``act(M, y)`` applies M to the state.  Calling the object computes f
     itself; :func:`integrate` instead evaluates the coefficient of one
     step at all its stage abscissae in one broadcast.
@@ -247,21 +217,17 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
-# row-k weights as columns, to scale the stage rows K[:k] in one product;
-# np.add.reduce over axis 0 then adds the rows left to right, in the order
-# of a plain Python sum (a matrix product may reassociate and move bits)
-# (stage weights, b5, error) columns per state rank: a 1-D state's stage
-# rows K[:k] are (k, n), a stack's are (k, B, n)
-_DP_COLS = {ndim: ([a.reshape((-1,) + (1,) * ndim) for a in _DP_A],
-                   _DP_B5.reshape((-1,) + (1,) * ndim),
-                   (_DP_B5 - _DP_B4).reshape((-1,) + (1,) * ndim))
-            for ndim in (1, 2)}
+# row-k weights as columns, to scale the stage rows K[:k], shape (k, n),
+# in one product; np.add.reduce over axis 0 then adds the rows left to
+# right, in the order of a plain Python sum (a matrix product may
+# reassociate and move bits): (stage weights, b5, error) columns
+_DP_COLS = ([a[:, None] for a in _DP_A], _DP_B5[:, None],
+            (_DP_B5 - _DP_B4)[:, None])
 
 # the six later stages sit at five distinct abscissae (c5 = c6 = 1): row
-# k's abscissa is _DP_C[1:6][_DP_STAGE[k]], as a column per state rank
+# k's abscissa is _DP_C_STAGES[_DP_STAGE[k]], a column for a LinearRhs
 _DP_STAGE = (None, 0, 1, 2, 3, 4, 4)
-_DP_C_STAGES = {ndim: _DP_C[1:6].reshape((-1,) + (1,) * ndim)
-                for ndim in (1, 2)}
+_DP_C_STAGES = _DP_C[1:6, None]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -273,11 +239,10 @@ MAX_SEGMENT_STEPS = 50_000
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    """RMS of the scaled error; of a (B, n) stack, the largest member's."""
+    """RMS of the scaled error."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
     r = np.abs(err / scale) ** 2
-    ms = np.add.reduce(r, axis=-1) / r.shape[-1]
-    return float(np.sqrt(ms if r.ndim == 1 else ms.max()))
+    return float(np.sqrt(np.add.reduce(r) / r.size))
 
 
 def _modulus(y):
@@ -317,12 +282,13 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    a_cols, b5_col, e_col = _DP_COLS[y.ndim]
+    # locals, not globals: they are read at every stage of every step
+    a_cols, b5_col, e_col = _DP_COLS
+    c_stages = _DP_C_STAGES
     if isinstance(rhs, LinearRhs):
         coef, act = rhs.coef, rhs.act
     else:
         coef = None
-    c_stages = _DP_C_STAGES[y.ndim]
     K = np.empty((7,) + y.shape, dtype=complex)  # the seven stage rows
     K[0] = f(s, y)
     for stop in stops:
@@ -377,15 +343,10 @@ def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,
 
     ``samples``: optional increasing path parameters (in [0, n_segments])
     at which states are recorded in addition to segment endpoints.
-
-    A (B, n) ``y0`` is a stack on a :meth:`ComplexPath.stack` path: rhs
-    then gets (B, 1) points and (B, n) states and must broadcast over
-    the leading axis.
     """
     y = np.asarray(y0, dtype=complex).copy()
-    if y.ndim not in _DP_COLS:
-        raise ValueError(f"state must be 1-D or a (B, n) stack, got shape "
-                         f"{y.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"state must be 1-D, got shape {y.shape}")
     traj = Trajectory(rel_tol=rel_tol, abs_tol=abs_tol)
     traj.params.append(0.0)
     traj.states.append(y.copy())

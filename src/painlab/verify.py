@@ -95,7 +95,7 @@ _COMPAT_IDS = ("11,11,11,11,11", "11,11,11,11,11,11", "21,21,21,21,111",
                "31,31,22,22,22")
 
 
-def _compat_times(desc, rng):
+def _compat_times(desc):
     if desc.n_times == 2:
         return (1.8 + 0.6j, -0.9 + 0.4j)
     return (1.8 + 0.6j, -0.9 + 0.4j, 0.5 + 1.3j)
@@ -109,7 +109,7 @@ def verify_compat(seed=DEFAULT_SEED, side=0.2, rel_tol=1e-9, tol=1e-6):
     for sid in _COMPAT_IDS:
         desc = lookup(sid)
         par = sample_params(sid, rng, generic=True)
-        st = sample_state(sid, rng, times=_compat_times(desc, rng))
+        st = sample_state(sid, rng, times=_compat_times(desc))
         st = PhaseState(tuple(0.4 * z for z in st.q),
                         tuple(0.4 * z for z in st.p), st.t)
         worst = 0.0
@@ -214,8 +214,11 @@ def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
         control = isomonodromy_drift(control_reps)
         # the independent route: generators against the loop at infinity
         defect = max(rep.product_defect() for rep in reps + control_reps)
+        # the work: chords over every representation computed here
+        steps = sum(rep.transport_steps for rep in reps + control_reps[1:])
         rows[sid] = {"drift": drift, "negative_control": control,
-                     "product_defect": defect}
+                     "product_defect": defect, "transport_steps": steps,
+                     "series_order": reps[0].series_order}
         ok = (ok and drift < tol and control > control_min
               and defect < product_tol)
     return _result("isomonodromy", ok, t0, tolerance=tol,

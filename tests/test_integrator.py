@@ -160,15 +160,6 @@ def _fuchsian_lasso():
                                             rel_tol=1e-10, abs_tol=1e-13)
 
 
-def _fuchsian_stack():
-    sys = _fuchsian_system()
-    pts = sys.points
-    path = ComplexPath.stack([lasso(pts, k) for k in range(len(pts))])
-    y0 = np.tile(np.eye(sys.size, dtype=complex).ravel(), (len(pts), 1))
-    return sys.rhs(), lambda rhs: integrate(rhs, y0, path, rel_tol=1e-10,
-                                            abs_tol=1e-13)
-
-
 def _rigid_leg():
     case = rigid_case("case-3131")
     par = constrained_rigid_params(case, rng_from_seed(20260811))
@@ -179,8 +170,7 @@ def _rigid_leg():
         samples=(0.25, 0.5))
 
 
-@pytest.mark.parametrize("make", [_fuchsian_lasso, _fuchsian_stack,
-                                  _rigid_leg])
+@pytest.mark.parametrize("make", [_fuchsian_lasso, _rigid_leg])
 def test_linear_rhs_stage_broadcast_is_bit_identical(make):
     rhs, run = make()
     assert isinstance(rhs, LinearRhs)
@@ -213,46 +203,6 @@ def test_degenerate_arc_rejected():
         Arc(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Arc(0.0, 1.0, 0.0, 0.0)
-
-
-def test_stacked_arc_with_a_nonpositive_radius_rejected():
-    ones = np.ones((3, 1))
-    radius = np.array([[1.0], [0.5], [-0.5]])
-    with pytest.raises(ValueError, match="degenerate arc"):
-        Arc(0j * ones, radius, 0.0 * ones, 2 * np.pi * ones)
-    with pytest.raises(ValueError, match="degenerate arc"):
-        Arc(0j * ones, ones, 0.0 * ones, np.array([[1.0], [0.0], [1.0]]))
-
-
-def test_stack_needs_matching_segment_layout():
-    line = ComplexPath.polyline([0.0, 1.0])
-    circle = ComplexPath.circle(0.0, 1.0)
-    two_lines = ComplexPath.polyline([0.0, 1.0, 1.0 + 1j])
-    for members in ([line, circle], [line, two_lines]):
-        with pytest.raises(ValueError, match="segment kinds and count"):
-            ComplexPath.stack(members)
-
-
-def test_stacked_error_norm_is_the_worst_member():
-    # one member's RMS norm is 2, the others' 0: the stack's norm is 2,
-    # not the 2/sqrt(B) of one RMS over the whole stack
-    err = np.zeros((4, 3), dtype=complex)
-    err[2] = 2.0
-    y = np.zeros((4, 3), dtype=complex)
-    assert integrator._error_norm(err, y, y, rel_tol=1.0, abs_tol=1.0) == 2.0
-
-
-def test_stacked_members_follow_their_own_paths():
-    lams = np.array([[0.7 - 0.3j], [-0.2 + 1.1j]])
-    paths = [ComplexPath.polyline([0.0, 1.2 + 0.5j, 0.4j]),
-             ComplexPath.polyline([0.3, -0.5 + 0.2j, 1.0])]
-    traj = integrate(lambda z, y: lams * y, np.ones((2, 1), dtype=complex),
-                     ComplexPath.stack(paths), rel_tol=1e-10)
-    for lam, path, y in zip(lams[:, 0], paths, traj.end_state):
-        z0, z1 = path.segments[0].start, path.segments[-1].end
-        exact = np.exp(lam * (z1 - z0))
-        assert abs(y[0] - exact) / abs(exact) < 1e-9
-    assert traj.end_state.shape == (2, 1)
 
 
 def test_zero_length_two_time_returns_input():

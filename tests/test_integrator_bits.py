@@ -1,4 +1,4 @@
-"""Bit-for-bit pin of the integrator on four representative transports.
+"""Bit-for-bit pin of the integrator on three representative transports.
 
 The endpoint (``float.hex`` of its real and imaginary parts), the
 accepted and the rejected step counts must repeat exactly.  A change to
@@ -17,8 +17,8 @@ import numpy as np
 
 from painlab import catalog
 from painlab.catalog import PhaseState, flow_states
-from painlab.integrator import ComplexPath, integrate, integrate_time
-from painlab.monodromy import big_circle, lasso
+from painlab.integrator import integrate, integrate_time
+from painlab.monodromy import big_circle
 from painlab.parametrizations import assemble
 from painlab.rigid import rigid_case, rigid_rhs
 from painlab.sampling import rng_from_seed, sample_params, sample_state
@@ -86,17 +86,8 @@ def _big_circle_transport():
                      abs_tol=1e-13)
 
 
-def _stacked_lassos():
-    sys = _assembled()
-    pts = sys.points
-    path = ComplexPath.stack([lasso(pts, k) for k in range(len(pts))])
-    y0 = np.tile(np.eye(sys.size, dtype=complex).ravel(), (len(pts), 1))
-    return integrate(sys.rhs(), y0, path, rel_tol=1e-10, abs_tol=1e-13)
-
-
 CASES = {"catalog_flow": _catalog_flow, "rigid_leg": _rigid_leg,
-         "big_circle": _big_circle_transport,
-         "stacked_lassos": _stacked_lassos}
+         "big_circle": _big_circle_transport}
 
 
 def current():

@@ -7,11 +7,12 @@ import pytest
 
 from painlab.catalog import PhaseState, lookup
 from painlab.fuchsian import FuchsianSystem
-from painlab.integrator import ComplexPath, integrate
-from painlab import monodromy
-from painlab.monodromy import (base_point, big_circle, invariant_traces,
-                               isomonodromy_drift, lasso, lasso_at_infinity,
-                               monodromy_matrix, monodromy_representation)
+from painlab import integrator, monodromy
+from painlab.integrator import ComplexPath, StepBudgetError, integrate
+from painlab.monodromy import (TransportDefectError, base_point, big_circle,
+                               invariant_traces, isomonodromy_drift, lasso,
+                               lasso_at_infinity, monodromy_matrix,
+                               monodromy_representation, series_order)
 from painlab.parametrizations import SUPPORTED, assemble
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 
@@ -38,7 +39,8 @@ def test_scalar_loop_multiplier():
     z = np.zeros((2, 2))
     a0 = np.array([[theta, 0], [0, 0]])
     sys = FuchsianSystem(points=(0.5, 1.0, 0.0), residues=(z, z, a0))
-    M = monodromy_matrix(sys, [lasso(sys.points, 2)], rel_tol=1e-11)[0]
+    M = monodromy_matrix(sys, [lasso(sys.points, 2)],
+                         rel_tol=1e-11).matrices[0]
     assert abs(M[0, 0] - np.exp(2j * np.pi * theta)) < 1e-9
     assert abs(M[1, 1] - 1) < 1e-9
 
@@ -49,7 +51,7 @@ def test_generator_eigenvalues_match_residue_exponents():
     x0 = base_point(sys.points)
     for k, a in enumerate(sys.residues):
         M = monodromy_matrix(sys, [lasso(sys.points, k, x0)],
-                             rel_tol=1e-11)[0]
+                             rel_tol=1e-11).matrices[0]
         ev_m = np.sort_complex(np.linalg.eigvals(M))
         ev_a = np.sort_complex(np.exp(2j * np.pi * np.linalg.eigvals(a)))
         assert np.max(np.abs(ev_m - ev_a)) < 1e-7
@@ -126,7 +128,8 @@ def test_lasso_by_inversion_matches_full_transport(sid):
     sys = _assembled(sid, rng_from_seed(8))
     for k in range(len(sys.points)):
         loop = lasso(sys.points, k)
-        M, full = monodromy_matrix(sys, [loop])[0], _transport(sys, loop)
+        M = monodromy_matrix(sys, [loop]).matrices[0]
+        full = _transport(sys, loop)
         assert np.linalg.norm(M - full) <= 1e-9 * np.linalg.norm(full)
 
 
@@ -140,30 +143,14 @@ def test_loops_that_do_not_retrace_are_rejected():
             monodromy_matrix(sys, [lasso(sys.points, 0), loop])
 
 
-def test_one_member_stack_is_the_unstacked_transport():
-    sys = _assembled("22,22,211,211", rng_from_seed(10))
-    loop = lasso(sys.points, 1)
-    y0 = np.eye(sys.size, dtype=complex).ravel()
-    solo = integrate(sys.rhs(), y0, loop, rel_tol=1e-10, abs_tol=1e-13)
-    stack = integrate(sys.rhs(), y0[None], ComplexPath.stack([loop]),
-                      rel_tol=1e-10, abs_tol=1e-13)
-
-    def bits(y):
-        return [(z.real.hex(), z.imag.hex()) for z in np.ravel(y)]
-
-    assert bits(stack.end_state) == bits(solo.end_state)
-    assert (stack.n_steps, stack.n_rejected) == (solo.n_steps,
-                                                 solo.n_rejected)
-
-
 @pytest.mark.parametrize("sid", SUPPORTED)
 def test_stacked_generators_match_per_loop_transport(sid):
     sys = _assembled(sid, rng_from_seed(8))
     loops = [lasso(sys.points, k) for k in range(len(sys.points))]
-    stacked = monodromy_matrix(sys, loops)
+    stacked = monodromy_matrix(sys, loops).matrices
     assert stacked.shape == (len(loops), sys.size, sys.size)
     for M, loop in zip(stacked, loops):
-        solo = monodromy_matrix(sys, [loop])[0]
+        solo = monodromy_matrix(sys, [loop]).matrices[0]
         assert np.linalg.norm(M - solo) <= 1e-9 * np.linalg.norm(solo)
 
 
@@ -178,18 +165,102 @@ def test_stacked_loop_at_infinity_matches_big_circle(sid):
         full)
 
 
-def test_representation_is_one_integrate_call(monkeypatch):
+def test_representation_is_one_monodromy_matrix_call(monkeypatch):
+    # every lasso, the one at infinity included, goes through one Taylor
+    # transport; nothing is stepped by the Runge-Kutta integrator
     sys = _assembled("21,21,21,21,111", rng_from_seed(11))
-    calls = []
+    calls, steps = [], []
 
-    def counted(rhs, y0, path, **kwargs):
-        calls.append(np.shape(y0))
-        return integrate(rhs, y0, path, **kwargs)
+    def counted(sys, lassos, rel_tol):
+        calls.append(len(lassos))
+        return monodromy_matrix(sys, lassos, rel_tol)
 
-    monkeypatch.setattr(monodromy, "integrate", counted)
-    monodromy_representation(sys)
-    n = len(sys.points)
-    assert calls == [(n + 1, sys.size ** 2)]
+    def stepped(*args):
+        steps.append(args)
+        return segment(*args)
+
+    segment = integrator._integrate_segment
+    monkeypatch.setattr(monodromy, "monodromy_matrix", counted)
+    monkeypatch.setattr(integrator, "_integrate_segment", stepped)
+    rep = monodromy_representation(sys)
+    assert calls == [len(sys.points) + 1]
+    assert steps == []
+    assert rep.series_order == series_order(1e-10)
+    assert rep.transport_steps > 0
+
+
+def _paths(sys, x0):
+    """The representation's lassos, in the order of its generators."""
+    pts = sys.points
+    order = sorted(range(len(pts)), key=lambda k: np.angle(pts[k] - x0))
+    return [lasso(pts, k, x0) for k in order] + [lasso_at_infinity(pts, x0)]
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_taylor_matches_dp5_reference(sid):
+    # whole lassos, return legs included, stepped by DP5 at rel_tol 1e-12
+    sys = _assembled(sid, rng_from_seed(8))
+    rep = monodromy_representation(sys)
+    ref = [_transport(sys, loop, rel_tol=1e-12)
+           for loop in _paths(sys, rep.base)]
+    for M, want in zip(rep.matrices + (rep.at_infinity,), ref):
+        assert _relative_gap(M, want) <= 1e-9
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_product_defect_no_larger_than_dp5(sid):
+    sys = _assembled(sid, rng_from_seed(9))
+    rep = monodromy_representation(sys)
+    *gens, minf = [_transport(sys, loop)
+                   for loop in _paths(sys, rep.base)]
+    dp5 = dataclasses.replace(rep, matrices=tuple(gens), at_infinity=minf)
+    assert rep.product_defect() <= dp5.product_defect()
+
+
+def test_every_chord_obeys_both_bounds():
+    sys = _assembled("31,22,211,1111", rng_from_seed(8))
+    rep = monodromy_representation(sys)
+    pts = np.array(sys.points)
+    norms = [np.linalg.norm(a) for a in sys.residues]
+    n = 0
+    for b, loop in enumerate(_paths(sys, rep.base)):
+        for seg in loop.segments[:-1]:
+            v = np.array(monodromy._chords(seg, sys.points, norms, b))
+            c, h = v[:-1], np.diff(v)
+            dist = np.abs(pts - c[:, None])
+            assert np.all(np.abs(h) <= monodromy.RHO * dist.min(axis=1)
+                          * (1 + 1e-12))
+            assert np.all(np.abs(h) * (norms / dist).sum(axis=1)
+                          <= monodromy.SIGMA * (1 + 1e-12))
+            # the vertices lie on the segment, its ends included
+            assert max(seg.distance(z) for z in v) < 1e-12
+            assert abs(v[0] - seg.point(0.0)) + abs(v[-1] - seg.point(1.0)) \
+                < 1e-12
+            n += len(c)
+    assert n == rep.transport_steps
+
+
+def test_truncated_series_fails_the_defect_check(monkeypatch):
+    sys = _assembled("22,22,211,211", rng_from_seed(8))
+    monkeypatch.setattr(monodromy, "series_order", lambda rel_tol: 4)
+    with pytest.raises(TransportDefectError,
+                       match=r"lasso \d+, step \d+: chord from c=") as err:
+        monodromy_representation(sys)
+    e = err.value
+    assert e.defect > 1e-10 and e.h != 0
+    assert 0 <= e.lasso <= len(sys.points) and e.step >= 0
+
+
+def test_tiny_step_budget_raises(monkeypatch):
+    sys = _assembled("22,22,211,211", rng_from_seed(8))
+    monkeypatch.setattr(monodromy, "MAX_SEGMENT_STEPS", 3)
+    with pytest.raises(StepBudgetError,
+                       match=r"lasso 0, at step 3 of the segment: c="):
+        monodromy_representation(sys)
 
 
 def test_lasso_at_infinity_goes_out_along_the_ray_of_x0():

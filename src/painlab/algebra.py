@@ -187,13 +187,6 @@ class EigenMultiset:
         """Multiplicities sorted descending (a partition of L)."""
         return tuple(sorted(self.mults, reverse=True))
 
-    def as_list(self):
-        """Eigenvalues with multiplicity, flattened."""
-        out = []
-        for w, m in zip(self.values, self.mults):
-            out.extend([w] * m)
-        return out
-
 
 def eigen_small(m) -> EigenMultiset:
     """Eigenvalues of a dense matrix of size 2..6, clustered by tolerance.

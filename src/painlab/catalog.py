@@ -256,26 +256,18 @@ def derive_alphas(sid: str, params: Mapping[str, complex], check=True):
 
     For exponent-parametrized systems this applies the printed linear map;
     for alpha-native systems it passes the values through.  The trace
-    relation on the native parameters must vanish (to ``FUCHS_TOL``).
+    relation on the native parameters must vanish (to ``FUCHS_TOL``); a
+    residual that is not a number fails too.
     """
     desc = lookup(sid)
     if check:
         res = abs(desc.fuchs_relation(params))
-        if res > FUCHS_TOL:
+        if not res <= FUCHS_TOL:
             raise ValueError(
                 f"{sid}: exponent trace relation violated (residual {res:.3e})")
     if desc.alpha_map is None:
         return {n: complex(params[n]) for n in desc.alpha_names}
     return {name: form(params) for name, form in desc.alpha_map.items()}
-
-
-def alpha_relation_residual(sid: str, params: Mapping[str, complex]) -> float:
-    """|printed alpha relation| at the derived alpha values (0.0 if none)."""
-    desc = lookup(sid)
-    if desc.alpha_relation is None:
-        return 0.0
-    alphas = derive_alphas(sid, params, check=False)
-    return abs(desc.alpha_relation(alphas))
 
 
 def full_params(sid: str, params: Mapping[str, complex], check=True):

@@ -125,6 +125,8 @@ def cmd_integrate(args, config):
         return _error(f"state has no {exc}")
     except _BAD_VALUE as exc:
         return _error(f"bad state or t_end: {exc}")
+    if not np.isfinite(t_end):
+        return _error(f"t_end {t_end} is not finite")
 
     try:
         # full_params raises here on a violated trace relation
@@ -190,8 +192,15 @@ def cmd_verify(args, config):
         report = {"seed": seed, "results": results,
                   "passed": all(r["passed"] for r in results)}
         for r in results:
-            mark = "PASS" if r["passed"] else "FAIL"
-            print(f"{mark} {r['name']} ({r['seconds']}s)")
+            line = f"{r['name']} ({r['seconds']}s)"
+            if r["passed"]:
+                print(f"PASS {line}")
+                continue
+            failing = "; ".join(
+                f"{i['id']} residual {i['residual']:.3e} tolerance "
+                f"{i['tolerance']:g}" for i in r["details"]["items"]
+                if not i["passed"])
+            print(f"FAIL {line}: {failing}")
         json.dump(report, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
     print(f"wrote {out}")

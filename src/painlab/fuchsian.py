@@ -129,14 +129,6 @@ class RiemannScheme:
     points: tuple          # finite points then the string "inf"
     exponents: tuple       # tuple of EigenMultiset
 
-    def fuchs_residual(self) -> float:
-        """|multiplicity-weighted sum of all exponents| (must vanish)."""
-        total = 0.0 + 0.0j
-        for em in self.exponents:
-            for w, m in zip(em.values, em.mults):
-                total += w * m
-        return abs(total)
-
 
 def riemann_scheme_of(sys: FuchsianSystem) -> RiemannScheme:
     ems = [_checked_multiset(a, f"x={t}")

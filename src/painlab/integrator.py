@@ -59,9 +59,10 @@ class Line:
         return self.start + s * (self.end - self.start)
 
     def distance(self, z):
-        """Exact distance from z to the segment (clamped projection)."""
+        """Exact distance from z to the segment (clamped projection; by a
+        complex division, which does not overflow where |d|**2 would)."""
         d = self.end - self.start
-        s = ((z - self.start) * d.conjugate()).real / abs(d) ** 2 if d else 0.0
+        s = ((z - self.start) / d).real if d else 0.0
         return abs(z - self.point(min(1.0, max(0.0, s))))
 
 
@@ -194,8 +195,6 @@ class Trajectory:
     n_rhs_evals: int = 0
     h_min: float = np.inf
     h_max: float = 0.0
-    rel_tol: float = 0.0
-    abs_tol: float = 0.0
 
     @property
     def end_state(self):
@@ -347,7 +346,7 @@ def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,
     y = np.asarray(y0, dtype=complex).copy()
     if y.ndim != 1:
         raise ValueError(f"state must be 1-D, got shape {y.shape}")
-    traj = Trajectory(rel_tol=rel_tol, abs_tol=abs_tol)
+    traj = Trajectory()
     traj.params.append(0.0)
     traj.states.append(y.copy())
     samples = sorted(s for s in (samples or []) if 0.0 < s)

@@ -6,9 +6,9 @@ maps between (q, p) and the matrix variables (b, c), and the recovered
 formulas for the dependent matrix entries.  Dependent entries are
 determined by the lower-triangular shape of the residue at infinity;
 where the closed forms below were recovered rather than printed, the
-assembly check in :func:`painlab.fuchsian.spectral_type_of` and the
-structure test in the suite pin them down (the constraints are linear,
-so a least-squares solve would land on the same values).
+tests in ``tests/test_fuchsian.py`` pin them down by the spectral type
+of every assembled system (the constraints are linear, so a
+least-squares solve would land on the same values).
 
 Everything here is written over generic scalars, so the same maps can be
 differentiated with dual numbers.

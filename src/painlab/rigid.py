@@ -397,14 +397,14 @@ def rigid_case(case_id: str) -> RigidCase:
         raise KeyError(f"unknown rigid case {case_id!r}") from None
 
 
-def build_rigid_matrices(case: RigidCase, params, check=True, tol=1e-9):
-    """Residue matrices of the rigid system(s), one tuple per time."""
+def build_rigid_matrices(case: RigidCase, params):
+    """Residue matrices of the rigid system(s), one tuple per time; the
+    case's parameter constraint must vanish to 1e-9 (not NaN)."""
     par = full_params(case.parent, params)
-    if check:
-        res = abs(case.parameter_constraint(par))
-        if res > tol:
-            raise ValueError(
-                f"{case.case_id}: parameter constraint violated ({res:.3e})")
+    res = abs(case.parameter_constraint(par))
+    if not res <= 1e-9:
+        raise ValueError(
+            f"{case.case_id}: parameter constraint violated ({res:.3e})")
     return case.matrices(par)
 
 

@@ -1,14 +1,20 @@
 """The verification suite: every consistency claim as a runnable check.
 
-Each ``verify_*`` function returns a result dict with the fields
-``name``, ``passed``, ``details`` (residuals and tolerances) and
-``seconds``.  ``run_checks`` runs a list of them; the command line
-driver serializes the results to JSON.  All randomness flows through a
-single seed, so reports are reproducible.
+Each ``verify_*`` check returns ``{"name", "passed", "seconds",
+"details": {"items", "counters"}}``.  An item ``{"id", "residual",
+"tolerance", "margin", "passed"}`` is one judged quantity, its id the
+system, case or rule, then the quantity (``case-3122/field_residual``),
+unique within the check; ``counters`` hold the work done.  A check body
+only computes items and counters: ``_judge`` is the one pass rule, and a
+check passes exactly when all its items pass.  ``run_checks`` runs a list
+of checks; the command line driver serializes the results to JSON.  All
+randomness flows through a single seed, so only ``seconds`` varies
+between runs.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -28,11 +34,40 @@ from .schlesinger import realign_to_slice, schlesinger_flow_rhs
 __all__ = ["CHECKS", "run_checks"]
 
 DEFAULT_SEED = 20260810
+CHECKS = {}
 
 
-def _result(name, passed, t0, **details):
-    return {"name": name, "passed": bool(passed),
-            "seconds": round(time.time() - t0, 2), "details": details}
+def _judge(item_id, residual, tolerance, minimum=False):
+    """A maximum passes when residual < tolerance (margin tolerance/residual,
+    None at an exact zero), a minimum when residual > tolerance (margin
+    residual/tolerance); an integer equality is |got - want| below 1."""
+    residual = float(residual)
+    if minimum:
+        passed, margin = residual > tolerance, residual / tolerance
+    else:
+        passed = residual < tolerance
+        margin = tolerance / residual if residual else None
+    return {"id": item_id, "residual": residual, "tolerance": tolerance,
+            "margin": margin, "passed": passed}
+
+
+def _check(name):
+    """Register a check body under ``name`` in ``CHECKS``.  The body returns
+    its items, each ``(id, residual, tolerance[, minimum])``, and a dict of
+    work counters; the registered check times it and judges the items."""
+    def register(body):
+        @functools.wraps(body)
+        def check(*args, **options):
+            t0 = time.time()
+            items, counters = body(*args, **options)
+            items = [_judge(*item) for item in items]
+            return {"name": name,
+                    "passed": all(item["passed"] for item in items),
+                    "seconds": round(time.time() - t0, 2),
+                    "details": {"items": items, "counters": counters}}
+        CHECKS[name] = check
+        return check
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +87,15 @@ _COUNT_TABLE = {
 }
 
 
+@_check("counts")
 def verify_counts(seed=DEFAULT_SEED):
-    t0 = time.time()
-    wrong = {}
-    for st, want in _COUNT_TABLE.items():
-        got = accessory_count(st)
-        if got != want:
-            wrong[st] = (got, want)
+    items = [(f"table/{st}", abs(accessory_count(st) - want), 1)
+             for st, want in _COUNT_TABLE.items()]
     # cross-check: 2n of each catalog descriptor
-    for sid in catalog.list_systems():
-        desc = lookup(sid)
-        got = accessory_count(sid)
-        if got != 2 * desc.n_pairs:
-            wrong[sid] = (got, 2 * desc.n_pairs)
-    return _result("counts", not wrong, t0, mismatches=wrong,
-                   table_size=len(_COUNT_TABLE))
+    items += [(f"catalog/{sid}",
+               abs(accessory_count(sid) - 2 * lookup(sid).n_pairs), 1)
+              for sid in catalog.list_systems()]
+    return items, {}
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +103,15 @@ def verify_counts(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
+@_check("degeneration")
 def verify_degeneration(seed=DEFAULT_SEED, n_samples=100, tol=1e-10):
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items = []
     for label, rule in degenerations.RULES.items():
         h, tang = degenerations.check_rule(rule, n_samples, rng)
-        rows[label] = {"big": rule.big, "small": rule.small,
-                       "hamiltonian": h, "tangency": tang}
-        ok = ok and h < tol and tang < tol
-    return _result("degeneration", ok, t0, tolerance=tol, rules=rows)
+        items += [(f"{label}/hamiltonian", h, tol),
+                  (f"{label}/tangency", tang, tol)]
+    return items, {}
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +128,10 @@ def _compat_times(desc):
     return (1.8 + 0.6j, -0.9 + 0.4j, 0.5 + 1.3j)
 
 
+@_check("compat")
 def verify_compat(seed=DEFAULT_SEED, side=0.2, rel_tol=1e-9, tol=1e-6):
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items = []
     for sid in _COMPAT_IDS:
         desc = lookup(sid)
         par = sample_params(sid, rng, generic=True)
@@ -120,9 +146,8 @@ def verify_compat(seed=DEFAULT_SEED, side=0.2, rel_tol=1e-9, tol=1e-6):
             b = integrate_two_time(sid, par, st, j, tj, i, ti, rel_tol=rel_tol)
             worst = max(worst, float(np.max(np.abs(
                 np.array(a.q + a.p) - np.array(b.q + b.p)))))
-        rows[sid] = worst
-        ok = ok and worst < tol
-    return _result("compat", ok, t0, tolerance=tol, disagreement=rows)
+        items.append((f"{sid}/disagreement", worst, tol))
+    return items, {}
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +168,9 @@ def _eigenvalue_drift(mats0, mats1):
     return drift
 
 
+@_check("isospectral")
 def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
                        drift_tol=1e-8):
-    t0 = time.time()
     rng = rng_from_seed(seed)
     sid = "21,21,21,21,111"
     par = sample_params(sid, rng, generic=True)
@@ -168,10 +193,8 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
                     for a, b in zip(mats_ham, realigned))
 
     drift = _eigenvalue_drift(sys0.residues, mats_raw)
-    ok = deviation < tol and drift < drift_tol
-    return _result("isospectral", ok, t0, tolerance=tol,
-                   matrix_deviation=deviation, eigenvalue_drift=drift,
-                   drift_tolerance=drift_tol)
+    return [(f"{sid}/matrix_deviation", deviation, tol),
+            (f"{sid}/eigenvalue_drift", drift, drift_tol)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +205,11 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
 _MONO_IDS = ("21,21,21,21,111", "22,22,211,211")
 
 
+@_check("isomonodromy")
 def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
                         control_min=1e-3, product_tol=1e-9, rel_tol=1e-10):
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items, counters = [], {}
     for sid in _MONO_IDS:
         desc = lookup(sid)
         par = sample_params(sid, rng, generic=True)
@@ -215,15 +237,13 @@ def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
         # the independent route: generators against the loop at infinity
         defect = max(rep.product_defect() for rep in reps + control_reps)
         # the work: chords over every representation computed here
-        steps = sum(rep.transport_steps for rep in reps + control_reps[1:])
-        rows[sid] = {"drift": drift, "negative_control": control,
-                     "product_defect": defect, "transport_steps": steps,
-                     "series_order": reps[0].series_order}
-        ok = (ok and drift < tol and control > control_min
-              and defect < product_tol)
-    return _result("isomonodromy", ok, t0, tolerance=tol,
-                   control_minimum=control_min,
-                   product_tolerance=product_tol, systems=rows)
+        counters[f"{sid}/transport_steps"] = sum(
+            rep.transport_steps for rep in reps + control_reps[1:])
+        counters[f"{sid}/series_order"] = reps[0].series_order
+        items += [(f"{sid}/drift", drift, tol),
+                  (f"{sid}/negative_control", control, control_min, True),
+                  (f"{sid}/product_defect", defect, product_tol)]
+    return items, counters
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +295,11 @@ def _power_sum_residual(M, exponents):
     return float(worst)
 
 
+@_check("riemann-schemes")
 def verify_riemann_schemes(seed=DEFAULT_SEED, n_samples=20, tol=1e-9,
                            compat_tol=1e-7):
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items = []
     for cid, case in rigid.RIGID_CASES.items():
         worst = 0.0
         for _ in range(n_samples):
@@ -293,17 +312,14 @@ def verify_riemann_schemes(seed=DEFAULT_SEED, n_samples=20, tol=1e-9,
                 all_m = finite + [-sum(finite)]
                 for M, want in zip(all_m, colset):
                     worst = max(worst, _power_sum_residual(M, want))
-        entry = {"scheme_residual": worst,
-                 "accessory_count": accessory_count(case.spectral_type)}
-        case_ok = worst < tol and entry["accessory_count"] == 0
+        items += [(f"{cid}/scheme_residual", worst, tol),
+                  (f"{cid}/accessory_count",
+                   abs(accessory_count(case.spectral_type)), 1)]
         if case.n_times == 2:
             par = constrained_rigid_params(case, rng)
-            dis = _rigid_two_time_compat(case, par)
-            entry["two_time_disagreement"] = dis
-            case_ok = case_ok and dis < compat_tol
-        rows[cid] = entry
-        ok = ok and case_ok
-    return _result("riemann-schemes", ok, t0, tolerance=tol, cases=rows)
+            items.append((f"{cid}/two_time_disagreement",
+                          _rigid_two_time_compat(case, par), compat_tol))
+    return items, {}
 
 
 def _rigid_two_time_compat(case, par, side=0.2, rel_tol=1e-11):
@@ -327,12 +343,11 @@ def _rigid_two_time_compat(case, par, side=0.2, rel_tol=1e-11):
 # ---------------------------------------------------------------------------
 
 
+@_check("particular")
 def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
                       rel_tol=1e-11):
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items = []
     for cid, case in rigid.RIGID_CASES.items():
         par = constrained_rigid_params(case, rng)
         merged = full_params(case.parent, par)
@@ -361,10 +376,9 @@ def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
                 np.array(der) - np.array(dq + dp)))))
             worst_p = max(worst_p, rigid.pfaff_residual(
                 case, par, 1, y, tcur, other))
-        rows[cid] = {"field_residual": worst_f, "pfaff_residual": worst_p}
-        ok = ok and worst_f < field_tol and worst_p < pfaff_tol
-    return _result("particular", ok, t0, field_tolerance=field_tol,
-                   pfaff_tolerance=pfaff_tol, cases=rows)
+        items += [(f"{cid}/field_residual", worst_f, field_tol),
+                  (f"{cid}/pfaff_residual", worst_p, pfaff_tol)]
+    return items, {}
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +388,10 @@ def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
 _SYMPLECTIC_IDS = ("21,21,21,21,111", "22,22,211,211")
 
 
+@_check("symplectic")
 def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items = []
     for sid in _SYMPLECTIC_IDS:
         pz = parametrization(sid)
         n = lookup(sid).n_pairs
@@ -422,9 +435,8 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
                                    f"singular set in {MAX_DRAWS} draws")
             worst = max(worst, float(np.max(np.abs(
                 J.T @ Om_bc @ J - Om_qp))))
-        rows[sid] = worst
-        ok = ok and worst < tol
-    return _result("symplectic", ok, t0, tolerance=tol, residuals=rows)
+        items.append((f"{sid}/form_residual", worst, tol))
+    return items, {}
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +444,12 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
 # ---------------------------------------------------------------------------
 
 
+@_check("gradients")
 def verify_gradients(seed=DEFAULT_SEED, n_samples=100, rel=1e-6, step=1e-6):
     """The generated gradients every flow uses, against central differences
     of the Hamiltonians themselves."""
-    t0 = time.time()
     rng = rng_from_seed(seed)
-    rows = {}
-    ok = True
+    items = []
     for sid in catalog.list_systems():
         desc = lookup(sid)
         worst = 0.0
@@ -461,27 +472,9 @@ def verify_gradients(seed=DEFAULT_SEED, n_samples=100, rel=1e-6, step=1e-6):
                     fd = (f(*zp) - f(*zm)) / (2 * step)
                     err = abs(grad[k] - fd) / (1.0 + abs(grad[k]))
                     worst = max(worst, err)
-        rows[sid] = worst
-        ok = ok and worst < rel
-    return _result("gradients", ok, t0, relative_tolerance=rel,
-                   residuals=rows)
-
-
-CHECKS = {
-    "counts": verify_counts,
-    "degeneration": verify_degeneration,
-    "compat": verify_compat,
-    "isospectral": verify_isospectral,
-    "isomonodromy": verify_isomonodromy,
-    "riemann-schemes": verify_riemann_schemes,
-    "particular": verify_particular,
-    "symplectic": verify_symplectic,
-    "gradients": verify_gradients,
-}
+        items.append((f"{sid}/relative_error", worst, rel))
+    return items, {}
 
 
 def run_checks(names, seed=DEFAULT_SEED):
-    results = []
-    for name in names:
-        results.append(CHECKS[name](seed=seed))
-    return results
+    return [CHECKS[name](seed=seed) for name in names]

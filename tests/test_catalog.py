@@ -2,9 +2,9 @@
 
 import pytest
 
-from painlab.catalog import (PhaseState, alpha_relation_residual,
-                             derive_alphas, eval_h, flow_rhs, flow_states,
-                             full_params, list_systems, lookup, vector_field)
+from painlab.catalog import (PhaseState, derive_alphas, eval_h, flow_rhs,
+                             flow_states, full_params, list_systems, lookup,
+                             vector_field)
 from painlab.integrator import integrate_two_time
 from painlab.fuchsian import accessory_count, parse_spectral_type
 from painlab.sampling import rng_from_seed, sample_params, sample_state
@@ -61,7 +61,11 @@ def test_fuchs_relation_solved_exactly():
         for _ in range(5):
             par = sample_params(sid, rng)
             assert abs(lookup(sid).fuchs_relation(par)) < 1e-12
-            assert alpha_relation_residual(sid, par) < 1e-10
+            # the printed alpha relation at the derived alpha values
+            relation = lookup(sid).alpha_relation
+            if relation is not None:
+                alphas = derive_alphas(sid, par, check=False)
+                assert abs(relation(alphas)) < 1e-10
 
 
 def test_fuchs_violation_raises():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from painlab import integrator, verify
+from painlab import cli, integrator, verify
 from painlab.cli import main
 
 
@@ -97,6 +97,8 @@ ABSENT = object()  # --config names a file that does not exist
     (["--params", '{"alpha0": 1, "alpha1": 1, "alpha2": 1, "alpha3": 1, '
                   '"alpha4": 1}'], None),
     (["--t-end", "[1,"], None),
+    # far enough that the squared length of the leg overflows
+    (["--system", "21,111,111,111", "--t-end", "[1e200, 0]"], None),
     (["--time-index", "3"], None),
     (["--time-index", "0"], None),
     (["--rel-tol", "0"], None),
@@ -117,7 +119,8 @@ ABSENT = object()  # --config names a file that does not exist
     (["integrate", "--system", "11,11,11,11"], '{"out": 1}'),
     (["verify", "counts"], '{"report": 5}'),
 ], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
-        "malformed-t-end", "time-index-too-large", "time-index-zero",
+        "malformed-t-end", "huge-t-end",
+        "time-index-too-large", "time-index-zero",
         "rel-tol-zero", "integrator-stall", "unwritable-out",
         "verify-unwritable-out",
         "config-missing", "config-malformed", "config-not-an-object",
@@ -149,6 +152,30 @@ def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_nan_parameter_violates_the_trace_relation(tmp_path, capsys):
+    # a NaN residual compares false against the tolerance, so it must be
+    # rejected explicitly rather than end in a step underflow
+    params = ('{"alpha0": NaN, "alpha1": 0, "alpha2": 0.5, "alpha3": 0, '
+              '"alpha4": 0.5}')
+    code = main(["integrate", "--system", "11,11,11,11", "--params", params,
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: ") and "trace relation violated" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("t_end", ["NaN", "[0, Infinity]"])
+def test_non_finite_t_end_is_rejected_before_integrating(tmp_path, capsys,
+                                                         monkeypatch, t_end):
+    monkeypatch.setattr(cli, "integrate_time", None)  # must not be called
+    code = main(["integrate", "--system", "11,11,11,11", "--t-end", t_end,
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: t_end ") and err.endswith("is not finite\n")
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

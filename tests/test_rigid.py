@@ -1,5 +1,7 @@
 """Rigid systems: matrices, schemes, invariant manifolds, lifts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,15 @@ def test_constraint_violation_rejected():
     case = rigid_case("case-3131")
     par = sample_params(case.parent, rng, generic=True)  # alpha1 != 0
     with pytest.raises(ValueError):
+        build_rigid_matrices(case, par)
+
+
+def test_nan_constraint_residual_rejected():
+    # NaN > tol is false: a NaN residual must not read as satisfied
+    case = dataclasses.replace(rigid_case("case-3131"),
+                               parameter_constraint=lambda par: np.nan)
+    par = constrained_rigid_params(rigid_case("case-3131"), rng_from_seed(1))
+    with pytest.raises(ValueError, match="parameter constraint violated"):
         build_rigid_matrices(case, par)
 
 

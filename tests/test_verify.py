@@ -1,9 +1,12 @@
-"""The verification suite: golden residuals, bounded draws, exports."""
+"""The verification suite: golden residuals, the result schema, bounded
+draws, exports."""
 
 import dataclasses
 import importlib
 import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,19 +14,108 @@ import pytest
 
 import painlab
 from painlab import rigid, verify
+from painlab.cli import main
 from painlab.sampling import MAX_DRAWS, rng_from_seed
 
-GOLDEN = Path(__file__).parent / "data" / "verify_details_20260810.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "verify_details_20260810.json"
+ITEM_KEYS = {"id", "residual", "tolerance", "margin", "passed"}
 
 
-def test_checks_reproduce_golden_details_exactly():
+@pytest.fixture(scope="module")
+def all_results():
+    return {r["name"]: r for r in verify.run_checks(list(verify.CHECKS),
+                                                    seed=20260810)}
+
+
+def test_checks_reproduce_golden_details_exactly(all_results):
     # exact equality: code that only restructures the derivative, matrix
     # and constraint-rate arithmetic must not move a single bit
-    got = {"degeneration": verify.verify_degeneration(seed=20260810),
-           "isospectral": verify.verify_isospectral(seed=20260810),
-           "particular": verify.verify_particular(seed=20260810)}
-    got = {name: r["details"] for name, r in got.items()}
+    got = {name: all_results[name]["details"]
+           for name in ("degeneration", "isospectral", "particular")}
     assert json.loads(json.dumps(got)) == json.loads(GOLDEN.read_text())
+
+
+def test_every_result_follows_the_one_schema(all_results):
+    assert list(all_results) == list(verify.CHECKS)
+    for name, r in all_results.items():
+        assert set(r) == {"name", "passed", "seconds", "details"}
+        assert set(r["details"]) == {"items", "counters"}
+        items = r["details"]["items"]
+        assert items and all(set(i) == ITEM_KEYS for i in items)
+        ids = [i["id"] for i in items]
+        assert len(set(ids)) == len(ids), name
+        assert r["passed"] == all(i["passed"] for i in items)
+        for i in items:
+            # a passing item holds its rule at least once over, up to
+            # rounding of the quotient; a failing one at most once
+            if i["margin"] is None:
+                assert i["residual"] == 0.0 and i["passed"]
+            elif i["passed"]:
+                assert i["margin"] >= 1.0
+            else:
+                assert not i["margin"] > 1.0
+    counters = all_results["isomonodromy"]["details"]["counters"]
+    assert set(counters) == {f"{sid}/{c}" for sid in verify._MONO_IDS
+                             for c in ("transport_steps", "series_order")}
+
+
+def test_judge_maximum_minimum_and_zero():
+    assert verify._judge("a/x", 2e-7, 1e-6) == {
+        "id": "a/x", "residual": 2e-7, "tolerance": 1e-6,
+        "margin": 1e-6 / 2e-7, "passed": True}
+    assert not verify._judge("a/x", 1e-6, 1e-6)["passed"]  # strict
+    assert verify._judge("a/x", 0, 1)["margin"] is None
+    nan = verify._judge("a/x", float("nan"), 1e-6)
+    assert not nan["passed"]
+    low = verify._judge("a/control", 5e-4, 1e-3, True)
+    assert not low["passed"] and low["margin"] == 0.5
+    assert verify._judge("a/control", 2e-3, 1e-3, True)["margin"] == 2.0
+
+
+@pytest.fixture
+def shifted_3122_lift(monkeypatch):
+    """case-3122 lifted one thousandth off its manifold in q1: its field
+    residual moves, its Pfaff residual (no lift in it) does not."""
+    case = rigid.RIGID_CASES["case-3122"]
+
+    def lift(w, t, par):
+        q, p = case.lift(w, t, par)
+        return (q[0] + 1e-3,) + tuple(q[1:]), p
+
+    monkeypatch.setitem(rigid.RIGID_CASES, "case-3122",
+                        dataclasses.replace(case, lift=lift))
+
+
+def test_broken_lift_fails_exactly_its_item(shifted_3122_lift):
+    r = verify.verify_particular(seed=20260810)
+    assert not r["passed"]
+    failing = [i["id"] for i in r["details"]["items"] if not i["passed"]]
+    assert failing == ["case-3122/field_residual"]
+
+
+def test_cli_fail_line_names_the_failing_item(shifted_3122_lift, tmp_path,
+                                              capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "particular", "--out", str(out)]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("FAIL particular (")
+    assert "): case-3122/field_residual residual " in line
+    assert line.endswith(" tolerance 1e-06") and line.count(";") == 0
+    assert json.loads(out.read_text())["passed"] is False
+
+
+def test_sweep_margins_tool_runs_one_seed():
+    run = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                              "sweep_margins.py"),
+                          "--seeds", "1", "--checks", "counts"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    n = len(verify._COUNT_TABLE) + len(painlab.catalog.list_systems())
+    assert len(lines) == n + 1
+    assert lines[0].startswith("counts:") and lines[0].endswith("inf  seed 1")
+    assert lines[-1] == f"{n} items, seeds 1-1: all passed"
 
 
 def test_unsatisfiable_parameter_constraint_raises():
@@ -65,8 +157,10 @@ def test_moved_scheme_exponent_fails_riemann_schemes(monkeypatch):
     monkeypatch.setattr(rigid, "riemann_scheme_columns", moved)
     r = verify.verify_riemann_schemes(seed=20260810, n_samples=2)
     assert not r["passed"]
-    assert all(c["scheme_residual"] > 1e-9
-               for c in r["details"]["cases"].values())
+    schemes = [i for i in r["details"]["items"]
+               if i["id"].endswith("/scheme_residual")]
+    assert len(schemes) == len(rigid.RIGID_CASES)
+    assert all(i["residual"] > 1e-9 for i in schemes)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])

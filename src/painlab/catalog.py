@@ -251,7 +251,7 @@ def list_systems():
     return tuple(CATALOG)
 
 
-def derive_alphas(sid: str, params: Mapping[str, complex], check=True):
+def derive_alphas(sid: str, params: Mapping[str, complex]):
     """Alpha values of a system from its native parameters.
 
     For exponent-parametrized systems this applies the printed linear map;
@@ -260,20 +260,19 @@ def derive_alphas(sid: str, params: Mapping[str, complex], check=True):
     residual that is not a number fails too.
     """
     desc = lookup(sid)
-    if check:
-        res = abs(desc.fuchs_relation(params))
-        if not res <= FUCHS_TOL:
-            raise ValueError(
-                f"{sid}: exponent trace relation violated (residual {res:.3e})")
+    res = abs(desc.fuchs_relation(params))
+    if not res <= FUCHS_TOL:
+        raise ValueError(
+            f"{sid}: exponent trace relation violated (residual {res:.3e})")
     if desc.alpha_map is None:
         return {n: complex(params[n]) for n in desc.alpha_names}
     return {name: form(params) for name, form in desc.alpha_map.items()}
 
 
-def full_params(sid: str, params: Mapping[str, complex], check=True):
+def full_params(sid: str, params: Mapping[str, complex]):
     """Native parameters merged with derived alpha values."""
     merged = {k: complex(v) for k, v in params.items()}
-    merged.update(derive_alphas(sid, params, check=check))
+    merged.update(derive_alphas(sid, params))
     return merged
 
 

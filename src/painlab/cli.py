@@ -25,7 +25,7 @@ from . import catalog, verify
 from .catalog import PhaseState, lookup
 from .integrator import (StepBudgetError, StepUnderflowError, integrate_time,
                          trajectory_to_csv)
-from .sampling import rng_from_seed, sample_params, sample_state
+from .sampling import rng_from_seed, sample_params, small_state
 
 __all__ = ["main"]
 
@@ -109,9 +109,7 @@ def cmd_integrate(args, config):
     state_cfg = config.get("state")
     try:
         if state_cfg is None:
-            st = sample_state(sid, rng)
-            st = PhaseState(tuple(0.4 * z for z in st.q),
-                            tuple(0.4 * z for z in st.p), st.t)
+            st = small_state(sid, rng, None)
         else:
             st = PhaseState(*(tuple(_complex_from(z) for z in state_cfg[k])
                               for k in "qpt"))

@@ -137,13 +137,6 @@ class ComplexPath:
         return cls(segments=tuple(segs), singularities=singularities,
                    margin=margin)
 
-    @classmethod
-    def circle(cls, center, radius, angle0=0.0, sweep=2 * np.pi,
-               singularities=(), margin=None):
-        return cls(segments=(Arc(complex(center), float(radius),
-                                 float(angle0), float(sweep)),),
-                   singularities=singularities, margin=margin)
-
     def reversed(self):
         segs = []
         for seg in reversed(self.segments):
@@ -249,6 +242,13 @@ def _modulus(y):
     return float(np.max(np.abs(y)))
 
 
+def _length(seg):
+    """The segment's length, for error messages."""
+    if isinstance(seg, Line):
+        return abs(seg.end - seg.start)
+    return seg.radius * abs(seg.sweep)
+
+
 def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     """Advance y across segment k, landing exactly on each stop in (0,1]."""
 
@@ -295,13 +295,15 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
             h = min(h, stop - s)
             if h < 1e-14:
                 raise StepUnderflowError(
-                    f"step underflow on segment {k} at s={s:.6f}, h={h:.3g}, "
+                    f"step underflow on segment {k} (length "
+                    f"{_length(seg):.3g}) at s={s:.6f}, h={h:.3g}, "
                     f"|y|={_modulus(y):.3g}")
             tries += 1
             if tries > MAX_SEGMENT_STEPS:
                 raise StepBudgetError(
                     f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
-                    f"at s={s:.6f}, h={h:.3g}, |y|={_modulus(y):.3g}")
+                    f"(length {_length(seg):.3g}) at s={s:.6f}, h={h:.3g}, "
+                    f"|y|={_modulus(y):.3g}")
             if coef is not None:
                 # chart and coefficient at the five distinct abscissae
                 vel, z = chart(s + c_stages * h)
@@ -390,11 +392,9 @@ def integrate_two_time(sid, params, state, i_first, end_first, i_second,
     return state
 
 
-def trajectory_to_csv(traj: Trajectory, fileobj, component_names=None):
-    """Write path_parameter plus re/im of each state component as CSV."""
-    width = len(traj.states[0])
-    if component_names is None:
-        component_names = [f"y{k}" for k in range(width)]
+def trajectory_to_csv(traj: Trajectory, fileobj, component_names):
+    """Write path_parameter plus re/im of each named state component as
+    CSV."""
     cols = ["path_parameter"]
     for name in component_names:
         cols += [f"re_{name}", f"im_{name}"]

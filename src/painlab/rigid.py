@@ -19,8 +19,8 @@ from .integrator import LinearRhs
 from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
-           "rigid_rhs", "specialization_residual", "constraint_flow_drift",
-           "lift_solution", "pfaff_residual", "riemann_scheme_columns"]
+           "rigid_rhs", "constraint_flow_drift", "lift_solution",
+           "pfaff_residual", "riemann_scheme_columns"]
 
 _E23 = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -427,14 +427,6 @@ def rigid_rhs(case: RigidCase, params, i, other_times):
     return LinearRhs(coef, np.matmul)
 
 
-def specialization_residual(case: RigidCase, params, state: PhaseState):
-    """Max violation of the case's constraint chain at a state."""
-    par = full_params(case.parent, params)
-    vals = [abs(g(state.q, state.p, state.t, par)) for g in case.constraints]
-    vals.append(abs(case.parameter_constraint(par)))
-    return max(vals)
-
-
 def constraint_flow_drift(case: RigidCase, params, state: PhaseState):
     """Max |d g_k/dt_i| along the parent flow, on the manifold."""
     return constraint_rate(case.parent, params, state, case.constraints)
@@ -456,11 +448,10 @@ def lift_solution(case: RigidCase, params, ys, times_list):
     return out
 
 
-def pfaff_residual(case: RigidCase, params, i, y, t, other_times=None):
+def pfaff_residual(case: RigidCase, params, i, y, t, other_times):
     """|printed log-derivative rule| at one point, dy from the rigid rhs."""
     par = full_params(case.parent, params)
-    rhs = rigid_rhs(case, params, i,
-                    other_times if other_times is not None else ())
+    rhs = rigid_rhs(case, params, i, other_times)
     dy = rhs(t[i - 1], np.asarray(y, dtype=complex))
     return abs(case.pfaff(i, tuple(y), tuple(dy), tuple(t), par))
 

@@ -14,7 +14,7 @@ import numpy as np
 from .catalog import PhaseState, lookup
 
 __all__ = ["MAX_DRAWS", "rational_complex", "sample_params", "tied_params",
-           "sample_state", "rng_from_seed"]
+           "sample_state", "small_state", "rng_from_seed"]
 
 # draws a rejection loop makes before it gives up with a RuntimeError
 MAX_DRAWS = 100
@@ -24,20 +24,19 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def rational_complex(rng, max_mod=2.0, nonzero=False) -> complex:
-    """Random rational complex value with |z| <= max_mod."""
+def rational_complex(rng, nonzero=False) -> complex:
+    """Random rational complex value with |z| <= 2."""
     for _ in range(MAX_DRAWS):
         den = int(rng.integers(1, 5))
-        hi = int(max_mod * den)
+        hi = 2 * den
         z = complex(int(rng.integers(-hi, hi + 1)) / den,
                     int(rng.integers(-hi, hi + 1)) / den)
-        if abs(z) > max_mod:
+        if abs(z) > 2:
             continue
         if nonzero and abs(z) < 0.25:
             continue
         return z
-    raise RuntimeError(f"no rational value with |z| <= {max_mod} in "
-                       f"{MAX_DRAWS} draws")
+    raise RuntimeError(f"no rational value with |z| <= 2 in {MAX_DRAWS} draws")
 
 
 def sample_params(sid: str, rng, fixed=None, generic=False):
@@ -88,8 +87,7 @@ def tied_params(sid: str, rng, name, value, solve, generic=False):
 def _good_times(rng, sid):
     """Times of moderate size, separated from 0, 1 and each other."""
     for _ in range(MAX_DRAWS):
-        ts = [rational_complex(rng, max_mod=2.0)
-              for _ in range(lookup(sid).n_times)]
+        ts = [rational_complex(rng) for _ in range(lookup(sid).n_times)]
         pts = [0.0, 1.0] + ts
         ok = all(abs(pts[i] - pts[j]) > 0.3
                  for i in range(len(pts)) for j in range(i + 1, len(pts)))
@@ -106,3 +104,11 @@ def sample_state(sid: str, rng, times=None) -> PhaseState:
     p = tuple(rational_complex(rng) for _ in range(n))
     t = tuple(times) if times is not None else _good_times(rng, sid)
     return PhaseState(q, p, t)
+
+
+def small_state(sid: str, rng, times) -> PhaseState:
+    """A :func:`sample_state` draw (``times`` None draws them too) with q
+    and p scaled by 0.4, so that flows from it stay moderate."""
+    st = sample_state(sid, rng, times=times)
+    return PhaseState(tuple(0.4 * z for z in st.q),
+                      tuple(0.4 * z for z in st.p), st.t)

@@ -1,11 +1,12 @@
-"""Matrix deformation flows and the canonical coordinate bridge.
+"""Matrix deformation flows, as a second route to the Hamiltonian ones.
 
 The residue matrices of an isomonodromic family satisfy the commutator
 flow ``dA_j/dt_i = [A_i, A_j]/(t_i - t_j)`` with trace Hamiltonians
-``H_i = sum_j tr(A_i A_j)/(t_i - t_j)``.  Rank factors ``A_i = B_i C_i``
-turn this into a canonical system; the own-index equations below carry
-the signs forced by that canonical structure (the flow they induce on
-``A_i`` is the commutator flow above, which also pins them).
+``H_i = sum_j tr(A_i A_j)/(t_i - t_j)``.  ``realign_to_slice`` brings the
+flowed matrices back onto a parametrization's gauge slice, and
+``induced_state_field`` pushes the canonical flow of the trace
+Hamiltonian through the coordinate maps of a parametrization, so both
+can be compared with the catalog flows.
 """
 
 from __future__ import annotations
@@ -14,17 +15,12 @@ import numpy as np
 
 from .algebra import dual_gradient, mat_mul, time_derivative
 from .catalog import PhaseState, full_params, lookup
-from .fuchsian import FuchsianSystem
 from .parametrizations import parametrization
 
 __all__ = [
     "schlesinger_rhs",
     "schlesinger_flow_rhs",
     "trace_hamiltonian",
-    "bc_rhs",
-    "to_canonical",
-    "bc_vector",
-    "state_from_bc_vector",
     "realign_to_slice",
     "induced_state_field",
 ]
@@ -95,64 +91,6 @@ def trace_hamiltonian(points, mats, i):
         tr = sum(Ai[r][k] * Aj[k][r] for r in range(L) for k in range(L))
         out = out + tr / (ti - tj)
     return out
-
-
-def bc_rhs(points, Bs, Cs, i):
-    """d/dt_i of the rank factors, canonical form.
-
-    Off-index: dB_j = A_i B_j/(t_i - t_j), dC_j = -C_j A_i/(t_i - t_j).
-    Own-index: dB_i = +sum_j A_j B_i/(t_i - t_j),
-               dC_i = -C_i sum_j A_j/(t_i - t_j).
-    The induced dA_j = dB_j C_j + B_j dC_j equals the commutator flow.
-    """
-    _check_times(points, i)
-    Bs = [np.asarray(b, dtype=complex) for b in Bs]
-    Cs = [np.asarray(c, dtype=complex) for c in Cs]
-    mats = [b @ c for b, c in zip(Bs, Cs)]
-    ti = points[i - 1]
-    Ai = mats[i - 1]
-    dBs, dCs = [], []
-    S = sum(mats[j] / (ti - points[j])
-            for j in range(len(points)) if j != i - 1)
-    for j, tj in enumerate(points):
-        if j == i - 1:
-            dBs.append(S @ Bs[j])
-            dCs.append(-Cs[j] @ S)
-        else:
-            dBs.append(Ai @ Bs[j] / (ti - tj))
-            dCs.append(-Cs[j] @ Ai / (ti - tj))
-    return dBs, dCs
-
-
-# ---------------------------------------------------------------------------
-# canonical coordinate bridge
-# ---------------------------------------------------------------------------
-
-
-def to_canonical(sid, params, sys: FuchsianSystem) -> PhaseState:
-    """Phase-space point of a gauge-fixed matrix tuple."""
-    pz = parametrization(sid)
-    par = full_params(sid, params)
-    t = sys.points[:-2]
-    mats = [tuple(tuple(row) for row in a) for a in sys.residues]
-    q, p = pz.state_from_matrices(par, mats, t)
-    return PhaseState(q, p, t)
-
-
-def bc_vector(sid, params, state: PhaseState):
-    """Flat (b..., c...) canonical vector of the matrix variables."""
-    pz = parametrization(sid)
-    par = full_params(sid, params)
-    b, c = pz.bc_from_state(par, state.q, state.p, state.t)
-    return tuple(b) + tuple(c)
-
-
-def state_from_bc_vector(sid, params, bc, t):
-    pz = parametrization(sid)
-    par = full_params(sid, params)
-    n = pz.n_bc_pairs
-    q, p = pz.state_from_bc(par, bc[:n], bc[n:], tuple(t))
-    return PhaseState(q, p, t)
 
 
 def realign_to_slice(sid, params, mats):

@@ -1,11 +1,12 @@
 """The verification suite: every consistency claim as a runnable check.
 
-Each ``verify_*`` check returns ``{"name", "passed", "seconds",
-"details": {"items", "counters"}}``.  An item ``{"id", "residual",
-"tolerance", "margin", "passed"}`` is one judged quantity, its id the
-system, case or rule, then the quantity (``case-3122/field_residual``),
-unique within the check; ``counters`` hold the work done.  A check body
-only computes items and counters: ``_judge`` is the one pass rule, and a
+Each ``verify_*`` check takes only the seed and returns ``{"name",
+"passed", "seconds", "details": {"items", "counters"}}``.  An item
+``{"id", "residual", "tolerance", "margin", "passed"}`` is one judged
+quantity, its id the system, case or rule, then the quantity
+(``case-3122/field_residual``), unique within the check; ``counters``
+hold the work done.  A check body only computes items and counters, each
+tolerance written at its item: ``_judge`` is the one pass rule, and a
 check passes exactly when all its items pass.  ``run_checks`` runs a list
 of checks; the command line driver serializes the results to JSON.  All
 randomness flows through a single seed, so only ``seconds`` varies
@@ -28,13 +29,20 @@ from .integrator import integrate_time, integrate_two_time
 from .monodromy import isomonodromy_drift, monodromy_representation
 from .parametrizations import assemble, parametrization
 from .sampling import (MAX_DRAWS, rng_from_seed, sample_params, sample_state,
-                       tied_params)
+                       small_state, tied_params)
 from .schlesinger import realign_to_slice, schlesinger_flow_rhs
 
 __all__ = ["CHECKS", "run_checks"]
 
 DEFAULT_SEED = 20260810
 CHECKS = {}
+
+# the start times of the checks' flows, each sliced to the system's n_times
+_FLOW_TIMES = (1.8 + 0.6j, -0.9 + 0.4j, 0.5 + 1.3j)
+_MONO_TIMES = (1.7 + 0.8j, -0.6 + 0.5j)
+_RIGID_TIMES = (1.7 + 0.6j, -0.8 + 0.5j)
+# the rigid systems' initial vector y
+_RIGID_Y0 = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
 
 
 def _judge(item_id, residual, tolerance, minimum=False):
@@ -52,18 +60,19 @@ def _judge(item_id, residual, tolerance, minimum=False):
 
 
 def _check(name):
-    """Register a check body under ``name`` in ``CHECKS``.  The body returns
-    its items, each ``(id, residual, tolerance[, minimum])``, and a dict of
-    work counters; the registered check times it and judges the items."""
+    """Register a check body under ``name`` in ``CHECKS``.  The body takes
+    only the seed and returns its items, each ``(id, residual,
+    tolerance[, minimum])``, and a dict of work counters; the registered
+    check times it and judges the items."""
     def register(body):
         @functools.wraps(body)
-        def check(*args, **options):
-            t0 = time.time()
-            items, counters = body(*args, **options)
+        def check(seed=DEFAULT_SEED):
+            t0 = time.perf_counter()
+            items, counters = body(seed)
             items = [_judge(*item) for item in items]
             return {"name": name,
                     "passed": all(item["passed"] for item in items),
-                    "seconds": round(time.time() - t0, 2),
+                    "seconds": round(time.perf_counter() - t0, 2),
                     "details": {"items": items, "counters": counters}}
         CHECKS[name] = check
         return check
@@ -88,7 +97,7 @@ _COUNT_TABLE = {
 
 
 @_check("counts")
-def verify_counts(seed=DEFAULT_SEED):
+def verify_counts(seed):
     items = [(f"table/{st}", abs(accessory_count(st) - want), 1)
              for st, want in _COUNT_TABLE.items()]
     # cross-check: 2n of each catalog descriptor
@@ -104,13 +113,13 @@ def verify_counts(seed=DEFAULT_SEED):
 
 
 @_check("degeneration")
-def verify_degeneration(seed=DEFAULT_SEED, n_samples=100, tol=1e-10):
+def verify_degeneration(seed):
     rng = rng_from_seed(seed)
     items = []
     for label, rule in degenerations.RULES.items():
-        h, tang = degenerations.check_rule(rule, n_samples, rng)
-        items += [(f"{label}/hamiltonian", h, tol),
-                  (f"{label}/tangency", tang, tol)]
+        h, tang = degenerations.check_rule(rule, 100, rng)
+        items += [(f"{label}/hamiltonian", h, 1e-10),
+                  (f"{label}/tangency", tang, 1e-10)]
     return items, {}
 
 
@@ -122,31 +131,23 @@ _COMPAT_IDS = ("11,11,11,11,11", "11,11,11,11,11,11", "21,21,21,21,111",
                "31,31,22,22,22")
 
 
-def _compat_times(desc):
-    if desc.n_times == 2:
-        return (1.8 + 0.6j, -0.9 + 0.4j)
-    return (1.8 + 0.6j, -0.9 + 0.4j, 0.5 + 1.3j)
-
-
 @_check("compat")
-def verify_compat(seed=DEFAULT_SEED, side=0.2, rel_tol=1e-9, tol=1e-6):
+def verify_compat(seed):
     rng = rng_from_seed(seed)
     items = []
     for sid in _COMPAT_IDS:
         desc = lookup(sid)
         par = sample_params(sid, rng, generic=True)
-        st = sample_state(sid, rng, times=_compat_times(desc))
-        st = PhaseState(tuple(0.4 * z for z in st.q),
-                        tuple(0.4 * z for z in st.p), st.t)
+        st = small_state(sid, rng, _FLOW_TIMES[:desc.n_times])
         worst = 0.0
         pairs = [(1, 2)] if desc.n_times == 2 else [(1, 2), (2, 3), (1, 3)]
         for i, j in pairs:
-            ti, tj = st.t[i - 1] + side, st.t[j - 1] + side
-            a = integrate_two_time(sid, par, st, i, ti, j, tj, rel_tol=rel_tol)
-            b = integrate_two_time(sid, par, st, j, tj, i, ti, rel_tol=rel_tol)
+            ti, tj = st.t[i - 1] + 0.2, st.t[j - 1] + 0.2
+            a = integrate_two_time(sid, par, st, i, ti, j, tj, rel_tol=1e-9)
+            b = integrate_two_time(sid, par, st, j, tj, i, ti, rel_tol=1e-9)
             worst = max(worst, float(np.max(np.abs(
                 np.array(a.q + a.p) - np.array(b.q + b.p)))))
-        items.append((f"{sid}/disagreement", worst, tol))
+        items.append((f"{sid}/disagreement", worst, 1e-6))
     return items, {}
 
 
@@ -169,15 +170,12 @@ def _eigenvalue_drift(mats0, mats1):
 
 
 @_check("isospectral")
-def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
-                       drift_tol=1e-8):
+def verify_isospectral(seed):
     rng = rng_from_seed(seed)
     sid = "21,21,21,21,111"
     par = sample_params(sid, rng, generic=True)
-    st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
-    st = PhaseState(tuple(0.4 * z for z in st.q),
-                    tuple(0.4 * z for z in st.p), st.t)
-    t1v = st.t[0] + length
+    st = small_state(sid, rng, _FLOW_TIMES[:lookup(sid).n_times])
+    t1v = st.t[0] + 0.3
     end = flow_states(sid, 1, par, st, t1v, rel_tol=1e-11, abs_tol=1e-13)[-1]
     mats_ham = assemble(sid, par, end).residues
 
@@ -193,8 +191,8 @@ def verify_isospectral(seed=DEFAULT_SEED, length=0.3, tol=1e-6,
                     for a, b in zip(mats_ham, realigned))
 
     drift = _eigenvalue_drift(sys0.residues, mats_raw)
-    return [(f"{sid}/matrix_deviation", deviation, tol),
-            (f"{sid}/eigenvalue_drift", drift, drift_tol)], {}
+    return [(f"{sid}/matrix_deviation", deviation, 1e-6),
+            (f"{sid}/eigenvalue_drift", drift, 1e-8)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +204,17 @@ _MONO_IDS = ("21,21,21,21,111", "22,22,211,211")
 
 
 @_check("isomonodromy")
-def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
-                        control_min=1e-3, product_tol=1e-9, rel_tol=1e-10):
+def verify_isomonodromy(seed):
     rng = rng_from_seed(seed)
     items, counters = [], {}
+    rel_tol = 1e-10  # of the flows and of the transports
     for sid in _MONO_IDS:
-        desc = lookup(sid)
         par = sample_params(sid, rng, generic=True)
         par = {k: 0.25 * v for k, v in par.items()}
-        times = ((1.7 + 0.8j, -0.6 + 0.5j) if desc.n_times == 2
-                 else (1.7 + 0.8j,))
-        st = sample_state(sid, rng, times=times)
-        st = PhaseState(tuple(0.4 * z for z in st.q),
-                        tuple(0.4 * z for z in st.p), st.t)
+        st = small_state(sid, rng, _MONO_TIMES[:lookup(sid).n_times])
 
         def flow(scale):
-            return flow_states(sid, 1, par, st, st.t[0] + length,
+            return flow_states(sid, 1, par, st, st.t[0] + 0.2,
                                samples=(0.5,), scale=scale,
                                rel_tol=rel_tol, abs_tol=1e-13)
 
@@ -240,9 +233,9 @@ def verify_isomonodromy(seed=DEFAULT_SEED, length=0.2, tol=1e-5,
         counters[f"{sid}/transport_steps"] = sum(
             rep.transport_steps for rep in reps + control_reps[1:])
         counters[f"{sid}/series_order"] = reps[0].series_order
-        items += [(f"{sid}/drift", drift, tol),
-                  (f"{sid}/negative_control", control, control_min, True),
-                  (f"{sid}/product_defect", defect, product_tol)]
+        items += [(f"{sid}/drift", drift, 1e-5),
+                  (f"{sid}/negative_control", control, 1e-3, True),
+                  (f"{sid}/product_defect", defect, 1e-9)]
     return items, counters
 
 
@@ -257,9 +250,9 @@ def constrained_rigid_params(case, rng):
     sid = case.parent
     for _ in range(MAX_DRAWS):
         par = tied_params(sid, rng, *case.tie, generic=True)
-        merged = full_params(sid, par, check=False)
-        if abs(lookup(sid).fuchs_relation(par)) > 1e-10:
+        if not abs(lookup(sid).fuchs_relation(par)) <= 1e-10:
             continue
+        merged = full_params(sid, par)
         if abs(case.parameter_constraint(merged)) > 1e-10:
             continue
         if not case.admissible(merged):
@@ -296,13 +289,12 @@ def _power_sum_residual(M, exponents):
 
 
 @_check("riemann-schemes")
-def verify_riemann_schemes(seed=DEFAULT_SEED, n_samples=20, tol=1e-9,
-                           compat_tol=1e-7):
+def verify_riemann_schemes(seed):
     rng = rng_from_seed(seed)
     items = []
     for cid, case in rigid.RIGID_CASES.items():
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(20):
             par = constrained_rigid_params(case, rng)
             mats = rigid.build_rigid_matrices(case, par)
             cols = rigid.riemann_scheme_columns(case, par)
@@ -312,29 +304,26 @@ def verify_riemann_schemes(seed=DEFAULT_SEED, n_samples=20, tol=1e-9,
                 all_m = finite + [-sum(finite)]
                 for M, want in zip(all_m, colset):
                     worst = max(worst, _power_sum_residual(M, want))
-        items += [(f"{cid}/scheme_residual", worst, tol),
+        items += [(f"{cid}/scheme_residual", worst, 1e-9),
                   (f"{cid}/accessory_count",
                    abs(accessory_count(case.spectral_type)), 1)]
         if case.n_times == 2:
             par = constrained_rigid_params(case, rng)
             items.append((f"{cid}/two_time_disagreement",
-                          _rigid_two_time_compat(case, par), compat_tol))
+                          _rigid_two_time_compat(case, par), 1e-7))
     return items, {}
 
 
-def _rigid_two_time_compat(case, par, side=0.2, rel_tol=1e-11):
-    times = (1.7 + 0.6j, -0.8 + 0.5j)
-    y0 = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
-
+def _rigid_two_time_compat(case, par):
     def leg(y, times, i, end):
         rhs = rigid.rigid_rhs(case, par, i, times[:i - 1] + times[i:])
-        return integrate_time(rhs, y, times, i, end, rel_tol=rel_tol,
+        return integrate_time(rhs, y, times, i, end, rel_tol=1e-11,
                               abs_tol=1e-14).end_state
 
-    ta, tb = times
-    ta2, tb2 = ta + side, tb + side
-    y_ab = leg(leg(y0, (ta, tb), 1, ta2), (ta2, tb), 2, tb2)
-    y_ba = leg(leg(y0, (ta, tb), 2, tb2), (ta, tb2), 1, ta2)
+    ta, tb = _RIGID_TIMES
+    ta2, tb2 = ta + 0.2, tb + 0.2
+    y_ab = leg(leg(_RIGID_Y0, (ta, tb), 1, ta2), (ta2, tb), 2, tb2)
+    y_ba = leg(leg(_RIGID_Y0, (ta, tb), 2, tb2), (ta, tb2), 1, ta2)
     return float(np.max(np.abs(y_ab - y_ba)))
 
 
@@ -344,15 +333,13 @@ def _rigid_two_time_compat(case, par, side=0.2, rel_tol=1e-11):
 
 
 @_check("particular")
-def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
-                      rel_tol=1e-11):
+def verify_particular(seed):
     rng = rng_from_seed(seed)
     items = []
     for cid, case in rigid.RIGID_CASES.items():
         par = constrained_rigid_params(case, rng)
         merged = full_params(case.parent, par)
-        times = ((1.7 + 0.6j, -0.8 + 0.5j) if case.n_times == 2
-                 else (1.7 + 0.6j,))
+        times = _RIGID_TIMES[:case.n_times]
         t0v, other = times[0], times[1:]
         t1v = t0v + 0.25
         rhs = rigid.rigid_rhs(case, par, 1, other)
@@ -361,8 +348,7 @@ def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
             q, p = case.lift(w, t, merged)
             return tuple(q) + tuple(p)
 
-        y0 = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
-        traj = integrate_time(rhs, y0, times, 1, t1v, rel_tol=rel_tol,
+        traj = integrate_time(rhs, _RIGID_Y0, times, 1, t1v, rel_tol=1e-11,
                               abs_tol=1e-14,
                               samples=list(np.linspace(0.15, 0.85, 4)))
         worst_f = worst_p = 0.0
@@ -376,8 +362,8 @@ def verify_particular(seed=DEFAULT_SEED, field_tol=1e-6, pfaff_tol=1e-7,
                 np.array(der) - np.array(dq + dp)))))
             worst_p = max(worst_p, rigid.pfaff_residual(
                 case, par, 1, y, tcur, other))
-        items += [(f"{cid}/field_residual", worst_f, field_tol),
-                  (f"{cid}/pfaff_residual", worst_p, pfaff_tol)]
+        items += [(f"{cid}/field_residual", worst_f, 1e-6),
+                  (f"{cid}/pfaff_residual", worst_p, 1e-7)]
     return items, {}
 
 
@@ -389,9 +375,10 @@ _SYMPLECTIC_IDS = ("21,21,21,21,111", "22,22,211,211")
 
 
 @_check("symplectic")
-def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
+def verify_symplectic(seed):
     rng = rng_from_seed(seed)
     items = []
+    h = 1e-4  # the difference step
     for sid in _SYMPLECTIC_IDS:
         pz = parametrization(sid)
         n = lookup(sid).n_pairs
@@ -403,7 +390,7 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
         Om_qp[:n, n:] = np.eye(n)
         Om_qp[n:, :n] = -np.eye(n)
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(50):
             for _ in range(MAX_DRAWS):
                 par = sample_params(sid, rng, generic=True)
                 merged = full_params(sid, par)
@@ -435,7 +422,7 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
                                    f"singular set in {MAX_DRAWS} draws")
             worst = max(worst, float(np.max(np.abs(
                 J.T @ Om_bc @ J - Om_qp))))
-        items.append((f"{sid}/form_residual", worst, tol))
+        items.append((f"{sid}/form_residual", worst, 1e-8))
     return items, {}
 
 
@@ -445,15 +432,16 @@ def verify_symplectic(seed=DEFAULT_SEED, n_samples=50, tol=1e-8, h=1e-4):
 
 
 @_check("gradients")
-def verify_gradients(seed=DEFAULT_SEED, n_samples=100, rel=1e-6, step=1e-6):
+def verify_gradients(seed):
     """The generated gradients every flow uses, against central differences
     of the Hamiltonians themselves."""
     rng = rng_from_seed(seed)
     items = []
+    step = 1e-6  # the difference step
     for sid in catalog.list_systems():
         desc = lookup(sid)
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(100):
             par = sample_params(sid, rng)
             st = sample_state(sid, rng)
             merged = full_params(sid, par)
@@ -472,7 +460,7 @@ def verify_gradients(seed=DEFAULT_SEED, n_samples=100, rel=1e-6, step=1e-6):
                     fd = (f(*zp) - f(*zm)) / (2 * step)
                     err = abs(grad[k] - fd) / (1.0 + abs(grad[k]))
                     worst = max(worst, err)
-        items.append((f"{sid}/relative_error", worst, rel))
+        items.append((f"{sid}/relative_error", worst, 1e-6))
     return items, {}
 
 

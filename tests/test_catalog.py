@@ -64,7 +64,7 @@ def test_fuchs_relation_solved_exactly():
             # the printed alpha relation at the derived alpha values
             relation = lookup(sid).alpha_relation
             if relation is not None:
-                alphas = derive_alphas(sid, par, check=False)
+                alphas = derive_alphas(sid, par)
                 assert abs(relation(alphas)) < 1e-10
 
 

@@ -152,6 +152,9 @@ def test_integrate_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+    if "[1e200, 0]" in flags:
+        # a step failure names its segment's length, which says what is wrong
+        assert " on segment 0 (length 1e+200) at s=" in err
 
 
 def test_nan_parameter_violates_the_trace_relation(tmp_path, capsys):

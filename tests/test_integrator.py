@@ -29,9 +29,12 @@ def test_exponential_growth():
     assert abs(traj.end_state[0] - exact) / abs(exact) < 10 * rel_tol
 
 
+UNIT_CIRCLE = ComplexPath((Arc(0j, 1.0, 0.0, 2 * np.pi),))
+
+
 def test_scalar_monodromy_multiplier():
     theta = 0.37 + 0.11j
-    path = ComplexPath.circle(0.0, 1.0)
+    path = UNIT_CIRCLE
     traj = integrate(lambda z, y: (theta / z) * y, np.array([1.0 + 0j]),
                      path, rel_tol=1e-10)
     assert abs(traj.end_state[0] - np.exp(2j * np.pi * theta)) < 1e-8
@@ -39,7 +42,7 @@ def test_scalar_monodromy_multiplier():
 
 def test_reversal_returns_to_start():
     theta = 0.4 - 0.2j
-    path = ComplexPath.circle(0.0, 1.0)
+    path = UNIT_CIRCLE
     rel_tol = 1e-9
     fwd = integrate(lambda z, y: (theta / z) * y, np.array([1.0 + 0j]),
                     path, rel_tol=rel_tol)
@@ -78,8 +81,8 @@ def test_margin_violation_rejected_at_construction():
         ComplexPath.polyline([-1.0, 1.0], singularities=[1 / 64, 5.0],
                              margin=0.01)
     with pytest.raises(PathMarginError):
-        ComplexPath.circle(0.0, 1.0, singularities=[np.exp(1j * np.pi / 64),
-                                                    5.0], margin=0.04)
+        ComplexPath(UNIT_CIRCLE.segments,
+                    singularities=[np.exp(1j * np.pi / 64), 5.0], margin=0.04)
 
 
 @pytest.mark.parametrize("seg", [
@@ -115,7 +118,8 @@ def test_integrate_time_moves_one_time():
 def test_step_budget_stops_a_stiff_segment(monkeypatch):
     monkeypatch.setattr(integrator, "MAX_SEGMENT_STEPS", 200)
     path = ComplexPath.polyline([0.0, 1.0, 2.0])
-    with pytest.raises(StepBudgetError, match="on segment 1 at s="):
+    with pytest.raises(StepBudgetError,
+                       match=r"on segment 1 \(length 1\) at s="):
         # stiff on the second segment only: explicit steps must stay ~1e-6
         integrate(lambda z, y: (-1e6 if z.real > 1 else 1.0) * y,
                   np.array([1.0 + 0j]), path)
@@ -123,13 +127,18 @@ def test_step_budget_stops_a_stiff_segment(monkeypatch):
 
 def test_step_errors_report_the_state_modulus(monkeypatch):
     # y' = y^2 from y(0) = 1 blows up at z = 1
-    with pytest.raises(StepUnderflowError, match=r"at s=.*, h=.*, \|y\|="):
+    with pytest.raises(StepUnderflowError,
+                       match=r"\(length 2\) at s=.*, h=.*, \|y\|="):
         integrate(lambda z, y: y * y, np.array([1.0 + 0j]),
                   ComplexPath.polyline([0.0, 2.0]))
     monkeypatch.setattr(integrator, "MAX_SEGMENT_STEPS", 20)
     with pytest.raises(StepBudgetError, match=r", \|y\|=[0-9.]+$"):
         integrate(lambda z, y: -1e6 * y, np.array([1.5 + 0j]),
                   ComplexPath.polyline([0.0, 1.0]))
+    # an arc's length is its radius times its sweep, whichever the sense
+    with pytest.raises(StepBudgetError, match=r"\(length 3\.14\)"):
+        integrate(lambda z, y: -1e6 * y, np.array([1.5 + 0j]),
+                  ComplexPath((Arc(0j, 1.0, 0.0, -np.pi),)))
 
 
 def test_trajectory_counts_stage_values_and_step_range():

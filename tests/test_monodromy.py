@@ -8,7 +8,7 @@ import pytest
 from painlab.catalog import PhaseState, lookup
 from painlab.fuchsian import FuchsianSystem
 from painlab import integrator, monodromy
-from painlab.integrator import ComplexPath, StepBudgetError, integrate
+from painlab.integrator import Arc, ComplexPath, StepBudgetError, integrate
 from painlab.monodromy import (TransportDefectError, base_point, big_circle,
                                invariant_traces, isomonodromy_drift, lasso,
                                lasso_at_infinity, monodromy_matrix,
@@ -29,7 +29,8 @@ def test_empty_loop_gives_identity():
     sys = small_random_system(rng)
     x0 = base_point(sys.points)
     # a small circle far from every singularity encloses nothing
-    loop = ComplexPath.circle(x0, 0.05, singularities=sys.points)
+    loop = ComplexPath((Arc(complex(x0), 0.05, 0.0, 2 * np.pi),),
+                       singularities=sys.points)
     M = _transport(sys, loop, rel_tol=1e-11)
     assert np.max(np.abs(M - np.eye(2))) < 1e-9
 

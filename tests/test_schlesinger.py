@@ -1,14 +1,14 @@
-"""Matrix flows, factor flows, trace Hamiltonians, canonical maps."""
+"""Matrix flows, trace Hamiltonians, canonical maps."""
 
 import numpy as np
 import pytest
 
-from painlab.catalog import PhaseState, eval_h, lookup, vector_field
-from painlab.parametrizations import assemble
+from painlab.catalog import (PhaseState, eval_h, full_params, lookup,
+                             vector_field)
+from painlab.parametrizations import assemble, parametrization
 from painlab.sampling import rng_from_seed, sample_params, sample_state
-from painlab.schlesinger import (bc_rhs, bc_vector, induced_state_field,
-                                 schlesinger_rhs, state_from_bc_vector,
-                                 to_canonical, trace_hamiltonian)
+from painlab.schlesinger import (induced_state_field, schlesinger_rhs,
+                                 trace_hamiltonian)
 
 
 def random_system(rng, n_pts=4, L=2, scale=0.4):
@@ -109,68 +109,31 @@ def test_catalog_hamiltonian_is_scaled_trace_hamiltonian():
         assert abs(d1 - d2) < 1e-9 * (1 + abs(d1))
 
 
-def test_bc_rhs_product_rule_matches_matrix_flow():
-    rng = rng_from_seed(6)
-    pts = [1.6 + 0.4j, -0.7 + 0.6j, 1.0, 0.0]
-    Bs = [0.5 * (rng.normal(size=(3, r)) + 1j * rng.normal(size=(3, r)))
-          for r in (1, 1, 2, 1)]
-    Cs = [0.5 * (rng.normal(size=(r, 3)) + 1j * rng.normal(size=(r, 3)))
-          for r in (1, 1, 2, 1)]
-    mats = [b @ c for b, c in zip(Bs, Cs)]
-    for i in (1, 2):
-        dBs, dCs = bc_rhs(pts, Bs, Cs, i)
-        ders = schlesinger_rhs(pts, mats, i)
-        for dB, dC, B, C, dA in zip(dBs, dCs, Bs, Cs, ders):
-            assert np.max(np.abs(dB @ C + B @ dC - dA)) < 1e-12
-
-
-def test_bc_rhs_zero_first_factor_is_fixed():
-    rng = rng_from_seed(7)
-    pts = [1.6 + 0.4j, -0.7 + 0.6j, 1.0, 0.0]
-    Bs = [rng.normal(size=(3, 1)) + 0j for _ in pts]
-    Cs = [rng.normal(size=(1, 3)) + 0j for _ in pts]
-    Cs[0] = np.zeros((1, 3), dtype=complex)
-    for i in (1, 2):
-        _, dCs = bc_rhs(pts, Bs, Cs, i)
-        assert np.max(np.abs(dCs[0])) == 0
-
-
-def test_bc_rhs_commuting_matrices_preserve_rank():
-    # commuting diagonal residues: derivative factors stay scalar multiples
-    pts = [2.0, 1.0, 0.0]
-    Bs = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
-          np.array([[1.0], [1.0]])]
-    Cs = [np.array([[0.3, 0.0]]), np.array([[0.0, -0.7]]),
-          np.array([[0.0, 0.0]])]
-    dBs, dCs = bc_rhs(pts, Bs, Cs, 1)
-    for dB in dBs:
-        assert dB.shape[1] == 1
-
-
 def test_canonical_round_trips():
     for sid in ("21,21,21,21,111", "31,31,22,22,22", "22,22,211,211"):
         rng = rng_from_seed(8)
-        desc = lookup(sid)
+        pz = parametrization(sid)
         for _ in range(20):
-            par = sample_params(sid, rng, generic=True)
+            par = full_params(sid, sample_params(sid, rng, generic=True))
             st = sample_state(sid, rng)
             try:
-                bc = bc_vector(sid, par, st)
+                b, c = pz.bc_from_state(par, st.q, st.p, st.t)
             except ValueError:
                 continue
-            back = state_from_bc_vector(sid, par, bc, st.t)
-            dev = max(abs(np.array(back.q + back.p) - np.array(st.q + st.p)))
+            q, p = pz.state_from_bc(par, tuple(b), tuple(c), st.t)
+            dev = max(abs(np.array(tuple(q) + tuple(p))
+                          - np.array(st.q + st.p)))
             assert dev < 1e-10
 
 
 def test_involutive_map_is_exact():
     sid = "22,22,211,211"
     rng = rng_from_seed(9)
-    par = sample_params(sid, rng)
+    par = full_params(sid, sample_params(sid, rng))
     st = sample_state(sid, rng)
-    bc = bc_vector(sid, par, st)
-    assert bc[:3] == tuple(-z for z in st.p)
-    assert bc[3:] == st.q
+    b, c = parametrization(sid).bc_from_state(par, st.q, st.p, st.t)
+    assert tuple(b) == tuple(-z for z in st.p)
+    assert tuple(c) == st.q
 
 
 def test_singular_locus_raises_not_nan():
@@ -184,7 +147,8 @@ def test_singular_locus_raises_not_nan():
     st = PhaseState((0.3, 0.4, (st.t[1] * st.p[1]) / st.p[0]),
                     st.p, st.t)
     with pytest.raises(ValueError):
-        bc_vector(sid, par, st)
+        parametrization(sid).bc_from_state(full_params(sid, par), st.q, st.p,
+                                           st.t)
 
 
 def test_to_canonical_inverts_from_canonical():
@@ -192,10 +156,12 @@ def test_to_canonical_inverts_from_canonical():
         rng = rng_from_seed(11)
         par = sample_params(sid, rng, generic=True)
         st = sample_state(sid, rng)
-        sys = assemble(sid, par, st)
-        back = to_canonical(sid, par, sys)
-        assert max(abs(np.array(back.q + back.p) - np.array(st.q + st.p))) \
-            < 1e-9
+        mats = [tuple(tuple(row) for row in a)
+                for a in assemble(sid, par, st).residues]
+        q, p = parametrization(sid).state_from_matrices(
+            full_params(sid, par), mats, st.t)
+        assert max(abs(np.array(tuple(q) + tuple(p))
+                       - np.array(st.q + st.p))) < 1e-9
 
 
 def test_catalog_field_matches_matrix_side():

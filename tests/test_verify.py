@@ -3,6 +3,7 @@ draws, exports."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import pkgutil
 import subprocess
@@ -58,6 +59,15 @@ def test_every_result_follows_the_one_schema(all_results):
     counters = all_results["isomonodromy"]["details"]["counters"]
     assert set(counters) == {f"{sid}/{c}" for sid in verify._MONO_IDS
                              for c in ("transport_steps", "series_order")}
+
+
+def test_every_check_takes_only_a_seed():
+    # no option can loosen a check: its tolerances sit at its items
+    for name, check in verify.CHECKS.items():
+        params = inspect.signature(check, follow_wrapped=False).parameters
+        assert list(params) == ["seed"], name
+        assert params["seed"].default == verify.DEFAULT_SEED
+        assert list(inspect.signature(check).parameters) == ["seed"], name
 
 
 def test_judge_maximum_minimum_and_zero():
@@ -118,6 +128,32 @@ def test_sweep_margins_tool_runs_one_seed():
     assert lines[-1] == f"{n} items, seeds 1-1: all passed"
 
 
+def test_compare_reports_tool_names_a_changed_residual(tmp_path):
+    paths = [tmp_path / f"{k}.json" for k in "abc"]
+    for path in paths[:2]:
+        assert main(["verify", "counts", "--out", str(path)]) == 0
+    report = json.loads(paths[1].read_text())
+    item = report["results"][0]["details"]["items"][3]
+    item["residual"] = 0.5
+    paths[2].write_text(json.dumps(report))
+
+    def compare(old, new):
+        return subprocess.run([sys.executable, str(ROOT / "tools" /
+                                                   "compare_reports.py"),
+                               str(old), str(new)],
+                              capture_output=True, text=True, timeout=60)
+
+    same = compare(*paths[:2])
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.startswith("0 differences over 1 checks")
+    changed = compare(paths[0], paths[2])
+    assert changed.returncode == 1
+    lines = changed.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"counts:{item['id']}: ")
+    assert "'residual': 0.0" in lines[0] and "'residual': 0.5" in lines[0]
+
+
 def test_unsatisfiable_parameter_constraint_raises():
     case = dataclasses.replace(rigid.RIGID_CASES["case-21x4"],
                                parameter_constraint=lambda par: 1.0)
@@ -143,7 +179,7 @@ def test_eigenvalue_drift_pairs_by_nearness_and_sees_a_move():
     reordered = np.diag([-1e-17 + 1j, 1e-17, 0])
     assert verify._eigenvalue_drift([a0], [reordered]) < 1e-16
     moved = np.diag([0, 0, 1j + 1e-7])
-    assert verify._eigenvalue_drift([a0], [moved]) > 1e-8  # drift_tol
+    assert verify._eigenvalue_drift([a0], [moved]) > 1e-8  # its tolerance
 
 
 def test_moved_scheme_exponent_fails_riemann_schemes(monkeypatch):
@@ -155,7 +191,7 @@ def test_moved_scheme_exponent_fails_riemann_schemes(monkeypatch):
         return ((col,) + tuple(first[1:]), *rest)
 
     monkeypatch.setattr(rigid, "riemann_scheme_columns", moved)
-    r = verify.verify_riemann_schemes(seed=20260810, n_samples=2)
+    r = verify.verify_riemann_schemes(seed=20260810)
     assert not r["passed"]
     schemes = [i for i in r["details"]["items"]
                if i["id"].endswith("/scheme_residual")]

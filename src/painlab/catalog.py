@@ -340,24 +340,25 @@ def vector_field(sid: str, i: int, params, state: PhaseState, merged=False):
 def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
     """rhs(z, y) for integrating the i-th flow with the integrator module.
 
-    ``y`` stacks q then p; ``z`` is the running value of t_i; the other
-    entries of ``times`` stay frozen.  ``scale`` multiplies the
-    Hamiltonian (1.0 is the true flow; other values give the negative
+    ``y`` is an array stacking q then p; ``z`` is the running value of
+    t_i; the other entries of ``times`` stay frozen.  ``scale`` multiplies
+    the Hamiltonian (1.0 is the true flow; other values give the negative
     controls of the isomonodromy check).
     """
     desc = _lookup_flow(sid, i)
     merged = full_params(sid, params)
     n = desc.n_pairs
     grad_h = gradient(sid, i)
-    tvals = [complex(v) for v in times]
+    # the times before and after t_i, frozen
+    before = tuple(complex(v) for v in times[:i - 1])
+    after = tuple(complex(v) for v in times[i:desc.n_times])
 
     def rhs(z, y):
         # plain Python complex: the generated arithmetic is several times
         # slower on numpy scalars
         z = complex(z)
-        t = tuple(z if k == i - 1 else tvals[k] for k in range(desc.n_times))
-        w = np.asarray(y, dtype=complex).tolist()
-        grad = grad_h(merged, w[:n], w[n:], t)
+        w = y.tolist()
+        grad = grad_h(merged, w[:n], w[n:], before + (z,) + after)
         sc = scale / (z * (z - 1))
         return np.array([sc * g for g in grad[n:]]
                         + [-sc * g for g in grad[:n]], dtype=complex)

@@ -4,20 +4,23 @@ The integrator advances a complex state vector along a piecewise path
 (straight segments and circular arcs), treating each segment as a real
 parameter interval and pulling the right-hand side back through the
 segment chart.  A Dormand-Prince 5(4) pair with PI step control does the
-stepping; "dense output" at requested parameters is realized by landing
-on them exactly, which is simpler and slightly more accurate than an
-interpolant at desk scale.
+stepping; each stage's state, and the error estimate, is one matrix
+product of step-scaled weights with the stage rows.  "Dense output" at
+requested parameters is realized by landing on them exactly, which is
+simpler and slightly more accurate than an interpolant at desk scale.
 
 A right-hand side linear in the state, f(x, y) = M(x) y, can be passed as
 a :class:`LinearRhs` that exposes M.  The stepper then evaluates the
 chart and M at a step's five distinct stage abscissae in one broadcast,
-and each stage only forms its state and applies its M, in the same
-operation order (velocity times (M y)) as a call of f: the result is bit
-for bit the per-stage one.  Any other callable is called once per stage.
+and each stage only forms its state (the same product) and applies its
+M, in the same operation order (velocity times (M y)) as a call of f:
+the result is bit for bit the per-stage one.  Any other callable is
+called once per stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,32 +197,27 @@ class Trajectory:
         return self.states[-1]
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-# row-k weights as columns, to scale the stage rows K[:k], shape (k, n),
-# in one product; np.add.reduce over axis 0 then adds the rows left to
-# right, in the order of a plain Python sum (a matrix product may
-# reassociate and move bits): (stage weights, b5, error) columns
-_DP_COLS = ([a[:, None] for a in _DP_A], _DP_B5[:, None],
-            (_DP_B5 - _DP_B4)[:, None])
+# Dormand-Prince 5(4) tableau.  Row k of _DP_W holds stage k's weights
+# on the stage rows before it, so stage k's state is y + h*_DP_W[k, :k]
+# @ K[:k]; stage 6's state is the 5th-order solution (FSAL).  Row 0, which
+# no stage uses, holds the error weights b5 - b4.  Complex: its products
+# with the complex stage rows need no cast.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_W = np.zeros((7, 7), dtype=complex)
+_DP_W[1, :1] = [1 / 5]
+_DP_W[2, :2] = [3 / 40, 9 / 40]
+_DP_W[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_W[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_W[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                -5103 / 18656]
+_DP_W[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_W[0] = _DP_W[6] - [5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                       -92097 / 339200, 187 / 2100, 1 / 40]
 
 # the six later stages sit at five distinct abscissae (c5 = c6 = 1): row
 # k's abscissa is _DP_C_STAGES[_DP_STAGE[k]], a column for a LinearRhs
 _DP_STAGE = (None, 0, 1, 2, 3, 4, 4)
-_DP_C_STAGES = _DP_C[1:6, None]
+_DP_C_STAGES = np.array(_DP_C[1:6])[:, None]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -228,13 +226,6 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 # accepted plus rejected steps one segment may take before StepBudgetError
 MAX_SEGMENT_STEPS = 50_000
-
-
-def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    """RMS of the scaled error."""
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    r = np.abs(err / scale) ** 2
-    return float(np.sqrt(np.add.reduce(r) / r.size))
 
 
 def _modulus(y):
@@ -281,18 +272,20 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    # locals, not globals: they are read at every stage of every step
-    a_cols, b5_col, e_col = _DP_COLS
-    c_stages = _DP_C_STAGES
-    if isinstance(rhs, LinearRhs):
-        coef, act = rhs.coef, rhs.act
-    else:
-        coef = None
+    coef, act = (rhs.coef, rhs.act) if isinstance(rhs, LinearRhs) \
+        else (None, None)
     K = np.empty((7,) + y.shape, dtype=complex)  # the seven stage rows
+    hW = np.empty((7, 7), dtype=complex)  # h * _DP_W, refilled per step
+    # per later stage k, made once: stage k's state is y + hW[k, :k] @
+    # K[:k] (views), then its abscissa and its index for a LinearRhs
+    stages = [(k, hW[k, :k], K[:k], _DP_C[k], _DP_STAGE[k])
+              for k in range(1, 7)]
     K[0] = f(s, y)
+    ay = np.abs(y)  # |y|, kept from the last accepted step
     for stop in stops:
         while s < stop:
-            h = min(h, stop - s)
+            rest = stop - s
+            h = min(h, rest)
             if h < 1e-14:
                 raise StepUnderflowError(
                     f"step underflow on segment {k} (length "
@@ -304,24 +297,28 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                     f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
                     f"(length {_length(seg):.3g}) at s={s:.6f}, h={h:.3g}, "
                     f"|y|={_modulus(y):.3g}")
+            np.multiply(_DP_W, h, out=hW)
             if coef is not None:
                 # chart and coefficient at the five distinct abscissae
-                vel, z = chart(s + c_stages * h)
+                vel, z = chart(s + _DP_C_STAGES * h)
                 M = coef(z)
-            for row in range(1, 7):
-                yk = y + h * np.add.reduce(a_cols[row] * K[:row])
+            for row, w, Kw, c_row, j in stages:
+                yk = y + w @ Kw
                 if coef is None:
-                    K[row] = f(s + _DP_C[row] * h, yk)
+                    K[row] = f(s + c_row * h, yk)
                 else:
-                    j = _DP_STAGE[row]
                     # a Line's velocity is one constant, an Arc's per stage
                     K[row] = (vel if line else vel[j]) * act(M[j], yk)
-            y5 = y + h * np.add.reduce(b5_col * K)
-            err = h * np.add.reduce(e_col * K)
-            enorm = _error_norm(err, y, y5, rel_tol, abs_tol)
+            # RMS of the error over abs_tol + rel_tol * max(|y|, |y5|);
+            # y5, the 5th-order solution, is stage 6's state yk
+            ay5 = np.abs(yk)
+            u = np.abs(hW[0] @ K) / (abs_tol + rel_tol * np.maximum(ay, ay5))
+            enorm = math.sqrt(u @ u / u.size)
             if enorm <= 1.0:
-                s += h
-                y = y5
+                # a step clipped to the stop lands on it exactly: s + rest
+                # may round below it
+                s = stop if h == rest else s + h
+                y, ay = yk, ay5
                 K[0] = K[6]  # FSAL
                 traj.n_steps += 1
                 traj.h_min = min(traj.h_min, h)

@@ -44,13 +44,14 @@ def test_generated_gradient_matches_dual(sid, i):
 def test_flows_do_not_import_sympy():
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "from painlab import catalog, sampling\n"
         "rng = sampling.rng_from_seed(1)\n"
         "for sid in catalog.list_systems():\n"
         "    par = sampling.sample_params(sid, rng)\n"
         "    st = sampling.sample_state(sid, rng)\n"
         "    rhs = catalog.flow_rhs(sid, 1, par, st.t)\n"
-        "    rhs(st.t[0], st.q + st.p)\n"
+        "    rhs(st.t[0], np.array(st.q + st.p))\n"
         "    catalog.vector_field(sid, 1, par, st)\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )

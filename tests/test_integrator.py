@@ -1,6 +1,7 @@
 """Adaptive integration along complex paths."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,32 @@ def test_trajectory_counts_stage_values_and_step_range():
     assert traj.n_rhs_evals == 2 + 6 * tries  # first stage once a segment
     assert 0.0 < traj.h_min < traj.h_max <= 1.0
     assert np.isinf(integrate(lambda z, y: y, [1.0], ComplexPath(())).h_min)
+
+
+def test_clipped_step_lands_exactly_on_its_stop():
+    # s + (stop - s) rounds one ulp below this stop; the next step would
+    # then be h ~ 1e-16 and raise StepUnderflowError
+    s1, s2 = 0.013430708616347542, 0.808951245655351
+    traj = integrate(lambda z, y: 0 * y, np.array([1 + 0j]),
+                     ComplexPath.polyline([0.0, 1 + 1j]), rel_tol=1e-6,
+                     samples=[s1, s2])
+    assert traj.params == [0, s1, s2, 1]
+
+
+def test_one_step_is_the_dormand_prince_stability_polynomial():
+    # a step of y' = lam y from 1 with lam h = z returns R(z), the
+    # 5th-order solution's stability polynomial: the Taylor terms of
+    # exp(z) through z**5 plus z**6/600.  Each of the 20 stage weights
+    # enters it (a change of 1e-9 in one moves the result by over 4e-14);
+    # the error weights do not, and the pinned step counts cover them
+    lam, h = 400 + 300j, 1e-3
+    traj = integrate(lambda x, y: lam * y, np.array([1 + 0j]),
+                     ComplexPath.polyline([0.0, 1.0]), rel_tol=1e3,
+                     abs_tol=1e3, samples=[h])
+    assert traj.params[1] == h
+    z = lam * h
+    want = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
+    assert abs(traj.states[1][0] - want) <= 1e-14 * abs(want)
 
 
 def _fuchsian_system():

@@ -6,6 +6,13 @@ how the Dormand-Prince stages are summed, or to the order in which a
 rhs adds its terms, moves the bits and fails this test, where the
 tolerance-based tests would still pass.
 
+The stepper forms its stage sums as matrix products, which numpy hands
+to the BLAS library; OpenBLAS picks its kernel (and whether it fuses
+multiply-adds) from the CPU at run time.  The endpoints were recorded
+with numpy 2.4.6 and OpenBLAS 0.3.31 running its SkylakeX kernels on an
+Intel Xeon with AVX-512; another BLAS build or CPU may move their last
+bits with no change to the code.
+
 Run ``python tests/test_integrator_bits.py`` to print the current
 record as JSON.
 """

@@ -1,19 +1,20 @@
 """Benchmark this checkout against another one and write a BENCH file.
 
-Runs ``bench/run.py`` in alternating pairs (the other checkout first in
-even pairs, this one first in odd ones) on every workload, one traced run
-per side, the tier-1 suite and ``painlab verify all`` per side, and
-writes one JSON record: per workload and side the median and quartiles of
-each end-to-end metric with every run, the pairs this checkout won on
-``solve_s``, the traced ``integrator.*`` metrics, the tier-1 wall time,
-each check's seconds, the hand-written and generated ``src/`` lines
-counted apart, and the CPU model.
+Runs ``bench/run.py`` for SECONDS seconds in alternating pairs (the
+other checkout first in even pairs, this one first in odd ones) on every
+workload; then per side one traced pass at TRACE_SEED, which covers all
+three workloads, the tier-1 suite, and ``painlab verify all`` at
+VERIFY_SEED.  It writes one JSON record: per workload and side the median
+and quartiles of each end-to-end metric with every run, and the pairs
+this checkout won on ``solve_s``; per side the traced ``integrator.*``
+metrics, the tier-1 wall time, each check's seconds, and the hand-written
+and generated ``src/`` lines counted apart; and the CPU model.
 
 Usage, from the root of the repository, with the parent commit checked
 out (``git archive``) in another directory::
 
     python3 tools/bench_pairs.py --parent ../parent --seeds 8101-8110 \\
-        --seconds 20 --out BENCH_15.json
+        --out BENCH_15.json
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("flows", "monodromy", "manifolds")
 END_TO_END = ("setup_s", "solve_s", "peak_rss_mb")
+SECONDS = 20  # per run, as in BENCHMARK.json
+TRACE_SEED = 7
+VERIFY_SEED = 20260810
 
 
 def seed_range(text):
@@ -53,13 +57,13 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def pairs(sides, workload, seeds, seconds):
+def pairs(sides, workload, seeds):
     runs = {side: [] for side in sides}
     order = list(sides)
     for k, seed in enumerate(seeds):
         for side in (order if k % 2 == 0 else order[::-1]):
             out = bench(sides[side], "--workload", workload, "--seed",
-                        str(seed), "--seconds", str(seconds))
+                        str(seed), "--seconds", str(SECONDS))
             runs[side].append(out)
             print(f"{workload} seed {seed} {side}: solve_s "
                   f"{out['metrics']['solve_s']['value']:.4f}", flush=True)
@@ -74,11 +78,11 @@ def pairs(sides, workload, seeds, seconds):
     return record
 
 
-def traced(checkout, workload, seed):
+def traced(checkout):
     """``integrator.*`` metrics of one traced pass (``--seconds 0``), which
-    covers all three workloads, the named one first."""
-    out = bench(checkout, "--workload", workload, "--seed", str(seed),
-                "--seconds", "0", "--trace", "1")
+    covers all three workloads."""
+    out = bench(checkout, "--workload", WORKLOADS[0], "--seed",
+                str(TRACE_SEED), "--seconds", "0", "--trace", "1")
     return {"correct": out["correct"],
             **{name: m["value"] for name, m in out["metrics"].items()
                if name.startswith("integrator.")}}
@@ -94,13 +98,14 @@ def tier1_seconds(checkout):
             "summary": done.stdout.strip().splitlines()[-1]}
 
 
-def verify_seconds(checkout, seed):
+def verify_seconds(checkout):
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         subprocess.run([sys.executable, "-m", "painlab", "verify", "all",
-                        "--seed", str(seed), "--out", path], cwd=checkout,
-                       env=env, check=True, capture_output=True)
+                        "--seed", str(VERIFY_SEED), "--out", path],
+                       cwd=checkout, env=env, check=True,
+                       capture_output=True)
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
     return {r["name"]: r["seconds"] for r in report["results"]}
@@ -130,23 +135,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--trace-seed", type=int, default=7)
-    parser.add_argument("--verify-seed", type=int, default=20260810)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     record = {"cpu_model": cpu_model(), "seeds": list(args.seeds),
-              "seconds": args.seconds, "workloads": {}}
-    for w in WORKLOADS:
-        record["workloads"][w] = pairs(sides, w, args.seeds, args.seconds)
-        record["workloads"][w]["traced"] = {
-            side: traced(path, w, args.trace_seed)
-            for side, path in sides.items()}
+              "seconds": SECONDS, "trace_seed": TRACE_SEED,
+              "verify_seed": VERIFY_SEED,
+              "workloads": {w: pairs(sides, w, args.seeds)
+                            for w in WORKLOADS}}
     for side, path in sides.items():
-        record[side] = {"tier1": tier1_seconds(path),
-                        "verify_seconds": verify_seconds(path,
-                                                         args.verify_seed),
+        record[side] = {"traced": traced(path),
+                        "tier1": tier1_seconds(path),
+                        "verify_seconds": verify_seconds(path),
                         "lines": lines(path)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

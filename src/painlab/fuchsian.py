@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EigenMultiset, eigen_small
-from .integrator import LinearRhs
 
 __all__ = [
     "FuchsianSystem",
@@ -82,8 +81,7 @@ class FuchsianSystem:
     def rhs(self):
         """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened).
 
-        A :class:`~painlab.integrator.LinearRhs`: its coefficient is
-        M(x) = sum A_i/(x - t_i).  Broadcasts over a leading axis: (B, 1)
+        A plain rhs(x, y).  It broadcasts over a leading axis: (B, 1)
         points x with (B, L*L) states y give (B, L*L), one point per row,
         as the series transport of :mod:`painlab.monodromy` checks a block
         of chords.
@@ -95,13 +93,11 @@ class FuchsianSystem:
         res = np.array(self.residues)
         L = self.size
 
-        def coef(x):
-            return np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
-
-        def act(M, y):
+        def rhs(x, y):
+            M = np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
             return (M @ y.reshape(y.shape[:-1] + (L, L))).reshape(y.shape)
 
-        return LinearRhs(coef, act)
+        return rhs
 
 
 class ClusterAmbiguityError(RuntimeError):

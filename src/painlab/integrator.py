@@ -8,14 +8,6 @@ stepping; each stage's state, and the error estimate, is one matrix
 product of step-scaled weights with the stage rows.  "Dense output" at
 requested parameters is realized by landing on them exactly, which is
 simpler and slightly more accurate than an interpolant at desk scale.
-
-A right-hand side linear in the state, f(x, y) = M(x) y, can be passed as
-a :class:`LinearRhs` that exposes M.  The stepper then evaluates the
-chart and M at a step's five distinct stage abscissae in one broadcast,
-and each stage only forms its state (the same product) and applies its
-M, in the same operation order (velocity times (M y)) as a call of f:
-the result is bit for bit the per-stage one.  Any other callable is
-called once per stage.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ __all__ = [
     "Line",
     "Arc",
     "ComplexPath",
-    "LinearRhs",
     "PathMarginError",
     "StepUnderflowError",
     "StepBudgetError",
@@ -151,27 +142,6 @@ class ComplexPath:
         return ComplexPath(tuple(segs), self.singularities, self.margin)
 
 
-class LinearRhs:
-    """A right-hand side linear in the state: f(x, y) = act(coef(x), y).
-
-    ``coef(x)`` is the coefficient M(x).  It broadcasts over leading
-    axes: points of shape S + (1,) give M of shape S + M's own shape (a
-    scalar point counts as shape (1,)).
-    ``act(M, y)`` applies M to the state.  Calling the object computes f
-    itself; :func:`integrate` instead evaluates the coefficient of one
-    step at all its stage abscissae in one broadcast.
-    """
-
-    __slots__ = ("coef", "act")
-
-    def __init__(self, coef, act):
-        self.coef = coef
-        self.act = act
-
-    def __call__(self, x, y):
-        return self.act(self.coef(x), y)
-
-
 @dataclass
 class Trajectory:
     """Integration result: states at strictly increasing path parameters.
@@ -214,11 +184,6 @@ _DP_W[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_W[0] = _DP_W[6] - [5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                        -92097 / 339200, 187 / 2100, 1 / 40]
 
-# the six later stages sit at five distinct abscissae (c5 = c6 = 1): row
-# k's abscissa is _DP_C_STAGES[_DP_STAGE[k]], a column for a LinearRhs
-_DP_STAGE = (None, 0, 1, 2, 3, 4, 4)
-_DP_C_STAGES = np.array(_DP_C[1:6])[:, None]
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -245,17 +210,12 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
 
     # the chart z(s) and its velocity, with the parts constant in s hoisted
     # (the same arithmetic as Line.point and Arc.point): f is the rhs
-    # pulled back to one s, chart gives (velocity, z) at an array of s for
-    # a LinearRhs; f does not call chart, so a plain rhs pays no extra call
-    line = isinstance(seg, Line)
-    if line:
+    # pulled back to s
+    if isinstance(seg, Line):
         z0, v = seg.start, seg.end - seg.start
 
         def f(s, y):
             return v * np.asarray(rhs(z0 + s * v, y), dtype=complex)
-
-        def chart(s):
-            return v, z0 + s * v
     else:
         c, r, a0, sweep = seg.center, seg.radius, seg.angle0, seg.sweep
         turn = 1j * sweep * r  # velocity over exp(i angle)
@@ -264,22 +224,15 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
             e = np.exp(1j * (a0 + s * sweep))
             return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
 
-        def chart(s):
-            e = np.exp(1j * (a0 + s * sweep))
-            return turn * e, c + r * e
-
     s = 0.0
     h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    coef, act = (rhs.coef, rhs.act) if isinstance(rhs, LinearRhs) \
-        else (None, None)
     K = np.empty((7,) + y.shape, dtype=complex)  # the seven stage rows
     hW = np.empty((7, 7), dtype=complex)  # h * _DP_W, refilled per step
     # per later stage k, made once: stage k's state is y + hW[k, :k] @
-    # K[:k] (views), then its abscissa and its index for a LinearRhs
-    stages = [(k, hW[k, :k], K[:k], _DP_C[k], _DP_STAGE[k])
-              for k in range(1, 7)]
+    # K[:k] (views), then its abscissa
+    stages = [(k, hW[k, :k], K[:k], _DP_C[k]) for k in range(1, 7)]
     K[0] = f(s, y)
     ay = np.abs(y)  # |y|, kept from the last accepted step
     for stop in stops:
@@ -298,17 +251,9 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                     f"(length {_length(seg):.3g}) at s={s:.6f}, h={h:.3g}, "
                     f"|y|={_modulus(y):.3g}")
             np.multiply(_DP_W, h, out=hW)
-            if coef is not None:
-                # chart and coefficient at the five distinct abscissae
-                vel, z = chart(s + _DP_C_STAGES * h)
-                M = coef(z)
-            for row, w, Kw, c_row, j in stages:
+            for row, w, Kw, c_row in stages:
                 yk = y + w @ Kw
-                if coef is None:
-                    K[row] = f(s + c_row * h, yk)
-                else:
-                    # a Line's velocity is one constant, an Arc's per stage
-                    K[row] = (vel if line else vel[j]) * act(M[j], yk)
+                K[row] = f(s + c_row * h, yk)
             # RMS of the error over abs_tol + rel_tol * max(|y|, |y5|);
             # y5, the 5th-order solution, is stage 6's state yk
             ay5 = np.abs(yk)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import PhaseState, constraint_rate, full_params
-from .integrator import LinearRhs
 from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
@@ -409,22 +408,18 @@ def build_rigid_matrices(case: RigidCase, params):
 
 
 def rigid_rhs(case: RigidCase, params, i, other_times):
-    """dy/dt_i = (M_t/(t_i - t_j) + M_1/(t_i - 1) + M_0/t_i) y, as a
-    :class:`~painlab.integrator.LinearRhs` whose coefficient is the
-    bracket."""
+    """dy/dt_i = (M_t/(t_i - t_j) + M_1/(t_i - 1) + M_0/t_i) y, as a plain
+    rhs(z, y) for :func:`~painlab.integrator.integrate`."""
     mats = build_rigid_matrices(case, params)
     Mt, M1, M0 = mats[i - 1]
 
-    def coef(z):
-        if isinstance(z, np.ndarray):
-            z = z[..., None]  # points (..., 1) give M of shape (..., 4, 4)
+    def rhs(z, y):
         M = M1 / (z - 1) + M0 / z
         if Mt is not None:
-            tj = other_times[0]
-            M = M + Mt / (z - tj)
-        return M
+            M = M + Mt / (z - other_times[0])
+        return np.matmul(M, y)
 
-    return LinearRhs(coef, np.matmul)
+    return rhs
 
 
 def constraint_flow_drift(case: RigidCase, params, state: PhaseState):

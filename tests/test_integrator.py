@@ -8,16 +8,11 @@ import pytest
 
 from painlab.catalog import PhaseState
 from painlab import integrator
-from painlab.integrator import (Arc, ComplexPath, Line, LinearRhs,
-                                PathMarginError, StepBudgetError,
-                                StepUnderflowError, integrate,
-                                integrate_time, integrate_two_time,
-                                trajectory_to_csv)
-from painlab.monodromy import lasso
-from painlab.parametrizations import assemble
-from painlab.rigid import rigid_case, rigid_rhs
+from painlab.integrator import (Arc, ComplexPath, Line, PathMarginError,
+                                StepBudgetError, StepUnderflowError,
+                                integrate, integrate_time,
+                                integrate_two_time, trajectory_to_csv)
 from painlab.sampling import rng_from_seed, sample_params, sample_state
-from painlab.verify import constrained_rigid_params
 
 
 def test_exponential_growth():
@@ -176,62 +171,6 @@ def test_one_step_is_the_dormand_prince_stability_polynomial():
     z = lam * h
     want = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
     assert abs(traj.states[1][0] - want) <= 1e-14 * abs(want)
-
-
-def _fuchsian_system():
-    sid = "22,22,211,211"
-    rng = rng_from_seed(20260812)
-    par = {k: 0.25 * v for k, v in
-           sample_params(sid, rng, generic=True).items()}
-    st = sample_state(sid, rng, times=(1.7 + 0.8j,))
-    st = PhaseState(tuple(0.4 * z for z in st.q),
-                    tuple(0.4 * z for z in st.p), st.t)
-    return assemble(sid, par, st)
-
-
-def _fuchsian_lasso():
-    sys = _fuchsian_system()
-    y0 = np.eye(sys.size, dtype=complex).ravel()
-    return sys.rhs(), lambda rhs: integrate(rhs, y0, lasso(sys.points, 1),
-                                            rel_tol=1e-10, abs_tol=1e-13)
-
-
-def _rigid_leg():
-    case = rigid_case("case-3131")
-    par = constrained_rigid_params(case, rng_from_seed(20260811))
-    times = (1.7 + 0.6j, -0.8 + 0.5j)
-    y0 = np.array([1.0, 0.5 - 0.25j, -0.75j, 0.25], dtype=complex)
-    return rigid_rhs(case, par, 1, times[1:]), lambda rhs: integrate_time(
-        rhs, y0, times, 1, 1.4 + 0.9j, rel_tol=1e-10, abs_tol=1e-13,
-        samples=(0.25, 0.5))
-
-
-@pytest.mark.parametrize("make", [_fuchsian_lasso, _rigid_leg])
-def test_linear_rhs_stage_broadcast_is_bit_identical(make):
-    rhs, run = make()
-    assert isinstance(rhs, LinearRhs)
-    shapes = []
-
-    def coef(x):
-        shapes.append(np.shape(x))
-        return rhs.coef(x)
-
-    lean = run(LinearRhs(coef, rhs.act))
-    # a plain wrapper hides the linear form: one rhs call per stage
-    plain = run(lambda x, y: rhs(x, y))
-
-    def record(traj):
-        return ([(z.real.hex(), z.imag.hex())
-                 for y in traj.states for z in np.ravel(y)],
-                traj.params, traj.n_steps, traj.n_rejected,
-                traj.n_rhs_evals, traj.h_min, traj.h_max)
-
-    assert record(lean) == record(plain)
-    # one coefficient broadcast over the five stage abscissae per step
-    # tried, besides the first stage of each segment
-    tries = lean.n_steps + lean.n_rejected
-    assert sum(s[:1] == (5,) for s in shapes) == tries
-    assert len(shapes) == tries + round(lean.params[-1])  # + segments
 
 
 def test_degenerate_arc_rejected():

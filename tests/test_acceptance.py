@@ -6,6 +6,8 @@ tolerances at its items, so each criterion pins those tolerances here:
 a loosened constant fails the battery.
 """
 
+import pytest
+
 from painlab import verify
 
 
@@ -92,8 +94,10 @@ def test_criterion_7_particular_solutions():
                               "pfaff_residual": {1e-7}}
 
 
-def test_criterion_8_symplectic_maps():
-    r = _report(verify.verify_symplectic())
+# exact chart Jacobians: finite differences failed 31 and 102 (~3e-8)
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 31, 102])
+def test_criterion_8_symplectic_maps(seed):
+    r = _report(verify.verify_symplectic(seed))
     assert r["passed"], r["details"]
     assert r["seconds"] < 10.0
     assert _tolerances(r) == {"form_residual": {1e-8}}

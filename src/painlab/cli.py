@@ -51,7 +51,9 @@ def _error(message):
 
 def _complex_from(v):
     if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
+        if len(v) != 2:
+            raise ValueError(f"expected [re, im], got {len(v)} entries")
+        return complex(*v)
     return complex(v)
 
 

@@ -99,6 +99,7 @@ ABSENT = object()  # --config names a file that does not exist
     (["--t-end", "[1,"], None),
     # far enough that the squared length of the leg overflows
     (["--system", "21,111,111,111", "--t-end", "[1e200, 0]"], None),
+    (["--t-end", "[1, 2, 3]"], None),
     (["--time-index", "3"], None),
     (["--time-index", "0"], None),
     (["--rel-tol", "0"], None),
@@ -119,7 +120,7 @@ ABSENT = object()  # --config names a file that does not exist
     (["integrate", "--system", "11,11,11,11"], '{"out": 1}'),
     (["verify", "counts"], '{"report": 5}'),
 ], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
-        "malformed-t-end", "huge-t-end",
+        "malformed-t-end", "huge-t-end", "t-end-three-entries",
         "time-index-too-large", "time-index-zero",
         "rel-tol-zero", "integrator-stall", "unwritable-out",
         "verify-unwritable-out",

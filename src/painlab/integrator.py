@@ -149,9 +149,7 @@ class Trajectory:
     The path parameter counts segments: parameter k + s is the point at
     fraction s of segment k.  ``states[k]`` is the state at ``params[k]``.
     ``n_rhs_evals`` counts the stage values computed (one per segment
-    for its first stage, six per step tried); ``h_min`` and ``h_max``
-    bound the accepted steps, as fractions of their segment (inf and 0
-    before the first one).
+    for its first stage, six per step tried).
     """
 
     params: list = field(default_factory=list)
@@ -159,8 +157,6 @@ class Trajectory:
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs_evals: int = 0
-    h_min: float = np.inf
-    h_max: float = 0.0
 
     @property
     def end_state(self):
@@ -266,8 +262,6 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                 y, ay = yk, ay5
                 K[0] = K[6]  # FSAL
                 traj.n_steps += 1
-                traj.h_min = min(traj.h_min, h)
-                traj.h_max = max(traj.h_max, h)
                 factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
                     * err_prev ** _PI_BETA
                 err_prev = enorm + 1e-16

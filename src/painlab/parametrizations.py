@@ -12,11 +12,6 @@ least-squares solve would land on the same values).
 
 Everything here is written over generic scalars, so the same maps can be
 differentiated with dual numbers.
-
-Support levels: "full" when both map directions are in closed form from
-the source data, "constrained" when the dependent entries were recovered
-from the linear structure constraints.  All other catalog systems are
-unsupported for assembly.
 """
 
 from __future__ import annotations
@@ -48,13 +43,10 @@ def _outer(u, v):
 
 @dataclass(frozen=True)
 class Parametrization:
-    sid: str
-    support: str
     n_bc_pairs: int
     bc_from_state: callable        # (par, q, p, t) -> (b tuple, c tuple)
     state_from_bc: callable        # (par, b, c, t) -> (q tuple, p tuple)
     matrices_from_bc: callable     # (par, b, c) -> tuple of generic matrices
-    state_from_matrices: callable  # (par, mats, t) -> (q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +109,6 @@ def _mats_21x4(par, b, c):
     return A1, A2, A3, A4
 
 
-def _rank1_bc(mat, L):
-    """(u, v) with mat = u v^T and u[0] = 1, for a rank-one gauge block."""
-    v = tuple(mat[0][j] for j in range(L))
-    jmax = max(range(L), key=lambda j: abs(complex(v[j])))
-    _need(v[jmax], "rank-one row")
-    u = tuple(mat[i][jmax] / v[jmax] for i in range(L))
-    return u, v
-
-
-def _state_from_mats_21x4(par, mats, t):
-    A1, A2 = mats[0], mats[1]
-    u1, v1 = _rank1_bc(A1, 3)
-    u2, v2 = _rank1_bc(A2, 3)
-    b = (u1[1], u1[2], u2[1], u2[2])
-    c = (v1[1], v1[2], v2[1], v2[2])
-    return _state_21x4(par, b, c, t)
-
-
 # ---------------------------------------------------------------------------
 # 31,31,22,22,22  (L = 4, two times, three bc pairs)
 # ---------------------------------------------------------------------------
@@ -183,19 +157,6 @@ def _mats_3131(par, b, c):
     B4 = ((1, 0), (0, 1), (0, 0), (0, 0))
     C4 = ((th4, 0, a8, a9), (0, th4, a10, a11))
     return A1, A2, mat_mul(B3, C3), mat_mul(B4, C4)
-
-
-def _state_from_mats_3131(par, mats, t):
-    A1, A2 = mats[0], mats[1]
-    v1 = A1[0]
-    jmax = max((2, 3), key=lambda j: abs(complex(v1[j])))
-    b1 = A1[2][jmax] / v1[jmax]
-    b2 = A1[3][jmax] / v1[jmax]
-    v2 = A2[1]
-    jmax = max((2, 3), key=lambda j: abs(complex(v2[j])))
-    b3 = A2[3][jmax] / v2[jmax]
-    c1, c2, c3 = v1[2], v1[3], v2[3]
-    return _state_3131(par, (b1, b2, b3), (c1, c2, c3), t)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +209,6 @@ def _mats_21_111(par, b, c):
     C2 = ((a3, c3, c4), (a4, 1, 1))
     A3 = mat_mul(((1, 0), (0, 1), (0, 0)), ((th31, a5, a6), (0, th32, a7)))
     return A1, mat_mul(B2, C2), A3
-
-
-def _state_from_mats_21_111(par, mats, t):
-    A1, A2 = mats[0], mats[1]
-    u1, v1 = _rank1_bc(A1, 3)
-    b1, b2 = u1[1], u1[2]
-    c1, c2 = v1[1], v1[2]
-    # A2 = B2 C2 with B2 columns ((1,b3,b4),(1,a1,a2)); recover (b3,b4,c3,c4)
-    # from the printed diagonalization: C2 B2 = diag(th21, th22).  The first
-    # column of B2 and first row of C2 are reached through the same linear
-    # relations used in the assembly, so rebuild them from A2's entries:
-    # row0 of A2 = (a3+a4, c3+1, c4+1).
-    th21, th22 = par["theta21"], par["theta22"]
-    c3 = A2[0][1] - 1
-    c4 = A2[0][2] - 1
-    # entries (1,1) = b3 c3 + a1, (1,2) = b3 c4 + a1 -> b3 = ((1,2)-(1,1))/(c4-c3)
-    _need(c4 - c3, "c4 - c3")
-    b3 = (A2[1][2] - A2[1][1]) / (c4 - c3)
-    b4 = (A2[2][2] - A2[2][1]) / (c4 - c3)
-    return _state_21_111(par, (b1, b2, b3, b4), (c1, c2, c3, c4), t)
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +286,6 @@ def _mats_3122(par, b, c):
     return A1, mat_mul(B2, C2), A3
 
 
-def _state_from_mats_3122(par, mats, t):
-    A1 = mats[0]
-    u1, v1 = _rank1_bc(A1, 4)
-    b = (u1[1], u1[2], u1[3])
-    c = (v1[1], v1[2], v1[3])
-    # b4, c4 from A2's first two rows: row0 = C2 row0, row1 = C2 row1
-    A2 = mats[1]
-    c4 = A2[1][3]
-    # (0,1) = -a2-b4, (1,1) = th2-a2-b4c4 -> b4(c4-1) = (0,1)-(1,1)+th2
-    _need(c4 - 1, "c4 - 1")
-    b4 = (A2[0][1] - A2[1][1] + par["theta2"]) / (c4 - 1)
-    return _state_3122(par, (b[0], b[1], b[2], b4), (c[0], c[1], c[2], c4), t)
-
-
 # ---------------------------------------------------------------------------
 # 22,22,211,211  (L = 4, one time, three bc pairs)
 # ---------------------------------------------------------------------------
@@ -416,36 +343,13 @@ def _mats_2222(par, b, c):
     return A1, A2, A3
 
 
-def _state_from_mats_2222(par, mats, t):
-    A1 = mats[0]
-    C1 = tuple(tuple(A1[i][2 + j] for j in range(2)) for i in range(2))
-    BR = tuple(tuple(A1[2 + i][2 + j] for j in range(2)) for i in range(2))
-    det = C1[0][0] * C1[1][1] - C1[0][1] * C1[1][0]
-    _need(det, "det C1")
-    C1inv = ((C1[1][1] / det, -C1[0][1] / det),
-             (-C1[1][0] / det, C1[0][0] / det))
-    B1 = mat_mul(BR, C1inv)
-    q = (C1[0][0], C1[1][0], C1[1][1])
-    p = (-B1[0][0], -B1[0][1], -B1[1][1])
-    return q, p
-
-
 _TABLE = {
-    "21,21,21,21,111": Parametrization(
-        "21,21,21,21,111", "full", 4,
-        _bc_21x4, _state_21x4, _mats_21x4, _state_from_mats_21x4),
-    "31,31,22,22,22": Parametrization(
-        "31,31,22,22,22", "constrained", 3,
-        _bc_3131, _state_3131, _mats_3131, _state_from_mats_3131),
+    "21,21,21,21,111": Parametrization(4, _bc_21x4, _state_21x4, _mats_21x4),
+    "31,31,22,22,22": Parametrization(3, _bc_3131, _state_3131, _mats_3131),
     "21,111,111,111": Parametrization(
-        "21,111,111,111", "constrained", 4,
-        _bc_21_111, _state_21_111, _mats_21_111, _state_from_mats_21_111),
-    "31,22,211,1111": Parametrization(
-        "31,22,211,1111", "constrained", 4,
-        _bc_3122, _state_3122, _mats_3122, _state_from_mats_3122),
-    "22,22,211,211": Parametrization(
-        "22,22,211,211", "full", 3,
-        _bc_2222, _state_2222, _mats_2222, _state_from_mats_2222),
+        4, _bc_21_111, _state_21_111, _mats_21_111),
+    "31,22,211,1111": Parametrization(4, _bc_3122, _state_3122, _mats_3122),
+    "22,22,211,211": Parametrization(3, _bc_2222, _state_2222, _mats_2222),
 }
 
 SUPPORTED = tuple(_TABLE)

@@ -17,9 +17,9 @@ import numpy as np
 from .catalog import PhaseState, constraint_rate, full_params
 from .sampling import rational_complex
 
-__all__ = ["RigidCase", "RIGID_CASES", "rigid_case", "build_rigid_matrices",
-           "rigid_rhs", "constraint_flow_drift", "lift_solution",
-           "pfaff_residual", "riemann_scheme_columns"]
+__all__ = ["RigidCase", "RIGID_CASES", "build_rigid_matrices", "rigid_rhs",
+           "constraint_flow_drift", "lift_solution", "pfaff_residual",
+           "riemann_scheme_columns"]
 
 _E23 = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -387,13 +387,6 @@ RIGID_CASES = {
         manifold_state=_manifold54,
     ),
 }
-
-
-def rigid_case(case_id: str) -> RigidCase:
-    try:
-        return RIGID_CASES[case_id]
-    except KeyError:
-        raise KeyError(f"unknown rigid case {case_id!r}") from None
 
 
 def build_rigid_matrices(case: RigidCase, params):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from painlab.algebra import Dual, dual_gradient, eigen_small, time_derivative
 from painlab.catalog import full_params
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
+                              sample_state)
 
 finite_complex = st.complex_numbers(min_magnitude=0.01, max_magnitude=10,
                                     allow_nan=False, allow_infinity=False)
@@ -147,10 +148,13 @@ def test_conjugation_invariance():
     for _ in range(20):
         L = int(rng.integers(2, 7))
         a = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
-        while True:
+        for _ in range(MAX_DRAWS):
             g = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
             if np.linalg.cond(g) < 1e3:
                 break
+        else:
+            raise AssertionError(
+                f"L={L}: no conjugator with cond < 1e3 in {MAX_DRAWS} draws")
         e1 = _sorted_eigenvalues(eigen_small(a))
         b = np.linalg.inv(g) @ a @ g
         e2 = _sorted_eigenvalues(eigen_small(b))

@@ -9,12 +9,13 @@ from painlab.fuchsian import (ClusterAmbiguityError, FuchsianSystem,
                               riemann_scheme_of, spectral_type_of)
 from painlab.parametrizations import (SUPPORTED, UnsupportedAssemblyError,
                                       assemble, parametrization)
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
+                              sample_state)
 
 
 def sample_assembly(sid, rng, max_norm=200.0):
     """Generic parameters plus a state whose matrices stay tame."""
-    while True:
+    for _ in range(MAX_DRAWS):
         par = sample_params(sid, rng, generic=True)
         st = sample_state(sid, rng)
         try:
@@ -23,6 +24,7 @@ def sample_assembly(sid, rng, max_norm=200.0):
             continue
         if max(np.max(np.abs(a)) for a in sys.residues) < max_norm:
             return par, st, sys
+    raise AssertionError(f"{sid}: no tame assembly in {MAX_DRAWS} draws")
 
 
 @pytest.mark.parametrize("st,count", [
@@ -141,17 +143,6 @@ def test_rank_one_residue_eigenvalues():
     assert abs(vals[2] - merged["theta4"]) < 1e-10
 
 
-def test_round_trip_state_matrices_state():
-    for sid in SUPPORTED:
-        rng = rng_from_seed(23)
-        par, st, sys = sample_assembly(sid, rng)
-        merged = full_params(sid, par)
-        pz = parametrization(sid)
-        mats = [tuple(tuple(row) for row in a) for a in sys.residues]
-        q, p = pz.state_from_matrices(merged, mats, st.t)
-        assert max(abs(np.array(q + p) - np.array(st.q + st.p))) < 1e-9
-
-
 def test_unsupported_assembly_raises():
     with pytest.raises(UnsupportedAssemblyError):
         parametrization("42,33,33,222")
@@ -160,9 +151,3 @@ def test_unsupported_assembly_raises():
     st = sample_state("42,33,33,222", rng)
     with pytest.raises(UnsupportedAssemblyError):
         assemble("42,33,33,222", par, st)
-
-
-def test_support_levels():
-    assert parametrization("21,21,21,21,111").support == "full"
-    assert parametrization("22,22,211,211").support == "full"
-    assert parametrization("31,31,22,22,22").support == "constrained"

@@ -143,8 +143,10 @@ def test_trajectory_counts_stage_values_and_step_range():
                      samples=[1.5])
     tries = traj.n_steps + traj.n_rejected
     assert traj.n_rhs_evals == 2 + 6 * tries  # first stage once a segment
-    assert 0.0 < traj.h_min < traj.h_max <= 1.0
-    assert np.isinf(integrate(lambda z, y: y, [1.0], ComplexPath(())).h_min)
+    # the stops run from the start of the path to its end
+    assert traj.params == [0.0, 1.0, 1.5, 2.0]
+    empty = integrate(lambda z, y: y, [1.0], ComplexPath(()))
+    assert empty.params == [0.0] and empty.n_steps == 0
 
 
 def test_clipped_step_lands_exactly_on_its_stop():

@@ -27,7 +27,7 @@ from painlab.catalog import PhaseState, flow_states
 from painlab.integrator import integrate, integrate_time
 from painlab.monodromy import big_circle
 from painlab.parametrizations import assemble
-from painlab.rigid import rigid_case, rigid_rhs
+from painlab.rigid import RIGID_CASES, rigid_rhs
 from painlab.sampling import rng_from_seed, sample_params, sample_state
 from painlab.verify import constrained_rigid_params
 
@@ -65,7 +65,7 @@ def _catalog_flow():
 
 
 def _rigid_leg():
-    case = rigid_case("case-3131")
+    case = RIGID_CASES["case-3131"]
     rng = rng_from_seed(20260811)
     par = constrained_rigid_params(case, rng)
     times = (1.7 + 0.6j, -0.8 + 0.5j)

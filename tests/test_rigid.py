@@ -9,8 +9,7 @@ from painlab.catalog import PhaseState, full_params, lookup
 from painlab.fuchsian import accessory_count
 from painlab.rigid import (RIGID_CASES, build_rigid_matrices,
                            constraint_flow_drift, lift_solution,
-                           pfaff_residual, rigid_case, rigid_rhs,
-                           riemann_scheme_columns)
+                           pfaff_residual, rigid_rhs, riemann_scheme_columns)
 from painlab.sampling import (rng_from_seed, sample_params, sample_state,
                               tied_params)
 from painlab.verify import constrained_rigid_params
@@ -34,14 +33,9 @@ def test_every_rigid_type_has_zero_accessory_count():
         assert accessory_count(case.spectral_type) == 0
 
 
-def test_unknown_case_raises():
-    with pytest.raises(KeyError):
-        rigid_case("case-nonexistent")
-
-
 def test_constraint_violation_rejected():
     rng = rng_from_seed(1)
-    case = rigid_case("case-3131")
+    case = RIGID_CASES["case-3131"]
     par = sample_params(case.parent, rng, generic=True)  # alpha1 != 0
     with pytest.raises(ValueError):
         build_rigid_matrices(case, par)
@@ -49,16 +43,16 @@ def test_constraint_violation_rejected():
 
 def test_nan_constraint_residual_rejected():
     # NaN > tol is false: a NaN residual must not read as satisfied
-    case = dataclasses.replace(rigid_case("case-3131"),
+    case = dataclasses.replace(RIGID_CASES["case-3131"],
                                parameter_constraint=lambda par: np.nan)
-    par = constrained_rigid_params(rigid_case("case-3131"), rng_from_seed(1))
+    par = constrained_rigid_params(RIGID_CASES["case-3131"], rng_from_seed(1))
     with pytest.raises(ValueError, match="parameter constraint violated"):
         build_rigid_matrices(case, par)
 
 
 def test_swap_conjugation_between_the_two_times():
     rng = rng_from_seed(2)
-    case = rigid_case("case-3131")
+    case = RIGID_CASES["case-3131"]
     par = constrained_rigid_params(case, rng)
     (mt1, m11, m01), (mt2, m12, m02) = build_rigid_matrices(case, par)
     E = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -69,7 +63,7 @@ def test_swap_conjugation_between_the_two_times():
 
 def test_one_time_case_exponent_columns():
     rng = rng_from_seed(3)
-    case = rigid_case("case-21-111")
+    case = RIGID_CASES["case-21-111"]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
     ((_, M1, M0),) = build_rigid_matrices(case, par)
@@ -91,7 +85,7 @@ def test_one_time_case_exponent_columns():
 @pytest.mark.parametrize("cid", list(RIGID_CASES))
 def test_printed_scheme_matches_eigenvalues(cid):
     rng = rng_from_seed(4)
-    case = rigid_case(cid)
+    case = RIGID_CASES[cid]
     for _ in range(5):
         par = constrained_rigid_params(case, rng)
         mats = build_rigid_matrices(case, par)
@@ -108,7 +102,7 @@ def test_printed_scheme_matches_eigenvalues(cid):
 @pytest.mark.parametrize("cid", list(RIGID_CASES))
 def test_manifold_membership_and_tangency(cid):
     rng = rng_from_seed(5)
-    case = rigid_case(cid)
+    case = RIGID_CASES[cid]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
     st = case.manifold_state(rng, merged, times_for(case))
@@ -125,7 +119,7 @@ def test_case_3122_manifold_not_invariant_documented():
     from dataclasses import replace
 
     rng = rng_from_seed(6)
-    case = rigid_case("case-3122")
+    case = RIGID_CASES["case-3122"]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
     st = case.manifold_state(rng, merged, TIMES1)
@@ -148,7 +142,7 @@ def test_lift_satisfies_parent_field(cid):
     from painlab.integrator import integrate_time
 
     rng = rng_from_seed(7)
-    case = rigid_case(cid)
+    case = RIGID_CASES[cid]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
     times = times_for(case)
@@ -174,7 +168,7 @@ def test_lift_satisfies_parent_field(cid):
 
 def test_lift_direct_readoff_of_positions():
     rng = rng_from_seed(8)
-    case = rigid_case("case-21-111")
+    case = RIGID_CASES["case-21-111"]
     par = constrained_rigid_params(case, rng)
     y = np.array([1.0, 0.2 - 0.1j, -0.3 + 0.2j, 0.15], dtype=complex)
     st = lift_solution(case, par, [y], [TIMES1])[0]
@@ -185,7 +179,7 @@ def test_lift_direct_readoff_of_positions():
 
 def test_lift_fails_cleanly_when_y0_vanishes():
     rng = rng_from_seed(9)
-    case = rigid_case("case-21-111")
+    case = RIGID_CASES["case-21-111"]
     par = constrained_rigid_params(case, rng)
     y = np.array([0.0, 0.2, -0.3, 0.15], dtype=complex)
     with pytest.raises(ZeroDivisionError):

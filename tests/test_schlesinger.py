@@ -5,8 +5,9 @@ import pytest
 
 from painlab.catalog import (PhaseState, eval_h, full_params, lookup,
                              vector_field)
-from painlab.parametrizations import assemble, parametrization
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.parametrizations import SUPPORTED, assemble, parametrization
+from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
+                              sample_state)
 from painlab.schlesinger import (induced_state_field, schlesinger_rhs,
                                  trace_hamiltonian)
 
@@ -110,7 +111,8 @@ def test_catalog_hamiltonian_is_scaled_trace_hamiltonian():
 
 
 def test_canonical_round_trips():
-    for sid in ("21,21,21,21,111", "31,31,22,22,22", "22,22,211,211"):
+    # state_from_bc carries the matrix-side field back to (q, p)
+    for sid in SUPPORTED:
         rng = rng_from_seed(8)
         pz = parametrization(sid)
         for _ in range(20):
@@ -151,19 +153,6 @@ def test_singular_locus_raises_not_nan():
                                            st.t)
 
 
-def test_to_canonical_inverts_from_canonical():
-    for sid in ("21,21,21,21,111", "22,22,211,211"):
-        rng = rng_from_seed(11)
-        par = sample_params(sid, rng, generic=True)
-        st = sample_state(sid, rng)
-        mats = [tuple(tuple(row) for row in a)
-                for a in assemble(sid, par, st).residues]
-        q, p = parametrization(sid).state_from_matrices(
-            full_params(sid, par), mats, st.t)
-        assert max(abs(np.array(tuple(q) + tuple(p))
-                       - np.array(st.q + st.p))) < 1e-9
-
-
 def test_catalog_field_matches_matrix_side():
     # the canonical flow of the trace Hamiltonian, pushed through the
     # coordinate maps, is an independent derivation of the vector field
@@ -171,7 +160,7 @@ def test_catalog_field_matches_matrix_side():
         rng = rng_from_seed(12)
         desc = lookup(sid)
         done = 0
-        while done < 3:
+        for _ in range(MAX_DRAWS):
             par = sample_params(sid, rng, generic=True)
             st = sample_state(sid, rng)
             try:
@@ -184,3 +173,8 @@ def test_catalog_field_matches_matrix_side():
             except ValueError:
                 continue
             done += 1
+            if done == 3:
+                break
+        else:
+            raise AssertionError(
+                f"{sid}: {done} of 3 regular draws in {MAX_DRAWS}")

@@ -106,8 +106,10 @@ def cmd_integrate(args, config):
                else config.get("rel_tol", 1e-9))
     if type(time_index) is not int or not 1 <= time_index <= desc.n_times:
         return _error(f"time index {time_index} outside 1..{desc.n_times}")
-    if type(rel_tol) not in (int, float) or not rel_tol > 0:
-        return _error(f"rel_tol {rel_tol} is not a positive number")
+    # inf (or JSON's 1e400) would switch error control off
+    if type(rel_tol) not in (int, float) or \
+            not 0 < rel_tol <= sys.float_info.max:
+        return _error(f"rel_tol {rel_tol} is not a finite positive number")
     state_cfg = config.get("state")
     try:
         if state_cfg is None:

@@ -103,6 +103,9 @@ ABSENT = object()  # --config names a file that does not exist
     (["--time-index", "3"], None),
     (["--time-index", "0"], None),
     (["--rel-tol", "0"], None),
+    # an infinite tolerance would switch error control off
+    (["--rel-tol", "inf"], None),
+    ([], '{"rel_tol": 1e400}'),
     (["--params", STIFF], None),
     (["--out", "{tmp}"], None),
     # verify, not integrate: the bad --out is caught before any check runs
@@ -122,7 +125,8 @@ ABSENT = object()  # --config names a file that does not exist
 ], ids=["malformed-json", "not-an-object", "non-numeric", "trace-relation",
         "malformed-t-end", "huge-t-end", "t-end-three-entries",
         "time-index-too-large", "time-index-zero",
-        "rel-tol-zero", "integrator-stall", "unwritable-out",
+        "rel-tol-zero", "rel-tol-inf", "config-rel-tol-overflow",
+        "integrator-stall", "unwritable-out",
         "verify-unwritable-out",
         "config-missing", "config-malformed", "config-not-an-object",
         "config-state-without-p", "config-state-wrong-length",

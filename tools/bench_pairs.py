@@ -2,12 +2,14 @@
 
 Runs ``bench/run.py`` for SECONDS seconds in alternating pairs (the
 other checkout first in even pairs, this one first in odd ones) on every
-workload; then per side one traced pass at TRACE_SEED, which covers all
-three workloads, the tier-1 suite, and ``painlab verify all`` at
-VERIFY_SEED.  It writes one JSON record: per workload and side the median
-and quartiles of each end-to-end metric with every run, and the pairs
-this checkout won on ``solve_s``; per side the traced ``integrator.*``
-metrics, the tier-1 wall time, each check's seconds, and the hand-written
+workload; then VERIFY_RUNS runs of ``painlab verify all`` at VERIFY_SEED
+per side, alternating in the same way; then per side one traced pass at
+TRACE_SEED, which covers all three workloads, and the tier-1 suite.  It
+writes one JSON record: per workload and side the median and quartiles
+of each end-to-end metric with every run, and the pairs this checkout
+won on ``solve_s``; per side the traced ``integrator.*`` metrics, the
+tier-1 wall time, each check's median seconds with every verify run
+(its exit code, whether it passed, its seconds), and the hand-written
 and generated ``src/`` lines counted apart; and the CPU model.
 
 Usage, from the root of the repository, with the parent commit checked
@@ -35,6 +37,7 @@ END_TO_END = ("setup_s", "solve_s", "peak_rss_mb")
 SECONDS = 20  # per run, as in BENCHMARK.json
 TRACE_SEED = 7
 VERIFY_SEED = 20260810
+VERIFY_RUNS = 5  # per side: one run's check seconds spread by 2x
 
 
 def seed_range(text):
@@ -57,11 +60,17 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def alternating(sides, k):
+    """The side names in pair k's order: as given in even pairs, reversed
+    in odd ones."""
+    order = list(sides)
+    return order if k % 2 == 0 else order[::-1]
+
+
 def pairs(sides, workload, seeds):
     runs = {side: [] for side in sides}
-    order = list(sides)
     for k, seed in enumerate(seeds):
-        for side in (order if k % 2 == 0 else order[::-1]):
+        for side in alternating(sides, k):
             out = bench(sides[side], "--workload", workload, "--seed",
                         str(seed), "--seconds", str(SECONDS))
             runs[side].append(out)
@@ -98,17 +107,41 @@ def tier1_seconds(checkout):
             "summary": done.stdout.strip().splitlines()[-1]}
 
 
-def verify_seconds(checkout):
+def verify_run(checkout):
+    """One ``painlab verify all`` at VERIFY_SEED: its exit code, whether it
+    passed, and each check's seconds (none if it wrote no report)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
-        subprocess.run([sys.executable, "-m", "painlab", "verify", "all",
-                        "--seed", str(VERIFY_SEED), "--out", path],
-                       cwd=checkout, env=env, check=True,
-                       capture_output=True)
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    return {r["name"]: r["seconds"] for r in report["results"]}
+        done = subprocess.run([sys.executable, "-m", "painlab", "verify",
+                               "all", "--seed", str(VERIFY_SEED), "--out",
+                               path], cwd=checkout, env=env,
+                              capture_output=True)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                report = json.load(fh)
+        except (OSError, ValueError):
+            report = {"passed": False, "results": []}
+    return {"exit": done.returncode, "passed": report["passed"],
+            "seconds": {r["name"]: r["seconds"] for r in report["results"]}}
+
+
+def verify_runs(sides):
+    """Per side, each check's median seconds over VERIFY_RUNS alternating
+    runs, and every run."""
+    runs = {side: [] for side in sides}
+    for k in range(VERIFY_RUNS):
+        for side in alternating(sides, k):
+            runs[side].append(verify_run(sides[side]))
+    record = {}
+    for side, rs in runs.items():
+        names = dict.fromkeys(n for r in rs for n in r["seconds"])
+        record[side] = {
+            "verify_seconds": {n: statistics.median(
+                r["seconds"][n] for r in rs if n in r["seconds"])
+                for n in names},
+            "verify_runs": rs}
+    return record
 
 
 def lines(checkout):
@@ -142,12 +175,11 @@ def main(argv=None):
               "seconds": SECONDS, "trace_seed": TRACE_SEED,
               "verify_seed": VERIFY_SEED,
               "workloads": {w: pairs(sides, w, args.seeds)
-                            for w in WORKLOADS}}
+                            for w in WORKLOADS},
+              **verify_runs(sides)}
     for side, path in sides.items():
-        record[side] = {"traced": traced(path),
-                        "tier1": tier1_seconds(path),
-                        "verify_seconds": verify_seconds(path),
-                        "lines": lines(path)}
+        record[side].update(traced=traced(path), tier1=tier1_seconds(path),
+                            lines=lines(path))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -7,6 +7,7 @@ differentiated exactly (forward mode, no truncation error).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,26 @@ __all__ = [
     "mat_smul",
     "mat_shift",
     "mat_trace",
+    "COLLISION_TOL",
+    "min_gap",
 ]
+
+# singular points (deformation times, 1, 0) closer than this collide
+COLLISION_TOL = 1e-12
+
+
+def min_gap(points) -> float:
+    """Smallest pairwise distance in the sequence ``points`` (inf for fewer
+    than two), NaN if any point is not finite: reject on ``not gap > tol``."""
+    gap = cmath.inf
+    for i, a in enumerate(points):
+        if not cmath.isfinite(a):
+            return cmath.nan
+        for b in points[i + 1:]:
+            d = abs(a - b)
+            if d < gap:
+                gap = d
+    return gap
 
 
 class Dual:
@@ -229,13 +249,7 @@ def eigen_small(m) -> EigenMultiset:
                       key=lambda vw: (vw[0].real, vw[0].imag))
     values = tuple(complex(v) for v, _ in clusters)
     mults = tuple(int(k) for _, k in clusters)
-    if len(values) > 1:
-        separation = min(abs(values[i] - values[j])
-                         for i in range(len(values))
-                         for j in range(i + 1, len(values)))
-    else:
-        separation = float("inf")
-    return EigenMultiset(values=values, mults=mults, tol=tol, separation=separation)
+    return EigenMultiset(values, mults, tol, min_gap(values))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ._gradients import gradient
-from .algebra import time_derivative
+from .algebra import COLLISION_TOL, min_gap, time_derivative
 from .hamiltonians import HAMILTONIANS
 from .integrator import integrate_time
 
@@ -34,10 +34,7 @@ __all__ = [
     "flow_rhs",
     "flow_states",
     "constraint_rate",
-    "TIME_COLLISION_TOL",
 ]
-
-TIME_COLLISION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -288,13 +285,8 @@ class PhaseState:
         object.__setattr__(self, "q", tuple(complex(z) for z in self.q))
         object.__setattr__(self, "p", tuple(complex(z) for z in self.p))
         object.__setattr__(self, "t", tuple(complex(z) for z in self.t))
-        for ti in self.t:
-            if abs(ti) <= TIME_COLLISION_TOL or abs(ti - 1) <= TIME_COLLISION_TOL:
-                raise ValueError(f"deformation time {ti} collides with 0 or 1")
-        for i in range(len(self.t)):
-            for j in range(i + 1, len(self.t)):
-                if abs(self.t[i] - self.t[j]) <= TIME_COLLISION_TOL:
-                    raise ValueError("deformation times collide")
+        if not min_gap((0j, 1 + 0j) + self.t) > COLLISION_TOL:
+            raise ValueError(f"times {self.t} collide or are not finite")
 
     def with_time(self, i: int, value: complex) -> "PhaseState":
         t = list(self.t)

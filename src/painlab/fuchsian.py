@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EigenMultiset, eigen_small
+from .algebra import COLLISION_TOL, EigenMultiset, eigen_small, min_gap
 
 __all__ = [
     "FuchsianSystem",
@@ -64,10 +64,8 @@ class FuchsianSystem:
         for a in res:
             if a.shape != (L, L):
                 raise ValueError("residue matrices must share one square size")
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if abs(self.points[i] - self.points[j]) < 1e-12:
-                    raise ValueError("finite singular points must be distinct")
+        if not min_gap(self.points) > COLLISION_TOL:
+            raise ValueError("singular points must be finite and distinct")
         object.__setattr__(self, "residues", res)
 
     @property

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import min_gap
+
 __all__ = [
     "Line",
     "Arc",
@@ -86,13 +88,9 @@ class Arc:
 
 
 def default_margin(singularities) -> float:
-    """0.05 x minimum pairwise distance among the singular points."""
+    """0.05 x min_gap of the singular points (0 for fewer than two)."""
     pts = [complex(z) for z in singularities]
-    if len(pts) < 2:
-        return 0.0
-    dmin = min(abs(pts[i] - pts[j])
-               for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    return 0.05 * dmin
+    return 0.05 * min_gap(pts) if len(pts) >= 2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,12 @@ class ComplexPath:
         if m is None:
             m = default_margin(self.singularities)
         object.__setattr__(self, "margin", float(m))
-        if self.singularities and self.margin > 0:
+        # written so that a NaN margin or distance fails
+        if self.singularities and not self.margin <= 0:
             for seg in self.segments:
                 for z0 in self.singularities:
                     d = seg.distance(z0)
-                    if d < self.margin:
+                    if not d >= self.margin:
                         raise PathMarginError(
                             f"path comes within {d:.3g} of singular point "
                             f"{z0} (margin {self.margin:.3g})")

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PhaseState, constraint_rate, full_params
+from .algebra import time_derivative
+from .catalog import PhaseState, constraint_rate, full_params, vector_field
 from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "build_rigid_matrices", "rigid_rhs",
-           "constraint_flow_drift", "lift_solution", "pfaff_residual",
+           "constraint_flow_drift", "lift_solution", "lift_residuals",
            "riemann_scheme_columns"]
 
 _E23 = np.array([[1, 0, 0, 0],
@@ -436,12 +437,21 @@ def lift_solution(case: RigidCase, params, ys, times_list):
     return out
 
 
-def pfaff_residual(case: RigidCase, params, i, y, t, other_times):
-    """|printed log-derivative rule| at one point, dy from the rigid rhs."""
+def lift_residuals(case: RigidCase, params, rhs, y, t):
+    """(max |d lift/dt_1 - parent field|, |printed log-derivative rule|) at
+    a point y(t) of the t_1 rigid leg whose :func:`rigid_rhs` is ``rhs``."""
     par = full_params(case.parent, params)
-    rhs = rigid_rhs(case, params, i, other_times)
-    dy = rhs(t[i - 1], np.asarray(y, dtype=complex))
-    return abs(case.pfaff(i, tuple(y), tuple(dy), tuple(t), par))
+
+    def qp(w, tt):
+        q, p = case.lift(w, tt, par)
+        return tuple(q) + tuple(p)
+
+    dy = rhs(t[0], y)
+    der = time_derivative(qp, y, dy, t, 1)
+    q, p = case.lift(tuple(y), t, par)
+    dq, dp = vector_field(case.parent, 1, params, PhaseState(q, p, t))
+    field = float(np.max(np.abs(np.array(der) - np.array(dq + dp))))
+    return field, abs(case.pfaff(1, tuple(y), tuple(dy), t, par))
 
 
 def riemann_scheme_columns(case: RigidCase, params):

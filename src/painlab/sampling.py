@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import min_gap
 from .catalog import PhaseState, lookup
 
 __all__ = ["MAX_DRAWS", "rational_complex", "sample_params", "tied_params",
@@ -63,10 +64,7 @@ def sample_params(sid: str, rng, fixed=None, generic=False):
         values[solve_name] = desc.fuchs_relation.solve_for(solve_name, values)
         if not generic:
             return values
-        vals = list(values.values())
-        if all(abs(v) > 0.2 for v in vals) and all(
-                abs(vals[i] - vals[j]) > 0.2
-                for i in range(len(vals)) for j in range(i + 1, len(vals))):
+        if min_gap([0j, *values.values()]) > 0.2:
             return values
     raise RuntimeError(f"{sid}: no generic parameters in {MAX_DRAWS} draws")
 
@@ -88,10 +86,7 @@ def _good_times(rng, sid):
     """Times of moderate size, separated from 0, 1 and each other."""
     for _ in range(MAX_DRAWS):
         ts = [rational_complex(rng) for _ in range(lookup(sid).n_times)]
-        pts = [0.0, 1.0] + ts
-        ok = all(abs(pts[i] - pts[j]) > 0.3
-                 for i in range(len(pts)) for j in range(i + 1, len(pts)))
-        if ok:
+        if min_gap([0.0, 1.0] + ts) > 0.3:
             return tuple(ts)
     raise RuntimeError(f"{sid}: no separated deformation times in "
                        f"{MAX_DRAWS} draws")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import dual_gradient, mat_mul, time_derivative
+from .algebra import (COLLISION_TOL, dual_gradient, mat_mul, min_gap,
+                      time_derivative)
 from .catalog import PhaseState, full_params, lookup
 from .parametrizations import parametrization
 
@@ -27,13 +28,10 @@ __all__ = [
 
 
 def _check_times(points, i):
-    n = len(points)
-    if not 1 <= i <= n - 2:
+    if not 1 <= i <= len(points) - 2:
         raise ValueError(f"deformation index {i} out of range")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(points[a] - points[b]) < 1e-12:
-                raise ValueError("singular points collide")
+    if not min_gap(points) > COLLISION_TOL:
+        raise ValueError("singular points collide or are not finite")
 
 
 def schlesinger_rhs(points, mats, i):

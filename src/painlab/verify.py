@@ -22,8 +22,8 @@ import numpy as np
 
 from . import catalog, degenerations, rigid
 from ._gradients import gradient
-from .algebra import dual_gradient, time_derivative
-from .catalog import PhaseState, flow_states, full_params, lookup, vector_field
+from .algebra import dual_gradient
+from .catalog import flow_states, full_params, lookup
 from .fuchsian import accessory_count
 from .integrator import integrate_time, integrate_two_time
 from .monodromy import isomonodromy_drift, monodromy_representation
@@ -338,30 +338,18 @@ def verify_particular(seed):
     items = []
     for cid, case in rigid.RIGID_CASES.items():
         par = constrained_rigid_params(case, rng)
-        merged = full_params(case.parent, par)
         times = _RIGID_TIMES[:case.n_times]
         t0v, other = times[0], times[1:]
         t1v = t0v + 0.25
         rhs = rigid.rigid_rhs(case, par, 1, other)
-
-        def qp(w, t):
-            q, p = case.lift(w, t, merged)
-            return tuple(q) + tuple(p)
-
         traj = integrate_time(rhs, _RIGID_Y0, times, 1, t1v, rel_tol=1e-11,
                               abs_tol=1e-14,
                               samples=list(np.linspace(0.15, 0.85, 4)))
         worst_f = worst_p = 0.0
         for s, y in zip(traj.params, traj.states):
             tcur = (t0v + s * (t1v - t0v),) + tuple(other)
-            der = time_derivative(qp, y, rhs(tcur[0], y), tcur, 1)
-            q, p = case.lift(tuple(y), tcur, merged)
-            st = PhaseState(q, p, tcur)
-            dq, dp = vector_field(case.parent, 1, par, st)
-            worst_f = max(worst_f, float(np.max(np.abs(
-                np.array(der) - np.array(dq + dp)))))
-            worst_p = max(worst_p, rigid.pfaff_residual(
-                case, par, 1, y, tcur, other))
+            field, pfaff = rigid.lift_residuals(case, par, rhs, y, tcur)
+            worst_f, worst_p = max(worst_f, field), max(worst_p, pfaff)
         items += [(f"{cid}/field_residual", worst_f, 1e-6),
                   (f"{cid}/pfaff_residual", worst_p, 1e-7)]
     return items, {}

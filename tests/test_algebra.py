@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painlab.algebra import Dual, dual_gradient, eigen_small, time_derivative
+from painlab.algebra import (Dual, dual_gradient, eigen_small, min_gap,
+                             time_derivative)
 from painlab.catalog import full_params
 from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
                               sample_state)
@@ -160,6 +161,22 @@ def test_conjugation_invariance():
         e2 = _sorted_eigenvalues(eigen_small(b))
         assert max(abs(x - y) for x, y in zip(e1, e2)) < 1e-8 * \
             (1 + max(abs(x) for x in e1))
+
+
+def test_min_gap_is_the_smallest_pairwise_distance():
+    assert min_gap([]) == min_gap([2j]) == float("inf")
+    assert min_gap([0j, 1 + 0j, 0.25 + 0j, 3j]) == 0.25
+
+
+# a min over distances keeps or drops a NaN depending on where it sits
+@pytest.mark.parametrize("bad", [complex(float("nan"), 0.0),
+                                 complex(0.0, float("nan")),
+                                 complex(float("inf"), 0.0)])
+@pytest.mark.parametrize("at", [0, 1, 3], ids=["first", "middle", "last"])
+def test_min_gap_is_nan_with_a_non_finite_point_anywhere(bad, at):
+    points = [0j, 1 + 0j, 0.5 + 0.5j]
+    points.insert(at, bad)
+    assert np.isnan(min_gap(points))
 
 
 def test_size_guard():

@@ -111,6 +111,11 @@ def test_time_collision_rejected():
         PhaseState((0.1,) * 3, (0.1,) * 3, (1.0 + 0j, 0.5))
     with pytest.raises(ValueError):
         PhaseState((0.1,) * 3, (0.1,) * 3, (0.5, 0.5))
+    # a NaN time compares false against the tolerance, wherever it sits
+    nan = float("nan")
+    for times in ((nan,), (nan, 0.5), (0.5, complex(0.0, nan))):
+        with pytest.raises(ValueError, match="not finite"):
+            PhaseState((0.1,) * 3, (0.1,) * 3, times)
 
 
 def test_eval_h_validates_index():

@@ -55,6 +55,16 @@ def test_residue_infinity_zero_cases():
     assert np.max(np.abs(sys.residue_at_infinity)) == 0
 
 
+@pytest.mark.parametrize("points", [(float("nan"), 1.0, 0.0),
+                                    (0.5, float("nan"), 0.0),
+                                    (0.5, 1.0, float("nan"))],
+                         ids=["first", "middle", "last"])
+def test_nan_singular_point_rejected(points):
+    z = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="finite and distinct"):
+        FuchsianSystem(points=points, residues=(z, z, z))
+
+
 def test_spectral_type_of_diagonal_residues():
     d1 = np.diag([0.3, 1.7 + 1j])
     d2 = np.diag([-0.4, 0.9])

@@ -79,6 +79,14 @@ def test_margin_violation_rejected_at_construction():
     with pytest.raises(PathMarginError):
         ComplexPath(UNIT_CIRCLE.segments,
                     singularities=[np.exp(1j * np.pi / 64), 5.0], margin=0.04)
+    # the path runs through 0: a NaN point, wherever it sits, makes the
+    # default margin NaN, which must fail the check rather than switch it off
+    for at in range(3):
+        singularities = [0.0, 1.0]
+        singularities.insert(at, float("nan"))
+        with pytest.raises(PathMarginError):
+            ComplexPath.polyline([-1 - 0.001j, 1 + 0.001j],
+                                 singularities=singularities)
 
 
 @pytest.mark.parametrize("seg", [

@@ -8,8 +8,8 @@ import pytest
 from painlab.catalog import PhaseState, full_params, lookup
 from painlab.fuchsian import accessory_count
 from painlab.rigid import (RIGID_CASES, build_rigid_matrices,
-                           constraint_flow_drift, lift_solution,
-                           pfaff_residual, rigid_rhs, riemann_scheme_columns)
+                           constraint_flow_drift, lift_residuals,
+                           lift_solution, rigid_rhs, riemann_scheme_columns)
 from painlab.sampling import (rng_from_seed, sample_params, sample_state,
                               tied_params)
 from painlab.verify import constrained_rigid_params
@@ -137,33 +137,23 @@ def test_case_3122_manifold_not_invariant_documented():
 @pytest.mark.parametrize("cid", ["case-21x4", "case-3131", "case-21-111",
                                  "case-3122"])
 def test_lift_satisfies_parent_field(cid):
-    from painlab.algebra import time_derivative
-    from painlab.catalog import vector_field
     from painlab.integrator import integrate_time
 
     rng = rng_from_seed(7)
     case = RIGID_CASES[cid]
     par = constrained_rigid_params(case, rng)
-    merged = full_params(case.parent, par)
     times = times_for(case)
     other = times[1:]
     t0, t1 = times[0], times[0] + 0.25
     rhs = rigid_rhs(case, par, 1, other)
-
-    def qp(w, t):
-        q, p = case.lift(w, t, merged)
-        return tuple(q) + tuple(p)
-
     traj = integrate_time(rhs, np.array([1.0, 0.1, 0.1, 0.1], dtype=complex),
                           times, 1, t1, rel_tol=1e-11, abs_tol=1e-14,
                           samples=[0.4, 0.8])
     for s, y in zip(traj.params, traj.states):
         tcur = (t0 + s * (t1 - t0),) + tuple(other)
-        der = time_derivative(qp, y, rhs(tcur[0], y), tcur, 1)
-        st = lift_solution(case, par, [y], [tcur])[0]
-        dq, dp = vector_field(case.parent, 1, par, st)
-        assert max(abs(np.array(der) - np.array(dq + dp))) < 1e-6
-        assert pfaff_residual(case, par, 1, y, tcur, other) < 1e-7
+        field, pfaff = lift_residuals(case, par, rhs, y, tcur)
+        assert field < 1e-6
+        assert pfaff < 1e-7
 
 
 def test_lift_direct_readoff_of_positions():

@@ -7,16 +7,13 @@ content of the claim that the Hamiltonians define one deformation.
 
 import numpy as np
 
-from painlab.catalog import PhaseState
 from painlab.integrator import integrate_two_time
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.sampling import rng_from_seed, sample_params, small_state
 
 rng = rng_from_seed(7)
 for sid in ("11,11,11,11,11", "21,21,21,21,111", "31,31,22,22,22"):
     par = sample_params(sid, rng, generic=True)
-    st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
-    st = PhaseState(tuple(0.4 * z for z in st.q),
-                    tuple(0.4 * z for z in st.p), st.t)
+    st = small_state(sid, rng, (1.8 + 0.6j, -0.9 + 0.4j))
     ta, tb = st.t[0] + 0.2, st.t[1] + 0.2
     first = integrate_two_time(sid, par, st, 1, ta, 2, tb, rel_tol=1e-9)
     second = integrate_two_time(sid, par, st, 2, tb, 1, ta, rel_tol=1e-9)

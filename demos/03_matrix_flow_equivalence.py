@@ -9,18 +9,16 @@ entry by entry, and every residue keeps its eigenvalues on the way.
 
 import numpy as np
 
-from painlab.catalog import PhaseState, flow_states
+from painlab.catalog import flow_states
 from painlab.integrator import integrate_time
 from painlab.parametrizations import assemble
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.sampling import rng_from_seed, sample_params, small_state
 from painlab.schlesinger import realign_to_slice, schlesinger_flow_rhs
 
 sid = "21,21,21,21,111"
 rng = rng_from_seed(91)
 par = sample_params(sid, rng, generic=True)
-st = sample_state(sid, rng, times=(1.8 + 0.6j, -0.9 + 0.4j))
-st = PhaseState(tuple(0.4 * z for z in st.q), tuple(0.4 * z for z in st.p),
-                st.t)
+st = small_state(sid, rng, (1.8 + 0.6j, -0.9 + 0.4j))
 
 t1 = st.t[0] + 0.3
 end = flow_states(sid, 1, par, st, t1, rel_tol=1e-11)[-1]

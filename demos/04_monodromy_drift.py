@@ -6,18 +6,16 @@ the Hamiltonian by 1.1 destroys the property, which makes a sharp
 negative control.
 """
 
-from painlab.catalog import PhaseState, flow_states
+from painlab.catalog import flow_states
 from painlab.monodromy import isomonodromy_drift, monodromy_representation
 from painlab.parametrizations import assemble
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.sampling import rng_from_seed, sample_params, small_state
 
 sid = "21,21,21,21,111"
 rng = rng_from_seed(12)
 par = sample_params(sid, rng, generic=True)
 par = {k: 0.25 * v for k, v in par.items()}
-st = sample_state(sid, rng, times=(1.7 + 0.8j, -0.6 + 0.5j))
-st = PhaseState(tuple(0.4 * z for z in st.q), tuple(0.4 * z for z in st.p),
-                st.t)
+st = small_state(sid, rng, (1.7 + 0.8j, -0.6 + 0.5j))
 
 for label, scale in (("along the Hamiltonian flow", 1.0),
                      ("with the Hamiltonian scaled by 1.1", 1.1)):

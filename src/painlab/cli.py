@@ -106,10 +106,10 @@ def cmd_integrate(args, config):
                else config.get("rel_tol", 1e-9))
     if type(time_index) is not int or not 1 <= time_index <= desc.n_times:
         return _error(f"time index {time_index} outside 1..{desc.n_times}")
-    # inf (or JSON's 1e400) would switch error control off
-    if type(rel_tol) not in (int, float) or \
-            not 0 < rel_tol <= sys.float_info.max:
-        return _error(f"rel_tol {rel_tol} is not a finite positive number")
+    # a relative tolerance of 1 or more (1e300, inf, JSON's 1e400) switches
+    # error control off
+    if type(rel_tol) not in (int, float) or not 0 < rel_tol < 1:
+        return _error(f"rel_tol {rel_tol} is not in (0, 1)")
     state_cfg = config.get("state")
     try:
         if state_cfg is None:
@@ -194,7 +194,7 @@ def cmd_verify(args, config):
         report = {"seed": seed, "results": results,
                   "passed": all(r["passed"] for r in results)}
         for r in results:
-            line = f"{r['name']} ({r['seconds']}s)"
+            line = f"{r['name']} ({r['seconds']:.2f}s)"
             if r["passed"]:
                 print(f"PASS {line}")
                 continue

@@ -72,7 +72,7 @@ def _check(name):
             items = [_judge(*item) for item in items]
             return {"name": name,
                     "passed": all(item["passed"] for item in items),
-                    "seconds": round(time.perf_counter() - t0, 2),
+                    "seconds": round(time.perf_counter() - t0, 4),
                     "details": {"items": items, "counters": counters}}
         CHECKS[name] = check
         return check

@@ -106,6 +106,8 @@ ABSENT = object()  # --config names a file that does not exist
     # an infinite tolerance would switch error control off
     (["--rel-tol", "inf"], None),
     ([], '{"rel_tol": 1e400}'),
+    (["--rel-tol", "1"], None),
+    (["--rel-tol", "1e300"], None),
     (["--params", STIFF], None),
     (["--out", "{tmp}"], None),
     # verify, not integrate: the bad --out is caught before any check runs
@@ -126,6 +128,7 @@ ABSENT = object()  # --config names a file that does not exist
         "malformed-t-end", "huge-t-end", "t-end-three-entries",
         "time-index-too-large", "time-index-zero",
         "rel-tol-zero", "rel-tol-inf", "config-rel-tol-overflow",
+        "rel-tol-one", "rel-tol-huge",
         "integrator-stall", "unwritable-out",
         "verify-unwritable-out",
         "config-missing", "config-malformed", "config-not-an-object",
@@ -175,15 +178,25 @@ def test_nan_parameter_violates_the_trace_relation(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("t_end", ["NaN", "[0, Infinity]"])
-def test_non_finite_t_end_is_rejected_before_integrating(tmp_path, capsys,
-                                                         monkeypatch, t_end):
+@pytest.mark.parametrize("flags,config,message", [
+    (["--t-end", "NaN"], None, "t_end (nan+0j) is not finite"),
+    (["--t-end", "[0, Infinity]"], None, "t_end infj is not finite"),
+    # a NaN time passes any "distance <= tol" collision test, and its
+    # default t_end is NaN too
+    ([], '{"state": {"q": [0.1], "p": [0.1], "t": [NaN]}}',
+     "bad state or t_end: times ((nan+0j),) collide or are not finite"),
+], ids=["NaN", "[0, Infinity]", "config-state-time-nan"])
+def test_non_finite_t_end_is_rejected_before_integrating(
+        tmp_path, capsys, monkeypatch, flags, config, message):
     monkeypatch.setattr(cli, "integrate_time", None)  # must not be called
-    code = main(["integrate", "--system", "11,11,11,11", "--t-end", t_end,
-                 "--out", str(tmp_path / "x.csv")])
-    err = capsys.readouterr().err
-    assert code == 2 and err.count("\n") == 1
-    assert err.startswith("error: t_end ") and err.endswith("is not finite\n")
+    head = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        head = ["--config", str(cfg)]
+    code = main(head + ["integrate", "--system", "11,11,11,11", *flags,
+                        "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

@@ -23,12 +23,6 @@ GOLDEN = ROOT / "tests" / "data" / "verify_details_20260810.json"
 ITEM_KEYS = {"id", "residual", "tolerance", "margin", "passed"}
 
 
-@pytest.fixture(scope="module")
-def all_results():
-    return {r["name"]: r for r in verify.run_checks(list(verify.CHECKS),
-                                                    seed=20260810)}
-
-
 def test_checks_reproduce_golden_details_exactly(all_results):
     # exact equality: code that only restructures the derivative, matrix
     # and constraint-rate arithmetic must not move a single bit

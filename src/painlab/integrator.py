@@ -3,11 +3,16 @@
 The integrator advances a complex state vector along a piecewise path
 (straight segments and circular arcs), treating each segment as a real
 parameter interval and pulling the right-hand side back through the
-segment chart.  A Dormand-Prince 5(4) pair with PI step control does the
-stepping; each stage's state, and the error estimate, is one matrix
-product of step-scaled weights with the stage rows.  "Dense output" at
-requested parameters is realized by landing on them exactly, which is
-simpler and slightly more accurate than an interpolant at desk scale.
+segment chart.  The Dormand-Prince 8(5,3) pair (DOP853) with PI step
+control does the stepping: twelve stages per step, kept with the FSAL
+stage in one 13-row stage array, where each stage's state, and each of
+the two error estimates, is one matrix product of step-scaled weights
+with the stage rows.  Each segment's first step comes from the problem
+(the starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+at one extra rhs evaluation.  "Dense output" at requested parameters is
+realized by landing on them exactly, which is simpler and slightly more
+accurate than an interpolant at desk scale; a step clipped to a stop
+leaves the controller's proposal for the next step as it was.
 """
 
 from __future__ import annotations
@@ -87,10 +92,13 @@ class Arc:
         return min(abs(z - self.point(0.0)), abs(z - self.point(1.0)))
 
 
-def default_margin(singularities) -> float:
-    """0.05 x min_gap of the singular points (0 for fewer than two)."""
+def default_margin(singularities, segments=()) -> float:
+    """0.05 x min_gap of the singular points; a single point has no gap,
+    so 0.05 x the length of the path's segments (0 for no points)."""
     pts = [complex(z) for z in singularities]
-    return 0.05 * min_gap(pts) if len(pts) >= 2 else 0.0
+    if len(pts) == 1:
+        return 0.05 * sum(_length(seg) for seg in segments)
+    return 0.05 * min_gap(pts) if pts else 0.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ class ComplexPath:
                            tuple(complex(z) for z in self.singularities))
         m = self.margin
         if m is None:
-            m = default_margin(self.singularities)
+            m = default_margin(self.singularities, self.segments)
         object.__setattr__(self, "margin", float(m))
         # written so that a NaN margin or distance fails
         if self.singularities and not self.margin <= 0:
@@ -147,8 +155,9 @@ class Trajectory:
 
     The path parameter counts segments: parameter k + s is the point at
     fraction s of segment k.  ``states[k]`` is the state at ``params[k]``.
-    ``n_rhs_evals`` counts the stage values computed (one per segment
-    for its first stage, six per step tried).
+    ``n_rhs_evals`` counts the stage values computed (two per segment,
+    for its first stage and the starting-step probe, then twelve per step
+    tried).
     """
 
     params: list = field(default_factory=list)
@@ -162,28 +171,60 @@ class Trajectory:
         return self.states[-1]
 
 
-# Dormand-Prince 5(4) tableau.  Row k of _DP_W holds stage k's weights
-# on the stage rows before it, so stage k's state is y + h*_DP_W[k, :k]
-# @ K[:k]; stage 6's state is the 5th-order solution (FSAL).  Row 0, which
-# no stage uses, holds the error weights b5 - b4.  Complex: its products
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner's DOP853).  Row
+# k of _DP_W holds stage k's weights on the stage rows before it, so stage
+# k's state is y + h*_DP_W[k, :k] @ K[:k]; stage 12's state is the
+# 8th-order solution (FSAL).  Rows 0 and 1 of _DP_E hold the weights of the
+# 5th- and 3rd-order error estimates on the first twelve stages (row 1 is
+# the 8th-order weights less the 3rd-order ones).  Complex: their products
 # with the complex stage rows need no cast.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_W = np.zeros((7, 7), dtype=complex)
-_DP_W[1, :1] = [1 / 5]
-_DP_W[2, :2] = [3 / 40, 9 / 40]
-_DP_W[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_DP_W[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_DP_W[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                -5103 / 18656]
-_DP_W[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_DP_W[0] = _DP_W[6] - [5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                       -92097 / 339200, 187 / 2100, 1 / 40]
+_DP_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+         0.2816496580927726, 1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7,
+         1.0, 1.0)
+_DP_W = np.zeros((13, 13), dtype=complex)
+_DP_W[1, :1] = [0.05260015195876773]
+_DP_W[2, :2] = [0.0197250569845379, 0.0591751709536137]
+_DP_W[3, :3] = [0.02958758547680685, 0.0, 0.08876275643042054]
+_DP_W[4, :4] = [0.2413651341592667, 0.0, -0.8845494793282861,
+                0.924834003261792]
+_DP_W[5, :5] = [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+                0.12546768756682242]
+_DP_W[6, :6] = [0.037109375, 0.0, 0.0, 0.17025221101954405,
+                0.06021653898045596, -0.017578125]
+_DP_W[7, :7] = [0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+                0.10726203044637328, -0.015319437748624402,
+                0.008273789163814023]
+_DP_W[8, :8] = [0.6241109587160757, 0.0, 0.0, -3.3608926294469414,
+                -0.868219346841726, 27.59209969944671, 20.154067550477894,
+                -43.48988418106996]
+_DP_W[9, :9] = [0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+                -0.590290826836843, 21.230051448181193, 15.279233632882423,
+                -33.28821096898486, -0.020331201708508627]
+_DP_W[10, :10] = [-0.9371424300859873, 0.0, 0.0, 5.186372428844064,
+                  1.0914373489967295, -8.149787010746927, -18.52006565999696,
+                  22.739487099350505, 2.4936055526796523,
+                  -3.0467644718982196]
+_DP_W[11, :11] = [2.273310147516538, 0.0, 0.0, -10.53449546673725,
+                  -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+                  -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+                  0.6433927460157636]
+_DP_W[12, :12] = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0,
+                  4.450312892752409, 1.8915178993145003, -5.801203960010585,
+                  0.3111643669578199, -0.1521609496625161,
+                  0.20136540080403034, 0.04471061572777259]
+_DP_E = np.zeros((2, 12), dtype=complex)
+_DP_E[0] = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+            -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+            0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+_DP_E[1] = _DP_W[12, :12]
+_DP_E[1, [0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118,
+                         0.022058823529411766]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
 # accepted plus rejected steps one segment may take before StepBudgetError
 MAX_SEGMENT_STEPS = 50_000
 
@@ -194,10 +235,36 @@ def _modulus(y):
 
 
 def _length(seg):
-    """The segment's length, for error messages."""
+    """The segment's length."""
     if isinstance(seg, Line):
         return abs(seg.end - seg.start)
     return seg.radius * abs(seg.sweep)
+
+
+def _rms(x):
+    """Root mean square of the moduli of x."""
+    u = np.abs(x)
+    return math.sqrt(u @ u / u.size)
+
+
+def _first_step(f, y, f0, rel_tol, abs_tol):
+    """The starting step of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
+    in chart units, from the sizes of y and f0 = f(0, y) and one Euler
+    probe; at most 1, the whole segment, which is also the step where f
+    does not vary (a zero rhs).  Always finite and positive: where a size
+    is infinite or NaN it falls back to the probe step or to 1e-6, and the
+    stepper shrinks the step from there."""
+    sc = abs_tol + rel_tol * np.abs(y)
+    d0, d1 = _rms(y / sc), _rms(f0 / sc)
+    h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+    h0 = min(h0, 1.0) if h0 > 0 else 1e-6
+    d2 = _rms((f(h0, y + h0 * f0) - f0) / sc) / h0
+    # h**(p+1) max(d1, d2) = 0.01 for the order p = 8
+    d = max(d1, d2)
+    if d <= 1e-15:
+        return 1.0
+    h = min(100 * h0, (0.01 / d) ** (1 / 9), 1.0)
+    return h if h > 0 else h0
 
 
 def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
@@ -220,57 +287,68 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
             return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
 
     s = 0.0
-    h = 1e-3  # initial step: 1e-3 x segment length, in chart units
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    K = np.empty((7,) + y.shape, dtype=complex)  # the seven stage rows
-    hW = np.empty((7, 7), dtype=complex)  # h * _DP_W, refilled per step
+    K = np.empty((13,) + y.shape, dtype=complex)  # the thirteen stage rows
+    hW = np.empty((13, 13), dtype=complex)  # h * _DP_W, refilled per step
+    hE = np.empty((2, 12), dtype=complex)  # h * _DP_E, likewise
     # per later stage k, made once: stage k's state is y + hW[k, :k] @
     # K[:k] (views), then its abscissa
-    stages = [(k, hW[k, :k], K[:k], _DP_C[k]) for k in range(1, 7)]
+    stages = [(k, hW[k, :k], K[:k], _DP_C[k]) for k in range(1, 13)]
     K[0] = f(s, y)
+    # h is the controller's proposal; a step clipped to a stop is shorter
+    # and leaves it, and err_prev, as they were
+    h = _first_step(f, y, K[0], rel_tol, abs_tol)
     ay = np.abs(y)  # |y|, kept from the last accepted step
     for stop in stops:
         while s < stop:
             rest = stop - s
-            h = min(h, rest)
-            if h < 1e-14:
+            step = min(h, rest)
+            if step < 1e-14:
                 raise StepUnderflowError(
                     f"step underflow on segment {k} (length "
-                    f"{_length(seg):.3g}) at s={s:.6f}, h={h:.3g}, "
+                    f"{_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
                     f"|y|={_modulus(y):.3g}")
             tries += 1
             if tries > MAX_SEGMENT_STEPS:
                 raise StepBudgetError(
                     f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
-                    f"(length {_length(seg):.3g}) at s={s:.6f}, h={h:.3g}, "
+                    f"(length {_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
                     f"|y|={_modulus(y):.3g}")
-            np.multiply(_DP_W, h, out=hW)
+            np.multiply(_DP_W, step, out=hW)
+            np.multiply(_DP_E, step, out=hE)
             for row, w, Kw, c_row in stages:
                 yk = y + w @ Kw
-                K[row] = f(s + c_row * h, yk)
-            # RMS of the error over abs_tol + rel_tol * max(|y|, |y5|);
-            # y5, the 5th-order solution, is stage 6's state yk
-            ay5 = np.abs(yk)
-            u = np.abs(hW[0] @ K) / (abs_tol + rel_tol * np.maximum(ay, ay5))
-            enorm = math.sqrt(u @ u / u.size)
+                K[row] = f(s + c_row * step, yk)
+            # e5 and e3, the squared 5th- and 3rd-order estimates over
+            # abs_tol + rel_tol * max(|y|, |y8|), give Hairer's norm
+            # e5 / sqrt(n (e5 + 0.01 e3)); y8, the 8th-order solution, is
+            # stage 12's state yk.  Both estimates exactly zero: no error;
+            # a NaN fails the step
+            ay8 = np.abs(yk)
+            u = np.abs(hE @ K[:12]) / (abs_tol + rel_tol * np.maximum(ay, ay8))
+            e5, e3 = u[0] @ u[0], u[1] @ u[1]
+            deno = e5 + 0.01 * e3
+            enorm = e5 / math.sqrt(u.shape[1] * deno) if deno != 0 else 0.0
             if enorm <= 1.0:
                 # a step clipped to the stop lands on it exactly: s + rest
                 # may round below it
-                s = stop if h == rest else s + h
-                y, ay = yk, ay5
-                K[0] = K[6]  # FSAL
+                s = stop if step == rest else s + step
+                y, ay = yk, ay8
+                K[0] = K[12]  # FSAL
                 traj.n_steps += 1
-                factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
-                    * err_prev ** _PI_BETA
-                err_prev = enorm + 1e-16
-                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                if step == h:
+                    factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
+                        * err_prev ** _PI_BETA
+                    err_prev = enorm + 1e-16
+                    h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             else:
                 traj.n_rejected += 1
                 factor = _SAFETY * enorm ** (-_PI_ALPHA)
-                h *= min(1.0, max(_MIN_FACTOR, factor))
+                h = step * min(1.0, max(_MIN_FACTOR, factor))
         yield stop, y
-    traj.n_rhs_evals += 1 + 6 * tries  # K[0], then six rows per step tried
+    # K[0] and the probe, then twelve rows per step tried
+    traj.n_rhs_evals += 2 + 12 * tries
 
 
 def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,

@@ -87,6 +87,15 @@ def test_margin_violation_rejected_at_construction():
         with pytest.raises(PathMarginError):
             ComplexPath.polyline([-1 - 0.001j, 1 + 0.001j],
                                  singularities=singularities)
+    # a single point has no gap to scale by: its margin is 0.05 x the
+    # path's length, so a path through it is rejected
+    with pytest.raises(PathMarginError, match=r"margin 0\.1\)"):
+        ComplexPath.polyline([-1.0, 1.0], singularities=[0.0])
+    with pytest.raises(PathMarginError):
+        ComplexPath(UNIT_CIRCLE.segments, singularities=[1j])
+    assert ComplexPath.polyline([1.0, 2.0, 2.0 + 1j],
+                                singularities=[0.0]).margin == 0.1
+    assert ComplexPath.polyline([1.0, 2.0]).margin == 0.0
 
 
 @pytest.mark.parametrize("seg", [
@@ -150,7 +159,9 @@ def test_trajectory_counts_stage_values_and_step_range():
                      ComplexPath.polyline([0.0, 1.0, 3.0]), rel_tol=1e-10,
                      samples=[1.5])
     tries = traj.n_steps + traj.n_rejected
-    assert traj.n_rhs_evals == 2 + 6 * tries  # first stage once a segment
+    # per segment the first stage and the starting-step probe, then twelve
+    # stages per step tried
+    assert traj.n_rhs_evals == 2 * 2 + 12 * tries
     # the stops run from the start of the path to its end
     assert traj.params == [0.0, 1.0, 1.5, 2.0]
     empty = integrate(lambda z, y: y, [1.0], ComplexPath(()))
@@ -168,19 +179,66 @@ def test_clipped_step_lands_exactly_on_its_stop():
 
 
 def test_one_step_is_the_dormand_prince_stability_polynomial():
-    # a step of y' = lam y from 1 with lam h = z returns R(z), the
-    # 5th-order solution's stability polynomial: the Taylor terms of
-    # exp(z) through z**5 plus z**6/600.  Each of the 20 stage weights
-    # enters it (a change of 1e-9 in one moves the result by over 4e-14);
-    # the error weights do not, and the pinned step counts cover them
-    lam, h = 400 + 300j, 1e-3
-    traj = integrate(lambda x, y: lam * y, np.array([1 + 0j]),
+    # a step of y' = z y from 1 over the unit segment returns R(z), the
+    # 8th-order solution's stability polynomial: the Taylor terms of
+    # exp(z) through z**8 plus the pinned z**9 ... z**12 coefficients of
+    # the tableau.  At these tolerances, with |z| = 1, the starting step
+    # is the whole segment.  Each of the 58 nonzero stage weights enters
+    # R (a change of 1e-9 in one moves the result by over 2e-14); the
+    # error weights do not, and the pinned step counts cover them
+    z = 0.8 + 0.6j
+    traj = integrate(lambda x, y: z * y, np.array([1 + 0j]),
                      ComplexPath.polyline([0.0, 1.0]), rel_tol=1e3,
-                     abs_tol=1e3, samples=[h])
-    assert traj.params[1] == h
-    z = lam * h
-    want = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
-    assert abs(traj.states[1][0] - want) <= 1e-14 * abs(want)
+                     abs_tol=1e3)
+    assert traj.n_steps == 1 and traj.params == [0.0, 1.0]
+    tail = (2.691692200169089e-06, 2.3413451082097797e-07,
+            1.4947364854591547e-08, 3.613324578128244e-10)
+    want = sum(z**k / math.factorial(k) for k in range(9)) \
+        + sum(c * z**k for k, c in enumerate(tail, start=9))
+    assert abs(traj.end_state[0] - want) <= 4e-15 * abs(want)
+
+
+def test_clipped_steps_leave_the_proposed_step():
+    # five stops 2**-13 apart cost one landing each: after each clipped
+    # step the next starts from the controller's proposal again, rather
+    # than regrowing from the clipped length
+    lam = 0.7 - 0.3j
+    path = ComplexPath.polyline([0.0, 1.2 + 0.5j])
+    cluster = [0.5 + k * 2**-13 for k in range(5)]
+    plain, clustered = (
+        integrate(lambda z, y: lam * np.cos(z) * y, np.array([1.0 + 0j]),
+                  path, rel_tol=1e-10, samples=samples)
+        for samples in ((), cluster))
+    assert clustered.params[1:6] == cluster
+    assert clustered.n_steps <= plain.n_steps + len(cluster) + 2
+    assert abs(clustered.end_state[0] - plain.end_state[0]) < 1e-11
+
+
+@pytest.mark.parametrize("rhs,y0", [
+    (lambda z, y: 0 * y, 1.0),
+    (lambda z, y: 2 * y, 0.0),
+], ids=["zero-rhs", "zero-state"])
+def test_flat_rhs_takes_one_step_per_segment(rhs, y0):
+    traj = integrate(rhs, np.array([y0 + 0j]),
+                     ComplexPath.polyline([0.0, 1.0, 3.0, 3.0 + 1j]))
+    assert traj.n_steps == 3 and traj.n_rejected == 0
+    assert traj.n_rhs_evals == 3 * 2 + 12 * 3
+    assert traj.end_state[0] == y0
+
+
+@pytest.mark.parametrize("f,y", [
+    (lambda s, y: y + 1, [0.0, 0.0]),
+    # a huge segment: f0 overflows, then so does the probe
+    (lambda s, y: 1e200 * y + 1e300 * s, [1.0, 0.5j]),
+    (lambda s, y: np.full_like(y, np.inf), [1.0, 0.5j]),
+    (lambda s, y: np.full_like(y, np.nan), [1.0, 0.5j]),
+    (lambda s, y: 1e300 * y / (s + 1e-300), [1.0, 0.5j]),
+], ids=["zero-state", "huge", "infinite", "nan", "overflowing-probe"])
+def test_starting_step_is_finite_and_positive(f, y):
+    y = np.array(y, dtype=complex)
+    with np.errstate(all="ignore"):
+        h = integrator._first_step(f, y, f(0.0, y), 1e-10, 1e-13)
+    assert math.isfinite(h) and 0 < h <= 1
 
 
 def test_degenerate_arc_rejected():

@@ -203,7 +203,8 @@ def _relative_gap(a, b):
 
 @pytest.mark.parametrize("sid", SUPPORTED)
 def test_taylor_matches_dp5_reference(sid):
-    # whole lassos, return legs included, stepped by DP5 at rel_tol 1e-12
+    # whole lassos, return legs included, stepped by the Runge-Kutta
+    # integrator at rel_tol 1e-12
     sys = _assembled(sid, rng_from_seed(8))
     rep = monodromy_representation(sys)
     ref = [_transport(sys, loop, rel_tol=1e-12)
@@ -218,8 +219,10 @@ def test_product_defect_no_larger_than_dp5(sid):
     rep = monodromy_representation(sys)
     *gens, minf = [_transport(sys, loop)
                    for loop in _paths(sys, rep.base)]
-    dp5 = dataclasses.replace(rep, matrices=tuple(gens), at_infinity=minf)
-    assert rep.product_defect() <= dp5.product_defect()
+    # the same lassos stepped by the Runge-Kutta integrator
+    stepped = dataclasses.replace(rep, matrices=tuple(gens),
+                                  at_infinity=minf)
+    assert rep.product_defect() <= stepped.product_defect()
 
 
 def test_every_chord_obeys_both_bounds():

@@ -4,13 +4,16 @@ Runs ``bench/run.py`` for SECONDS seconds in alternating pairs (the
 other checkout first in even pairs, this one first in odd ones) on every
 workload; then VERIFY_RUNS runs of ``painlab verify all`` at VERIFY_SEED
 per side, alternating in the same way; then per side one traced pass at
-TRACE_SEED, which covers all three workloads, and the tier-1 suite.  It
-writes one JSON record: per workload and side the median and quartiles
-of each end-to-end metric with every run, and the pairs this checkout
-won on ``solve_s``; per side the traced ``integrator.*`` metrics, the
-tier-1 wall time, each check's median seconds with every verify run
-(its exit code, whether it passed, its seconds), and the hand-written
-and generated ``src/`` lines counted apart; and the CPU model.
+TRACE_SEED, which covers all three workloads, the tier-1 suite, and
+``tools/sweep_margins.py`` over SWEEP_SEEDS.  It writes one JSON record:
+per workload and side the median and quartiles of each end-to-end
+metric with every run, and the pairs this checkout won on ``solve_s``;
+per side the traced ``integrator.*`` metrics, the tier-1 wall time, each
+check's median seconds with every verify run (its exit code, whether it
+passed, its seconds), each verification item's thinnest margin over the
+sweep with its seed and the count of items that passed at every seed,
+and the hand-written and generated ``src/`` lines counted apart; and the
+CPU model.
 
 Usage, from the root of the repository, with the parent commit checked
 out (``git archive``) in another directory::
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -38,6 +42,14 @@ SECONDS = 20  # per run, as in BENCHMARK.json
 TRACE_SEED = 7
 VERIFY_SEED = 20260810
 VERIFY_RUNS = 5  # per side: one run's check seconds spread by 2x
+SWEEP_SEEDS = "1-200"
+# run in a checkout: its own sweep_margins.sweep over its own src/, as JSON
+SWEEP = ("import json, sys; sys.path.insert(0, 'tools'); "
+         "import sweep_margins as s; "
+         "worst, passed = s.sweep(list(s.verify.CHECKS), "
+         "s.seed_range(sys.argv[1])); "
+         "print(json.dumps({'passed': passed, 'thinnest': {k: {'margin': m, "
+         "'seed': seed} for k, (m, seed) in worst.items()}}))")
 
 
 def seed_range(text):
@@ -144,6 +156,24 @@ def verify_runs(sides):
     return record
 
 
+def sweep(checkout):
+    """Each verification item's thinnest margin over SWEEP_SEEDS and its
+    seed (margin None: an exact-zero residual at every seed), and how many
+    items passed at every seed (margin above 1)."""
+    out = subprocess.run([sys.executable, "-c", SWEEP, SWEEP_SEEDS],
+                         cwd=checkout, check=True, capture_output=True,
+                         text=True).stdout
+    record = json.loads(out)
+    thinnest = {key: {"margin": None if math.isinf(item["margin"])
+                      else item["margin"], "seed": item["seed"]}
+                for key, item in record["thinnest"].items()}
+    margins = [item["margin"] for item in thinnest.values()]
+    return {"seeds": SWEEP_SEEDS, "passed": record["passed"],
+            "items": len(margins),
+            "passed_items": sum(m is None or m > 1 for m in margins),
+            "thinnest": thinnest}
+
+
 def lines(checkout):
     def count(pattern):
         total = 0
@@ -179,7 +209,7 @@ def main(argv=None):
               **verify_runs(sides)}
     for side, path in sides.items():
         record[side].update(traced=traced(path), tier1=tier1_seconds(path),
-                            lines=lines(path))
+                            sweep=sweep(path), lines=lines(path))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -8,6 +8,7 @@ differentiated exactly (forward mode, no truncation error).
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "mat_trace",
     "COLLISION_TOL",
     "min_gap",
+    "max_residual",
 ]
 
 # singular points (deformation times, 1, 0) closer than this collide
@@ -45,6 +47,18 @@ def min_gap(points) -> float:
             if d < gap:
                 gap = d
     return gap
+
+
+def max_residual(values) -> float:
+    """Largest of ``values`` (0.0 for none), NaN if any value is NaN: unlike
+    ``max``, a NaN term is never dropped.  Reject on ``not worst <= tol``."""
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return cmath.nan
+        if v > worst:
+            worst = v
+    return worst
 
 
 class Dual:
@@ -130,6 +144,13 @@ def value_of(x) -> complex:
     return x.val if isinstance(x, Dual) else complex(x)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_rows(k):
+    """The k unit seed rows of a width-k gradient, built once per width."""
+    return tuple(tuple(1.0 if j == i else 0.0 for j in range(k))
+                 for i in range(k))
+
+
 def dual_gradient(f, point):
     """Evaluate ``f`` and all first partials at ``point`` in one pass.
 
@@ -140,10 +161,8 @@ def dual_gradient(f, point):
     value and one gradient row (a Jacobian row) per component, with a
     zero row for a component that does not depend on ``point``.
     """
-    point = [complex(z) for z in point]
     k = len(point)
-    seeds = [Dual(z, tuple(1.0 if j == i else 0.0 for j in range(k)))
-             for i, z in enumerate(point)]
+    seeds = [Dual(z, row) for z, row in zip(point, _unit_rows(k))]
 
     def split(out):
         if isinstance(out, Dual):

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ._gradients import gradient
-from .algebra import COLLISION_TOL, min_gap, time_derivative
+from .algebra import COLLISION_TOL, dual_gradient, max_residual, min_gap
 from .hamiltonians import HAMILTONIANS
 from .integrator import integrate_time
 
@@ -376,20 +376,32 @@ def flow_states(sid: str, i: int, params, state: PhaseState, end,
 
 
 def constraint_rate(sid: str, params, state: PhaseState, constraints):
-    """Max |d g/dt_i| over every flow i of ``sid`` and every constraint g.
+    """Max |d g/dt_i| over every flow i of ``sid`` and every constraint g,
+    NaN if any rate is NaN.
 
     Each ``g(q, p, t, merged_params)`` cuts a submanifold; on an invariant
-    one the rate vanishes.  The rate is the exact gradient of g in
-    (q, p, t_i) contracted with the flow (dq/dt_i, dp/dt_i, 1).
+    one the rate vanishes.  One exact gradient pass over (q, p, t_1..t_m)
+    gives a row per constraint; flow i contracts each row with
+    (dq/dt_i, dp/dt_i, 1) over its (q, p, t_i) slots, summed left to right
+    as :func:`~painlab.algebra.time_derivative` sums.  The rates equal that
+    route's bit for bit while no constraint divides by an expression of the
+    times: the times frozen for flow i enter as Duals whose extra slots are
+    exact zeros under +, - and *, but Dual / Dual multiplies by the
+    inverse.  None of the rigid cases' or degeneration rules' constraints
+    divides by a time.
     """
     desc = lookup(sid)
     par = full_params(sid, params)
     n = desc.n_pairs
-    worst = 0.0
+    _, rows = dual_gradient(
+        lambda *z: tuple(g(z[:n], z[n:2 * n], z[2 * n:], par)
+                         for g in constraints),
+        state.q + state.p + state.t)
+    rates = []
     for i in range(1, desc.n_times + 1):
         dq, dp = vector_field(sid, i, par, state, merged=True)
-        for g in constraints:
-            rate = time_derivative(lambda w, t: g(w[:n], w[n:], t, par),
-                                   state.q + state.p, dq + dp, state.t, i)
-            worst = max(worst, abs(rate))
-    return worst
+        dz = dq + dp
+        # zip stops at the 2n phase slots; the t_i slot's weight is 1
+        rates.extend(abs(sum(a * b for a, b in zip(row, dz))
+                         + row[2 * n + i - 1]) for row in rows)
+    return max_residual(rates)

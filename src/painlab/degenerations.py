@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import max_residual
 from .catalog import PhaseState, constraint_rate, derive_alphas, eval_h, lookup
 from .sampling import (MAX_DRAWS, rational_complex, sample_params,
                        sample_state, tied_params)
@@ -53,12 +54,9 @@ def _project_first_pairs(rule, params, state):
     small_par = derive_alphas(rule.big, params)
     small_state = PhaseState(state.q[:2], state.p[:2],
                              state.t[:lookup(rule.small).n_times])
-    worst = 0.0
-    for i in range(1, lookup(rule.big).n_times + 1):
-        hb = eval_h(rule.big, i, params, state)
-        hs = eval_h(rule.small, i, small_par, small_state)
-        worst = max(worst, abs(hb - hs))
-    return worst
+    return max_residual([abs(eval_h(rule.big, i, params, state)
+                             - eval_h(rule.small, i, small_par, small_state))
+                         for i in range(1, lookup(rule.big).n_times + 1)])
 
 
 def _trace_form_residual(rule, params, state):
@@ -148,12 +146,13 @@ RULES = {r.label: r for r in (
 
 
 def check_rule(rule: DegenerationRule, n_samples, rng):
-    """(max Hamiltonian residual, max tangency residual) over samples.
+    """(max Hamiltonian residual, max tangency residual) over samples, each
+    NaN if any sample's is NaN.
 
     A sample whose residuals cannot be evaluated is redrawn, at most
     ``MAX_DRAWS`` times, and counts towards neither maximum.
     """
-    worst_h = worst_t = 0.0
+    hs, tangs = [], []
     for _ in range(n_samples):
         for _ in range(MAX_DRAWS):
             params = rule.draw_params(rng)
@@ -168,5 +167,6 @@ def check_rule(rule: DegenerationRule, n_samples, rng):
         else:
             raise RuntimeError(f"{rule.label}: no admissible sample in "
                                f"{MAX_DRAWS} draws")
-        worst_h, worst_t = max(worst_h, h), max(worst_t, tang)
-    return worst_h, worst_t
+        hs.append(h)
+        tangs.append(tang)
+    return max_residual(hs), max_residual(tangs)

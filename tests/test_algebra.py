@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painlab.algebra import (Dual, dual_gradient, eigen_small, min_gap,
-                             time_derivative)
+from painlab.algebra import (Dual, dual_gradient, eigen_small, max_residual,
+                             min_gap, time_derivative)
 from painlab.catalog import full_params
 from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
                               sample_state)
@@ -177,6 +177,17 @@ def test_min_gap_is_nan_with_a_non_finite_point_anywhere(bad, at):
     points = [0j, 1 + 0j, 0.5 + 0.5j]
     points.insert(at, bad)
     assert np.isnan(min_gap(points))
+
+
+def test_max_residual_keeps_a_nan_wherever_it_sits():
+    # max(0.0, nan) is 0.0 and max(1.0, nan) is 1.0: a fold with max
+    # would read a NaN residual as a pass
+    assert max_residual([]) == 0.0
+    assert max_residual([0.5, 2.0, 1.0]) == 2.0
+    for at in (0, 1, 3):
+        values = [0.5, 2.0, 1.0]
+        values.insert(at, float("nan"))
+        assert np.isnan(max_residual(values))
 
 
 def test_size_guard():

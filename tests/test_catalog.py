@@ -2,12 +2,17 @@
 
 import pytest
 
-from painlab.catalog import (PhaseState, derive_alphas, eval_h, flow_rhs,
-                             flow_states, full_params, list_systems, lookup,
-                             vector_field)
+from painlab.algebra import time_derivative
+from painlab.catalog import (PhaseState, constraint_rate, derive_alphas,
+                             eval_h, flow_rhs, flow_states, full_params,
+                             list_systems, lookup, vector_field)
+from painlab.degenerations import RULES
 from painlab.integrator import integrate_two_time
 from painlab.fuchsian import accessory_count, parse_spectral_type
-from painlab.sampling import rng_from_seed, sample_params, sample_state
+from painlab.rigid import RIGID_CASES, lift_solution
+from painlab.sampling import (rational_complex, rng_from_seed, sample_params,
+                              sample_state)
+from painlab.verify import constrained_rigid_params
 
 
 def test_lookup_dimensions():
@@ -222,3 +227,74 @@ def test_specialization_of_headline_onto_five_point_system():
             hb = eval_h("21,21,21,21,111", i, par, st)
             hs = eval_h("11,11,11,11,11", i, al, small)
             assert abs(hb - hs) < 1e-10
+
+
+def reference_rate(sid, params, state, constraints):
+    """Max |dg/dt_i| by one time_derivative pass per flow and constraint."""
+    n = lookup(sid).n_pairs
+    par = full_params(sid, params)
+    worst = 0.0
+    for i in range(1, lookup(sid).n_times + 1):
+        dq, dp = vector_field(sid, i, par, state, merged=True)
+        for g in constraints:
+            rate = time_derivative(lambda w, t: g(w[:n], w[n:], t, par),
+                                   state.q + state.p, dq + dp, state.t, i)
+            worst = max(worst, abs(rate))
+    return worst
+
+
+def assert_rates_match_reference(sid, params, states, constraints):
+    for st in states:
+        assert (constraint_rate(sid, params, st, constraints)
+                == reference_rate(sid, params, st, constraints))
+        for g in constraints:
+            assert (constraint_rate(sid, params, st, (g,))
+                    == reference_rate(sid, params, st, (g,)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cid", list(RIGID_CASES))
+def test_constraint_rate_is_the_per_flow_route_bit_for_bit_on_lifts(cid, seed):
+    # lifted states sit on the manifold (rates near 0); generic draws of
+    # the parent are off it (rates of order 1)
+    rng = rng_from_seed(seed)
+    case = RIGID_CASES[cid]
+    par = constrained_rigid_params(case, rng)
+    states = []
+    for _ in range(3):
+        times = sample_state(case.parent, rng).t
+        y = [rational_complex(rng, nonzero=True) for _ in range(4)]
+        states += lift_solution(case, par, [y], [times])
+        states.append(sample_state(case.parent, rng))
+    assert_rates_match_reference(case.parent, par, states, case.constraints)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("label", list(RULES))
+def test_constraint_rate_is_the_per_flow_route_bit_for_bit_on_rules(label,
+                                                                    seed):
+    rng = rng_from_seed(seed)
+    rule = RULES[label]
+    for _ in range(3):
+        par = rule.draw_params(rng)
+        states = [rule.onto_manifold(rule, rng, par),
+                  sample_state(rule.big, rng)]
+        assert_rates_match_reference(rule.big, par, states, rule.constraints)
+
+
+def test_constraint_rate_reads_each_flow_its_own_time_slot():
+    sid = "21,21,21,21,111"
+    rng = rng_from_seed(3)
+    par = sample_params(sid, rng)
+    st = sample_state(sid, rng)
+    t1, t2 = st.t
+    # d t2/dt1 = 0 and d t2/dt2 = 1
+    assert constraint_rate(sid, par, st, (lambda q, p, t, par: t[1],)) == 1.0
+    assert (constraint_rate(sid, par, st, (lambda q, p, t, par: t[0] * t[1],))
+            == max(abs(t2), abs(t1)))
+    # the max over flows is blind to which flow reads which slot; this
+    # constraint is not
+    dq1 = vector_field(sid, 1, par, st)[0][0]
+    dq2 = vector_field(sid, 2, par, st)[0][0]
+    assert (constraint_rate(sid, par, st, (lambda q, p, t, par: q[0] + t[1],))
+            == max(abs(dq1), abs(dq2 + 1.0)))

@@ -1,9 +1,11 @@
 """Reductions between catalog systems: residuals and invariance."""
 
 import dataclasses
+import math
 
 import pytest
 
+from painlab.catalog import PhaseState
 from painlab.degenerations import RULES, check_rule
 from painlab.sampling import MAX_DRAWS, rng_from_seed
 
@@ -50,3 +52,25 @@ def test_rejected_sample_is_not_reported():
                                constraints=(constraint,))
     h, tang = check_rule(rule, 3, rng_from_seed(1))
     assert len(calls) == 4 and h == 0.0 and tang < 1e-10
+
+
+def test_nan_residual_of_one_sample_is_reported():
+    calls = []
+
+    def residual(rule_, params, state):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else 1e-3
+
+    rule = dataclasses.replace(RULES["trace-form-merge"],
+                               hamiltonian_residual=residual)
+    h, tang = check_rule(rule, 3, rng_from_seed(1))
+    assert len(calls) == 3 and math.isnan(h) and tang < 1e-10
+
+
+def test_nan_state_gives_a_nan_projection_residual():
+    rule = RULES["p3-and-last-exponent-zero"]
+    rng = rng_from_seed(1)
+    par = rule.draw_params(rng)
+    st = rule.onto_manifold(rule, rng, par)
+    st = PhaseState((math.nan,) + st.q[1:], st.p, st.t)
+    assert math.isnan(rule.hamiltonian_residual(rule, par, st))

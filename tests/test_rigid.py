@@ -112,6 +112,17 @@ def test_manifold_membership_and_tangency(cid):
     assert constraint_flow_drift(case, par, st) < 1e-9
 
 
+@pytest.mark.parametrize("part, bad", [("p", np.nan), ("q", np.inf)])
+def test_non_finite_state_gives_a_nan_drift(part, bad):
+    # a fold with max would drop the NaN rates and read 0.0, a pass
+    rng = rng_from_seed(5)
+    case = RIGID_CASES["case-3131"]
+    par = constrained_rigid_params(case, rng)
+    st = case.manifold_state(rng, full_params(case.parent, par), TIMES2)
+    st = dataclasses.replace(st, **{part: (bad,) + getattr(st, part)[1:]})
+    assert np.isnan(constraint_flow_drift(case, par, st))
+
+
 def test_case_3122_manifold_not_invariant_documented():
     # The published display puts this manifold at q1*p1 = +alpha1, which
     # is not invariant under the parent flow; q1*p1 = -alpha1 is.  Check

@@ -122,6 +122,20 @@ def test_sweep_margins_tool_runs_one_seed():
     assert lines[-1] == f"{n} items, seeds 1-1: all passed"
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep_margins.py"],
+    ["bench_pairs.py", "--parent", ".", "--out", "unused.json"]],
+    ids=["sweep_margins", "bench_pairs"])
+def test_empty_seed_range_is_a_usage_error(args):
+    # both tools parse --seeds with sweep_margins.seed_range
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / args[0]),
+                          *args[1:], "--seeds", "20-1"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1].endswith(
+        "invalid seed_range value: '20-1'")
+
+
 def test_compare_reports_tool_names_a_changed_residual(tmp_path):
     paths = [tmp_path / f"{k}.json" for k in "abc"]
     for path in paths[:2]:

@@ -35,6 +35,8 @@ import sys
 import tempfile
 import time
 
+from sweep_margins import seed_range
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("flows", "monodromy", "manifolds")
 END_TO_END = ("setup_s", "solve_s", "peak_rss_mb")
@@ -50,12 +52,6 @@ SWEEP = ("import json, sys; sys.path.insert(0, 'tools'); "
          "s.seed_range(sys.argv[1])); "
          "print(json.dumps({'passed': passed, 'thinnest': {k: {'margin': m, "
          "'seed': seed} for k, (m, seed) in worst.items()}}))")
-
-
-def seed_range(text):
-    """``"N"`` or ``"A-B"`` (inclusive) as a range of seeds."""
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
 
 
 def bench(checkout, *args):

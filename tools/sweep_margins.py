@@ -30,9 +30,13 @@ from painlab import verify  # noqa: E402
 
 
 def seed_range(text):
-    """``"N"`` or ``"A-B"`` (inclusive) as a range of seeds."""
+    """``"N"`` or ``"A-B"`` (inclusive) as a range of seeds; ValueError if
+    it is empty (A > B), which argparse reports as a usage error."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
 
 
 def sweep(names, seeds):

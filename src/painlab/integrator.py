@@ -5,14 +5,15 @@ The integrator advances a complex state vector along a piecewise path
 parameter interval and pulling the right-hand side back through the
 segment chart.  The Dormand-Prince 8(5,3) pair (DOP853) with PI step
 control does the stepping: twelve stages per step, kept with the FSAL
-stage in one 13-row stage array, where each stage's state, and each of
-the two error estimates, is one matrix product of step-scaled weights
-with the stage rows.  Each segment's first step comes from the problem
-(the starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4),
-at one extra rhs evaluation.  "Dense output" at requested parameters is
-realized by landing on them exactly, which is simpler and slightly more
-accurate than an interpolant at desk scale; a step clipped to a stop
-leaves the controller's proposal for the next step as it was.
+stage in one stage array, where each stage's state, and each of the two
+error estimates, is one matrix product of step-scaled weights with the
+stage rows.  Each segment's first step comes from the problem (the
+starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4), at one
+extra rhs evaluation.  Only the error controller sizes the steps, the
+last one clipped to land on the segment's end.  A requested sample does
+not steer them: its state is read off DOP853's continuous extension of
+order 7 (ibid., II.6) over the accepted step that holds it, at three
+more rhs evaluations for that step.
 """
 
 from __future__ import annotations
@@ -155,9 +156,10 @@ class Trajectory:
 
     The path parameter counts segments: parameter k + s is the point at
     fraction s of segment k.  ``states[k]`` is the state at ``params[k]``.
-    ``n_rhs_evals`` counts the stage values computed (two per segment,
+    ``n_rhs_evals`` counts the stage values computed: two per segment,
     for its first stage and the starting-step probe, then twelve per step
-    tried).
+    tried, and three more per accepted step that holds a sample strictly
+    inside (its dense output's extra stages).
     """
 
     params: list = field(default_factory=list)
@@ -174,14 +176,16 @@ class Trajectory:
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner's DOP853).  Row
 # k of _DP_W holds stage k's weights on the stage rows before it, so stage
 # k's state is y + h*_DP_W[k, :k] @ K[:k]; stage 12's state is the
-# 8th-order solution (FSAL).  Rows 0 and 1 of _DP_E hold the weights of the
-# 5th- and 3rd-order error estimates on the first twelve stages (row 1 is
-# the 8th-order weights less the 3rd-order ones).  Complex: their products
-# with the complex stage rows need no cast.
+# 8th-order solution (FSAL).  Rows 13-15 are the dense output's three extra
+# stages, on the FSAL row too, and _DP_D holds the weights of its last four
+# interpolant rows on all sixteen.  Rows 0 and 1 of _DP_E hold the weights
+# of the 5th- and 3rd-order error estimates on the first twelve stages (row
+# 1 is the 8th-order weights less the 3rd-order ones).  Complex: their
+# products with the complex stage rows need no cast.
 _DP_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
          0.2816496580927726, 1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7,
-         1.0, 1.0)
-_DP_W = np.zeros((13, 13), dtype=complex)
+         1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
+_DP_W = np.zeros((16, 16), dtype=complex)
 _DP_W[1, :1] = [0.05260015195876773]
 _DP_W[2, :2] = [0.0197250569845379, 0.0591751709536137]
 _DP_W[3, :3] = [0.02958758547680685, 0.0, 0.08876275643042054]
@@ -212,6 +216,40 @@ _DP_W[12, :12] = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0,
                   4.450312892752409, 1.8915178993145003, -5.801203960010585,
                   0.3111643669578199, -0.1521609496625161,
                   0.20136540080403034, 0.04471061572777259]
+_DP_W[13, :13] = [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0,
+                  0.25350021021662483, -0.2462390374708025,
+                  -0.12419142326381637, 0.15329179827876568,
+                  0.00820105229563469, 0.007567897660545699, -0.008298]
+_DP_W[14, :14] = [0.03183464816350214, 0.0, 0.0, 0.0, 0.0,
+                  0.028300909672366776, 0.053541988307438566,
+                  -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+                  0.0003825710908356584, -0.00034046500868740456,
+                  0.1413124436746325]
+_DP_W[15, :15] = [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0,
+                  -4.697621415361164, 7.683421196062599, 4.06898981839711,
+                  0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+                  2.9475147891527724, -9.15095847217987]
+_DP_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564]], dtype=complex)
 _DP_E = np.zeros((2, 12), dtype=complex)
 _DP_E[0] = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
             -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
@@ -267,8 +305,32 @@ def _first_step(f, y, f0, rel_tol, abs_tol):
     return h if h > 0 else h0
 
 
+def _dense_states(f, s, step, y, y8, K, hW, xs):
+    """The states at fractions ``xs`` of an accepted step from (s, y) to y8,
+    from DOP853's continuous extension of order 7 (dop853.f's contd8): three
+    more stages fill K[13:16], then the interpolant's seven rows are summed
+    for all fractions at once in Horner form, in x and 1 - x alternately."""
+    for row in range(13, 16):
+        K[row] = f(s + _DP_C[row] * step, y + hW[row, :row] @ K[:row])
+    dy = y8 - y
+    F = np.empty((7,) + y.shape, dtype=complex)
+    F[0] = dy
+    F[1] = step * K[0] - dy
+    F[2] = 2 * dy - step * (K[12] + K[0])
+    F[3:] = (step * _DP_D) @ K
+    x = np.asarray(xs)[:, None]
+    u = F[6] * x
+    for r in range(5, -1, -1):
+        u = (u + F[r]) * (x if r % 2 == 0 else 1 - x)
+    return y + u
+
+
 def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
-    """Advance y across segment k, landing exactly on each stop in (0,1]."""
+    """Advance y across segment k, yielding (stop, state) for each of the
+    increasing ``stops`` in (0, 1], whose last is 1.  The steps are the
+    error controller's alone, the last clipped to land on 1 exactly; a
+    stop strictly inside an accepted step is read off its dense output, a
+    stop at its end takes its state."""
 
     # the chart z(s) and its velocity, with the parts constant in s hoisted
     # (the same arithmetic as Line.point and Arc.point): f is the rhs
@@ -289,82 +351,100 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     s = 0.0
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
-    K = np.empty((13,) + y.shape, dtype=complex)  # the thirteen stage rows
-    hW = np.empty((13, 13), dtype=complex)  # h * _DP_W, refilled per step
+    dense = 0  # accepted steps with a stop strictly inside
+    # the thirteen stage rows, then the dense output's three
+    K = np.empty((16,) + y.shape, dtype=complex)
+    hW = np.empty((16, 16), dtype=complex)  # h * _DP_W, refilled per step
     hE = np.empty((2, 12), dtype=complex)  # h * _DP_E, likewise
     # per later stage k, made once: stage k's state is y + hW[k, :k] @
     # K[:k] (views), then its abscissa
     stages = [(k, hW[k, :k], K[:k], _DP_C[k]) for k in range(1, 13)]
     K[0] = f(s, y)
-    # h is the controller's proposal; a step clipped to a stop is shorter
-    # and leaves it, and err_prev, as they were
     h = _first_step(f, y, K[0], rel_tol, abs_tol)
     ay = np.abs(y)  # |y|, kept from the last accepted step
-    for stop in stops:
-        while s < stop:
-            rest = stop - s
-            step = min(h, rest)
-            if step < 1e-14:
-                raise StepUnderflowError(
-                    f"step underflow on segment {k} (length "
-                    f"{_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
-                    f"|y|={_modulus(y):.3g}")
-            tries += 1
-            if tries > MAX_SEGMENT_STEPS:
-                raise StepBudgetError(
-                    f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
-                    f"(length {_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
-                    f"|y|={_modulus(y):.3g}")
-            np.multiply(_DP_W, step, out=hW)
-            np.multiply(_DP_E, step, out=hE)
-            for row, w, Kw, c_row in stages:
-                yk = y + w @ Kw
-                K[row] = f(s + c_row * step, yk)
-            # e5 and e3, the squared 5th- and 3rd-order estimates over
-            # abs_tol + rel_tol * max(|y|, |y8|), give Hairer's norm
-            # e5 / sqrt(n (e5 + 0.01 e3)); y8, the 8th-order solution, is
-            # stage 12's state yk.  Both estimates exactly zero: no error;
-            # a NaN fails the step
-            ay8 = np.abs(yk)
-            u = np.abs(hE @ K[:12]) / (abs_tol + rel_tol * np.maximum(ay, ay8))
-            e5, e3 = u[0] @ u[0], u[1] @ u[1]
-            deno = e5 + 0.01 * e3
-            enorm = e5 / math.sqrt(u.shape[1] * deno) if deno != 0 else 0.0
-            if enorm <= 1.0:
-                # a step clipped to the stop lands on it exactly: s + rest
-                # may round below it
-                s = stop if step == rest else s + step
-                y, ay = yk, ay8
-                K[0] = K[12]  # FSAL
-                traj.n_steps += 1
-                if step == h:
-                    factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
-                        * err_prev ** _PI_BETA
-                    err_prev = enorm + 1e-16
-                    h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            else:
-                traj.n_rejected += 1
-                factor = _SAFETY * enorm ** (-_PI_ALPHA)
-                h = step * min(1.0, max(_MIN_FACTOR, factor))
-        yield stop, y
-    # K[0] and the probe, then twelve rows per step tried
-    traj.n_rhs_evals += 2 + 12 * tries
+    i = 0  # stops[i] is the first stop beyond s
+    while s < 1.0:
+        rest = 1.0 - s
+        step = min(h, rest)
+        if step < 1e-14:
+            raise StepUnderflowError(
+                f"step underflow on segment {k} (length "
+                f"{_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
+                f"|y|={_modulus(y):.3g}")
+        tries += 1
+        if tries > MAX_SEGMENT_STEPS:
+            raise StepBudgetError(
+                f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
+                f"(length {_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
+                f"|y|={_modulus(y):.3g}")
+        np.multiply(_DP_W, step, out=hW)
+        np.multiply(_DP_E, step, out=hE)
+        for row, w, Kw, c_row in stages:
+            yk = y + w @ Kw
+            K[row] = f(s + c_row * step, yk)
+        # e5 and e3, the squared 5th- and 3rd-order estimates over
+        # abs_tol + rel_tol * max(|y|, |y8|), give Hairer's norm
+        # e5 / sqrt(n (e5 + 0.01 e3)); y8, the 8th-order solution, is
+        # stage 12's state yk.  Both estimates exactly zero: no error;
+        # a NaN fails the step
+        ay8 = np.abs(yk)
+        u = np.abs(hE @ K[:12]) / (abs_tol + rel_tol * np.maximum(ay, ay8))
+        e5, e3 = u[0] @ u[0], u[1] @ u[1]
+        deno = e5 + 0.01 * e3
+        enorm = e5 / math.sqrt(u.shape[1] * deno) if deno != 0 else 0.0
+        if enorm <= 1.0:
+            # the last step lands on 1 exactly: s + rest may round below it
+            s_new = 1.0 if step == rest else s + step
+            j = i  # stops[i:j] lie strictly inside the step
+            while stops[j] < s_new:
+                j += 1
+            if j > i:
+                dense += 1
+                xs = [(stop - s) / step for stop in stops[i:j]]
+                yield from zip(stops[i:j],
+                               _dense_states(f, s, step, y, yk, K, hW, xs))
+            if stops[j] == s_new:
+                yield s_new, yk
+                j += 1
+            i = j
+            s, y, ay = s_new, yk, ay8
+            K[0] = K[12]  # FSAL
+            traj.n_steps += 1
+            factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
+                * err_prev ** _PI_BETA
+            err_prev = enorm + 1e-16
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        else:
+            traj.n_rejected += 1
+            factor = _SAFETY * enorm ** (-_PI_ALPHA)
+            h = step * min(1.0, max(_MIN_FACTOR, factor))
+    # K[0] and the probe, twelve rows per step tried, three more per step
+    # read inside
+    traj.n_rhs_evals += 2 + 12 * tries + 3 * dense
 
 
 def integrate(rhs, y0, path: ComplexPath, rel_tol=1e-9, abs_tol=1e-12,
               samples=None) -> Trajectory:
     """Integrate dy/dz = rhs(z, y) along the path.
 
-    ``samples``: optional increasing path parameters (in [0, n_segments])
-    at which states are recorded in addition to segment endpoints.
+    ``samples``: optional path parameters in [0, n_segments] at which
+    states are recorded in addition to segment endpoints; a NaN or one
+    outside that range raises ValueError.  They do not steer the steps:
+    each is read off the dense output of the step that holds it.
     """
     y = np.asarray(y0, dtype=complex).copy()
     if y.ndim != 1:
         raise ValueError(f"state must be 1-D, got shape {y.shape}")
+    n_seg = len(path.segments)
+    samples = [float(s) for s in (() if samples is None else samples)]
+    # written so that a NaN sample fails
+    bad = [s for s in samples if not 0.0 <= s <= n_seg]
+    if bad:
+        raise ValueError(f"samples {bad} outside the path's parameter "
+                         f"range [0, {n_seg}]")
     traj = Trajectory()
     traj.params.append(0.0)
     traj.states.append(y.copy())
-    samples = sorted(s for s in (samples or []) if 0.0 < s)
     for k, seg in enumerate(path.segments):
         local = sorted({s - k for s in samples if k < s <= k + 1} | {1.0})
         for stop, y_at in _integrate_segment(rhs, seg, y, rel_tol, abs_tol,

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import max_residual
 from .fuchsian import FuchsianSystem
 from .integrator import (MAX_SEGMENT_STEPS, Arc, ComplexPath, Line,
                          StepBudgetError, default_margin)
@@ -397,5 +398,5 @@ def isomonodromy_drift(reps) -> float:
     """
     ref = invariant_traces(reps[0])
     scale = max(1.0, float(np.max(np.abs(ref))))
-    return max((float(np.max(np.abs(invariant_traces(rep) - ref))) / scale
-                for rep in reps[1:]), default=0.0)
+    return max_residual(float(np.max(np.abs(invariant_traces(rep) - ref)))
+                        / scale for rep in reps[1:])

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog, degenerations, rigid
 from ._gradients import gradient
-from .algebra import dual_gradient
+from .algebra import dual_gradient, max_residual
 from .catalog import flow_states, full_params, lookup
 from .fuchsian import accessory_count
 from .integrator import integrate_time, integrate_two_time
@@ -139,15 +139,15 @@ def verify_compat(seed):
         desc = lookup(sid)
         par = sample_params(sid, rng, generic=True)
         st = small_state(sid, rng, _FLOW_TIMES[:desc.n_times])
-        worst = 0.0
+        gaps = []
         pairs = [(1, 2)] if desc.n_times == 2 else [(1, 2), (2, 3), (1, 3)]
         for i, j in pairs:
             ti, tj = st.t[i - 1] + 0.2, st.t[j - 1] + 0.2
             a = integrate_two_time(sid, par, st, i, ti, j, tj, rel_tol=1e-9)
             b = integrate_two_time(sid, par, st, j, tj, i, ti, rel_tol=1e-9)
-            worst = max(worst, float(np.max(np.abs(
+            gaps.append(float(np.max(np.abs(
                 np.array(a.q + a.p) - np.array(b.q + b.p)))))
-        items.append((f"{sid}/disagreement", worst, 1e-6))
+        items.append((f"{sid}/disagreement", max_residual(gaps), 1e-6))
     return items, {}
 
 
@@ -161,12 +161,12 @@ def _eigenvalue_drift(mats0, mats1):
     1 + max|eigenvalue| of the first; eigenvalues are paired by nearness,
     since an order by real part is decided by rounding noise when two
     eigenvalues share a real part."""
-    drift = 0.0
+    drifts = []
     for a0, a1 in zip(mats0, mats1):
         e0 = np.linalg.eigvals(a0)
         scale = 1.0 + float(np.max(np.abs(e0)))
-        drift = max(drift, _match_multiset(np.linalg.eigvals(a1), e0) / scale)
-    return drift
+        drifts.append(_match_multiset(np.linalg.eigvals(a1), e0) / scale)
+    return max_residual(drifts)
 
 
 @_check("isospectral")
@@ -187,8 +187,8 @@ def verify_isospectral(seed):
     mats_raw = [trajS.end_state[k * 9:(k + 1) * 9].reshape(3, 3)
                 for k in range(4)]
     realigned = realign_to_slice(sid, par, mats_raw)
-    deviation = max(float(np.max(np.abs(a - b)))
-                    for a, b in zip(mats_ham, realigned))
+    deviation = max_residual(float(np.max(np.abs(a - b)))
+                             for a, b in zip(mats_ham, realigned))
 
     drift = _eigenvalue_drift(sys0.residues, mats_raw)
     return [(f"{sid}/matrix_deviation", deviation, 1e-6),
@@ -228,7 +228,8 @@ def verify_isomonodromy(seed):
         drift = isomonodromy_drift(reps)
         control = isomonodromy_drift(control_reps)
         # the independent route: generators against the loop at infinity
-        defect = max(rep.product_defect() for rep in reps + control_reps)
+        defect = max_residual(rep.product_defect()
+                              for rep in reps + control_reps)
         # the work: chords over every representation computed here
         counters[f"{sid}/transport_steps"] = sum(
             rep.transport_steps for rep in reps + control_reps[1:])
@@ -266,12 +267,12 @@ def _match_multiset(values, targets):
     """Largest distance from each target to the nearest value not yet
     taken by an earlier target."""
     values = list(values)
-    worst = 0.0
+    gaps = []
     for w in targets:
         j = int(np.argmin([abs(v - w) for v in values]))
-        worst = max(worst, float(abs(values[j] - w)))
+        gaps.append(float(abs(values[j] - w)))
         values.pop(j)
-    return worst
+    return max_residual(gaps)
 
 
 def _power_sum_residual(M, exponents):
@@ -281,11 +282,11 @@ def _power_sum_residual(M, exponents):
     block (error near sqrt(eps)), they are well conditioned."""
     w = np.array([complex(x) for x in exponents])
     s = 1.0 + max(float(np.max(np.abs(M))), float(np.max(np.abs(w))))
-    worst, Mk = 0.0, np.eye(len(w))
+    gaps, Mk = [], np.eye(len(w))
     for k in range(1, len(w) + 1):
         Mk = Mk @ M
-        worst = max(worst, abs(np.trace(Mk) - np.sum(w ** k)) / s ** k)
-    return float(worst)
+        gaps.append(abs(np.trace(Mk) - np.sum(w ** k)) / s ** k)
+    return float(max_residual(gaps))
 
 
 @_check("riemann-schemes")
@@ -293,7 +294,7 @@ def verify_riemann_schemes(seed):
     rng = rng_from_seed(seed)
     items = []
     for cid, case in rigid.RIGID_CASES.items():
-        worst = 0.0
+        residuals = []
         for _ in range(20):
             par = constrained_rigid_params(case, rng)
             mats = rigid.build_rigid_matrices(case, par)
@@ -302,9 +303,9 @@ def verify_riemann_schemes(seed):
                 Mt, M1, M0 = mset
                 finite = [m for m in (Mt, M1, M0) if m is not None]
                 all_m = finite + [-sum(finite)]
-                for M, want in zip(all_m, colset):
-                    worst = max(worst, _power_sum_residual(M, want))
-        items += [(f"{cid}/scheme_residual", worst, 1e-9),
+                residuals += [_power_sum_residual(M, want)
+                              for M, want in zip(all_m, colset)]
+        items += [(f"{cid}/scheme_residual", max_residual(residuals), 1e-9),
                   (f"{cid}/accessory_count",
                    abs(accessory_count(case.spectral_type)), 1)]
         if case.n_times == 2:
@@ -345,13 +346,12 @@ def verify_particular(seed):
         traj = integrate_time(rhs, _RIGID_Y0, times, 1, t1v, rel_tol=1e-11,
                               abs_tol=1e-14,
                               samples=list(np.linspace(0.15, 0.85, 4)))
-        worst_f = worst_p = 0.0
-        for s, y in zip(traj.params, traj.states):
-            tcur = (t0v + s * (t1v - t0v),) + tuple(other)
-            field, pfaff = rigid.lift_residuals(case, par, rhs, y, tcur)
-            worst_f, worst_p = max(worst_f, field), max(worst_p, pfaff)
-        items += [(f"{cid}/field_residual", worst_f, 1e-6),
-                  (f"{cid}/pfaff_residual", worst_p, 1e-7)]
+        field, pfaff = zip(*(
+            rigid.lift_residuals(case, par, rhs, y,
+                                 (t0v + s * (t1v - t0v),) + tuple(other))
+            for s, y in zip(traj.params, traj.states)))
+        items += [(f"{cid}/field_residual", max_residual(field), 1e-6),
+                  (f"{cid}/pfaff_residual", max_residual(pfaff), 1e-7)]
     return items, {}
 
 
@@ -377,7 +377,7 @@ def verify_symplectic(seed):
         Om_qp = np.zeros((2 * n, 2 * n))
         Om_qp[:n, n:] = np.eye(n)
         Om_qp[n:, :n] = -np.eye(n)
-        worst = 0.0
+        residuals = []
         for _ in range(50):
             for _ in range(MAX_DRAWS):
                 par = sample_params(sid, rng, generic=True)
@@ -397,9 +397,8 @@ def verify_symplectic(seed):
             else:
                 raise RuntimeError(f"{sid}: no sample off the chart's "
                                    f"singular set in {MAX_DRAWS} draws")
-            worst = max(worst, float(np.max(np.abs(
-                J.T @ Om_bc @ J - Om_qp))))
-        items.append((f"{sid}/form_residual", worst, 1e-8))
+            residuals.append(float(np.max(np.abs(J.T @ Om_bc @ J - Om_qp))))
+        items.append((f"{sid}/form_residual", max_residual(residuals), 1e-8))
     return items, {}
 
 
@@ -417,7 +416,7 @@ def verify_gradients(seed):
     step = 1e-6  # the difference step
     for sid in catalog.list_systems():
         desc = lookup(sid)
-        worst = 0.0
+        errors = []
         for _ in range(100):
             par = sample_params(sid, rng)
             st = sample_state(sid, rng)
@@ -435,9 +434,8 @@ def verify_gradients(seed):
                     zp[k] += step
                     zm[k] -= step
                     fd = (f(*zp) - f(*zm)) / (2 * step)
-                    err = abs(grad[k] - fd) / (1.0 + abs(grad[k]))
-                    worst = max(worst, err)
-        items.append((f"{sid}/relative_error", worst, 1e-6))
+                    errors.append(abs(grad[k] - fd) / (1.0 + abs(grad[k])))
+        items.append((f"{sid}/relative_error", max_residual(errors), 1e-6))
     return items, {}
 
 

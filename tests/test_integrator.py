@@ -155,22 +155,27 @@ def test_step_errors_report_the_state_modulus(monkeypatch):
 
 
 def test_trajectory_counts_stage_values_and_step_range():
-    traj = integrate(lambda z, y: 1j * y, np.array([1.0 + 0j]),
-                     ComplexPath.polyline([0.0, 1.0, 3.0]), rel_tol=1e-10,
-                     samples=[1.5])
-    tries = traj.n_steps + traj.n_rejected
-    # per segment the first stage and the starting-step probe, then twelve
-    # stages per step tried
-    assert traj.n_rhs_evals == 2 * 2 + 12 * tries
-    # the stops run from the start of the path to its end
-    assert traj.params == [0.0, 1.0, 1.5, 2.0]
+    path = ComplexPath.polyline([0.0, 1.0, 3.0])
+    for samples, held in (([], 0), ([1.5], 1),
+                          # a cluster inside one step costs one extension
+                          ([1.5 + k * 2**-13 for k in range(5)], 1),
+                          ([0.5, 1.5], 2)):
+        traj = integrate(lambda z, y: 1j * y, np.array([1.0 + 0j]), path,
+                         rel_tol=1e-10, samples=samples)
+        tries = traj.n_steps + traj.n_rejected
+        # per segment the first stage and the starting-step probe, then
+        # twelve stages per step tried, and three per step holding a stop
+        assert traj.n_rhs_evals == 2 * 2 + 12 * tries + 3 * held
+        # the stops run from the start of the path to its end
+        assert traj.params == [0.0] + sorted(samples + [1.0, 2.0])
     empty = integrate(lambda z, y: y, [1.0], ComplexPath(()))
     assert empty.params == [0.0] and empty.n_steps == 0
 
 
-def test_clipped_step_lands_exactly_on_its_stop():
-    # s + (stop - s) rounds one ulp below this stop; the next step would
-    # then be h ~ 1e-16 and raise StepUnderflowError
+def test_stops_are_recorded_at_exactly_their_parameters():
+    # s + (stop - s) rounds one ulp below this stop: a stepper that landed
+    # on it would take a next step of h ~ 1e-16 and raise
+    # StepUnderflowError
     s1, s2 = 0.013430708616347542, 0.808951245655351
     traj = integrate(lambda z, y: 0 * y, np.array([1 + 0j]),
                      ComplexPath.polyline([0.0, 1 + 1j]), rel_tol=1e-6,
@@ -198,20 +203,99 @@ def test_one_step_is_the_dormand_prince_stability_polynomial():
     assert abs(traj.end_state[0] - want) <= 4e-15 * abs(want)
 
 
-def test_clipped_steps_leave_the_proposed_step():
-    # five stops 2**-13 apart cost one landing each: after each clipped
-    # step the next starts from the controller's proposal again, rather
-    # than regrowing from the clipped length
-    lam = 0.7 - 0.3j
+LAM = 0.7 - 0.3j
+
+
+def _cos_rhs(z, y):
+    """y' = LAM cos(z) y, whose solution is exp(LAM sin z) up to a factor."""
+    return LAM * np.cos(z) * y
+
+
+def test_stops_do_not_steer_the_steps():
+    # five stops 2**-13 apart cost no step: the run with them takes the
+    # steps of the run without, and ends on the same bits
     path = ComplexPath.polyline([0.0, 1.2 + 0.5j])
     cluster = [0.5 + k * 2**-13 for k in range(5)]
     plain, clustered = (
-        integrate(lambda z, y: lam * np.cos(z) * y, np.array([1.0 + 0j]),
-                  path, rel_tol=1e-10, samples=samples)
+        integrate(_cos_rhs, np.array([1.0 + 0j]), path, rel_tol=1e-10,
+                  samples=samples)
         for samples in ((), cluster))
     assert clustered.params[1:6] == cluster
-    assert clustered.n_steps <= plain.n_steps + len(cluster) + 2
-    assert abs(clustered.end_state[0] - plain.end_state[0]) < 1e-11
+    assert (clustered.n_steps, clustered.n_rejected) == (plain.n_steps,
+                                                         plain.n_rejected)
+    assert clustered.n_rhs_evals == plain.n_rhs_evals + 3
+    assert clustered.end_state.tobytes() == plain.end_state.tobytes()
+
+
+@pytest.mark.parametrize("seg", [Line(0.0, 1.2 + 0.5j),
+                                 Arc(0.5j, 1.5, 0.3, 2.0)],
+                         ids=["line", "arc"])
+def test_dense_output_matches_the_closed_form(seg):
+    rel_tol = 1e-10
+    stops = list(np.linspace(0.02, 0.98, 25))
+    traj = integrate(_cos_rhs, np.array([1.0 + 0j]), ComplexPath((seg,)),
+                     rel_tol=rel_tol, samples=stops)
+    assert traj.params == [0.0] + stops + [1.0]
+    # some stops are read inside a step
+    assert traj.n_rhs_evals > 2 + 12 * (traj.n_steps + traj.n_rejected)
+    z = seg.point(np.array(traj.params))
+    exact = np.exp(LAM * (np.sin(z) - np.sin(seg.point(0.0))))
+    got = np.array(traj.states)[:, 0]
+    assert np.max(np.abs(got - exact) / np.abs(exact)) < rel_tol
+
+
+def test_stop_at_a_step_end_takes_its_state():
+    # the last stage of a step is evaluated at its end, on its 8th-order
+    # state: record the (z, y) of every rhs call, without stops
+    calls = []
+
+    def rhs(z, y):
+        calls.append((z, y.copy()))
+        return _cos_rhs(z, y)
+
+    path = ComplexPath.polyline([0.0, 1.2])  # z is the chart parameter
+    plain = integrate(rhs, np.array([1.0 + 0j]), path, rel_tol=1e-10)
+    assert plain.n_rejected == 0 and plain.n_steps > 3
+    # after the first stage and the probe, twelve calls per step
+    ends = [calls[2 + 12 * m + 11] for m in range(plain.n_steps - 1)]
+    z_end, y_end = ends[2]
+    stop = z_end.real / 1.2
+    assert path.segments[0].point(stop) == z_end
+    traj = integrate(_cos_rhs, np.array([1.0 + 0j]), path, rel_tol=1e-10,
+                     samples=[stop])
+    assert traj.params == [0.0, stop, 1.0]
+    assert traj.states[1].tobytes() == y_end.tobytes()
+    assert traj.n_rhs_evals == plain.n_rhs_evals  # no extension needed
+
+
+def test_dense_output_tables_are_scipys():
+    coefficients = pytest.importorskip(
+        "scipy.integrate._ivp.dop853_coefficients")
+    assert np.array_equal(integrator._DP_W[13:16].real, coefficients.A[13:16])
+    assert not integrator._DP_W.imag.any()
+    assert integrator._DP_C[13:16] == tuple(coefficients.C[13:16])
+    assert np.array_equal(integrator._DP_D, coefficients.D)
+
+
+@pytest.mark.parametrize("bad", [5.0, float("nan"), -1.0, 1.0 + 1e-12,
+                                 -1e-300])
+def test_bad_samples_raise(bad):
+    path = ComplexPath.polyline([0.0, 1.0])
+    with pytest.raises(ValueError, match=r"outside the path's parameter "
+                                         r"range \[0, 1\]"):
+        integrate(lambda z, y: y, np.array([1.0 + 0j]), path,
+                  samples=[0.5, bad])
+    # 0 and the path's end are in range: both are recorded points already
+    traj = integrate(lambda z, y: y, np.array([1.0 + 0j]), path,
+                     samples=[0.0, 0.5, 1.0])
+    assert traj.params == [0.0, 0.5, 1.0]
+
+
+def test_samples_may_be_an_array():
+    traj = integrate(lambda z, y: y, np.array([1.0 + 0j]),
+                     ComplexPath.polyline([0.0, 1.0]),
+                     samples=np.array([0.75, 0.25]))
+    assert traj.params == [0.0, 0.25, 0.75, 1.0]
 
 
 @pytest.mark.parametrize("rhs,y0", [

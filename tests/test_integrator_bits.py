@@ -4,7 +4,9 @@ The endpoint (``float.hex`` of its real and imaginary parts), the
 accepted and the rejected step counts must repeat exactly.  A change to
 how the Dormand-Prince 8(5,3) stages are summed, to the starting step,
 or to the order in which a rhs adds its terms, moves the bits and fails
-this test, where the tolerance-based tests would still pass.
+this test, where the tolerance-based tests would still pass.  Samples do
+not steer the steps, so only the sampled ``catalog_flow`` would see a
+change that made them do so again.
 
 The stepper forms its stage sums as matrix products, which numpy hands
 to the BLAS library; OpenBLAS picks its kernel (and whether it fuses

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import painlab
-from painlab import rigid, verify
+from painlab import catalog, monodromy, rigid, verify
 from painlab.cli import main
 from painlab.sampling import MAX_DRAWS, rng_from_seed
 
@@ -137,13 +138,15 @@ def test_empty_seed_range_is_a_usage_error(args):
 
 
 def test_compare_reports_tool_names_a_changed_residual(tmp_path):
-    paths = [tmp_path / f"{k}.json" for k in "abc"]
+    paths = [tmp_path / f"{k}.json" for k in "abcd"]
     for path in paths[:2]:
         assert main(["verify", "counts", "--out", str(path)]) == 0
     report = json.loads(paths[1].read_text())
     item = report["results"][0]["details"]["items"][3]
     item["residual"] = 0.5
     paths[2].write_text(json.dumps(report))
+    item["residual"] = 0.125
+    paths[3].write_text(json.dumps(report))
 
     def compare(old, new):
         return subprocess.run([sys.executable, str(ROOT / "tools" /
@@ -160,6 +163,87 @@ def test_compare_reports_tool_names_a_changed_residual(tmp_path):
     assert len(lines) == 2
     assert lines[0].startswith(f"counts:{item['id']}: ")
     assert "'residual': 0.0" in lines[0] and "'residual': 0.5" in lines[0]
+    # each moved residual ends with its new/old ratio
+    assert lines[0].endswith("(residual new/old inf)")
+    down = compare(paths[2], paths[3]).stdout.splitlines()
+    assert down[0].startswith(f"counts:{item['id']}: ")
+    assert down[0].endswith("(residual new/old 0.25)")
+
+
+NAN = float("nan")
+
+
+def _spoil_gradient(real, *args):
+    grad = real(*args)
+    return lambda *z: [NAN] * len(grad(*z))
+
+
+# (check, item, where, name, call, spoil): the call-th call of where.name
+# returns spoil(real, *args) instead, which puts a NaN into one term of
+# the fold behind the item, past its first term
+NAN_FOLDS = {
+    "compat": ("compat", "11,11,11,11,11/disagreement", verify,
+               "integrate_two_time", 2,
+               lambda real, *a, **k: dataclasses.replace(
+                   real(*a, **k), q=(NAN,) + real(*a, **k).q[1:])),
+    "isospectral-deviation": (
+        "isospectral", "21,21,21,21,111/matrix_deviation", verify,
+        "realign_to_slice", 1,
+        lambda real, *a: [m * NAN if k == 1 else m
+                          for k, m in enumerate(real(*a))]),
+    "eigenvalue-drift": ("isospectral", "21,21,21,21,111/eigenvalue_drift",
+                         verify, "_match_multiset", 2,
+                         lambda real, *a: NAN),
+    "match-multiset": ("isospectral", "21,21,21,21,111/eigenvalue_drift",
+                       verify, "_match_multiset", 2,
+                       lambda real, values, targets: real(
+                           np.append(values[:-1], NAN), targets)),
+    "isomonodromy-drift": ("isomonodromy", "21,21,21,21,111/drift",
+                           monodromy, "invariant_traces", 3,
+                           lambda real, rep: real(rep) * NAN),
+    "product-defect": ("isomonodromy", "21,21,21,21,111/product_defect",
+                       monodromy.MonodromyRepresentation, "product_defect", 2,
+                       lambda real, rep: NAN),
+    "power-sum": ("riemann-schemes", "case-21x4/scheme_residual", verify,
+                  "_power_sum_residual", 2,
+                  lambda real, M, w: real(M, [NAN] + list(w)[1:])),
+    "riemann-schemes": ("riemann-schemes", "case-21x4/scheme_residual",
+                        verify, "_power_sum_residual", 2,
+                        lambda real, *a: NAN),
+    "particular-field": ("particular", "case-21x4/field_residual", rigid,
+                         "lift_residuals", 2,
+                         lambda real, *a: (NAN, real(*a)[1])),
+    "particular-pfaff": ("particular", "case-21x4/pfaff_residual", rigid,
+                         "lift_residuals", 2,
+                         lambda real, *a: (real(*a)[0], NAN)),
+    "symplectic": ("symplectic", "21,21,21,21,111/form_residual", verify,
+                   "dual_gradient", 2,
+                   lambda real, *a: (real(*a)[0],
+                                     np.full_like(real(*a)[1], NAN))),
+    "gradients": ("gradients", "11,11,11,11/relative_error", verify,
+                  "gradient", 2, _spoil_gradient),
+}
+
+
+@pytest.mark.parametrize("fold", list(NAN_FOLDS))
+def test_a_nan_term_fails_its_item(monkeypatch, fold):
+    check, item_id, where, name, call, spoil = NAN_FOLDS[fold]
+    real, calls = getattr(where, name), []
+
+    def spoiled(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            return spoil(real, *args, **kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(where, name, spoiled)
+    # the gradients check on one system only
+    monkeypatch.setattr(catalog, "list_systems", lambda: ["11,11,11,11"])
+    result = verify.CHECKS[check]()
+    assert len(calls) >= call  # the NaN went in
+    (item,) = [i for i in result["details"]["items"] if i["id"] == item_id]
+    assert math.isnan(item["residual"]) and not item["passed"]
+    assert not result["passed"]
 
 
 def test_unsatisfiable_parameter_constraint_raises():

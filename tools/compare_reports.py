@@ -3,8 +3,10 @@
 Prints one line per difference: the seed or overall verdict, a check only
 one report has or whose verdict differs, and every item (``check:id``) or
 counter (``check:counters/name``) that differs or that only one report
-holds.  Wall-clock ``seconds`` are the one field that varies between runs
-from a seed, so they are left out.
+holds.  An item whose residual moved ends with the ratio of the new
+residual to the old, so a change of order of magnitude reads at a glance.
+Wall-clock ``seconds`` are the one field that varies between runs from a
+seed, so they are left out.
 
 Usage, from the root of the repository::
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -32,6 +35,18 @@ def _keyed(result):
 def _text(value):
     """A value as JSON text: exact for floats, and NaN equals NaN."""
     return json.dumps(value, sort_keys=True)
+
+
+def _ratio(a, b):
+    """The suffix naming the new/old residual ratio of two items whose
+    residuals differ (inf from an old residual of 0); '' otherwise."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return ""
+    old, new = a["residual"], b["residual"]
+    if _text(old) == _text(new):
+        return ""
+    ratio = new / old if old else math.inf
+    return f"  (residual new/old {ratio:.3g})"
 
 
 def differences(old, new):
@@ -52,7 +67,8 @@ def differences(old, new):
             if key not in kb or key not in ka:
                 lines.append(f"{key}: only in {'OLD' if key in ka else 'NEW'}")
             elif _text(ka[key]) != _text(kb[key]):
-                lines.append(f"{key}: {ka[key]!r} -> {kb[key]!r}")
+                lines.append(f"{key}: {ka[key]!r} -> {kb[key]!r}"
+                             f"{_ratio(ka[key], kb[key])}")
     return lines
 
 

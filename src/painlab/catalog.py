@@ -27,6 +27,7 @@ __all__ = [
     "PhaseState",
     "lookup",
     "list_systems",
+    "MergedParams",
     "derive_alphas",
     "full_params",
     "eval_h",
@@ -248,15 +249,29 @@ def list_systems():
     return tuple(CATALOG)
 
 
+class MergedParams(dict):
+    """Native parameters merged with the alpha values derived for ``sid``;
+    read-only, so :func:`full_params` can hand them back as they are."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("merged parameters are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _read_only
+
+
 def derive_alphas(sid: str, params: Mapping[str, complex]):
     """Alpha values of a system from its native parameters.
 
     For exponent-parametrized systems this applies the printed linear map;
     for alpha-native systems it passes the values through.  The trace
     relation on the native parameters must vanish (to ``FUCHS_TOL``); a
-    residual that is not a number fails too.
+    residual that is not a number fails too.  Parameters merged for
+    ``sid`` already hold the alphas.
     """
     desc = lookup(sid)
+    if isinstance(params, MergedParams) and params.sid == sid:
+        return {n: params[n] for n in desc.alpha_names}
     res = abs(desc.fuchs_relation(params))
     if not res <= FUCHS_TOL:
         raise ValueError(
@@ -267,9 +282,13 @@ def derive_alphas(sid: str, params: Mapping[str, complex]):
 
 
 def full_params(sid: str, params: Mapping[str, complex]):
-    """Native parameters merged with derived alpha values."""
-    merged = {k: complex(v) for k, v in params.items()}
-    merged.update(derive_alphas(sid, params))
+    """Native parameters merged with derived alpha values, read-only;
+    parameters already merged for ``sid`` come back as they are."""
+    if isinstance(params, MergedParams) and params.sid == sid:
+        return params
+    merged = MergedParams({k: complex(v) for k, v in params.items()})
+    dict.update(merged, derive_alphas(sid, params))
+    merged.sid = sid
     return merged
 
 
@@ -282,9 +301,9 @@ class PhaseState:
     t: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(complex(z) for z in self.q))
-        object.__setattr__(self, "p", tuple(complex(z) for z in self.p))
-        object.__setattr__(self, "t", tuple(complex(z) for z in self.t))
+        object.__setattr__(self, "q", tuple(map(complex, self.q)))
+        object.__setattr__(self, "p", tuple(map(complex, self.p)))
+        object.__setattr__(self, "t", tuple(map(complex, self.t)))
         if not min_gap((0j, 1 + 0j) + self.t) > COLLISION_TOL:
             raise ValueError(f"times {self.t} collide or are not finite")
 
@@ -311,15 +330,14 @@ def eval_h(sid: str, i: int, params, state: PhaseState):
     return HAMILTONIANS[sid](i, merged, state.q, state.p, state.t)
 
 
-def vector_field(sid: str, i: int, params, state: PhaseState, merged=False):
+def vector_field(sid: str, i: int, params, state: PhaseState):
     """(dq/dt_i, dp/dt_i): the canonical flow of H_i.
 
     Convention: t_i(t_i-1) dq_j/dt_i = +dH_i/dp_j and
-    t_i(t_i-1) dp_j/dt_i = -dH_i/dq_j.  ``merged``: ``params`` already
-    went through :func:`full_params`, which is then not derived again.
+    t_i(t_i-1) dp_j/dt_i = -dH_i/dq_j.
     """
     desc = _lookup_flow(sid, i)
-    par = params if merged else full_params(sid, params)
+    par = full_params(sid, params)
     n = desc.n_pairs
     grad = gradient(sid, i)(par, state.q, state.p, state.t)
     ti = state.t[i - 1]
@@ -399,7 +417,7 @@ def constraint_rate(sid: str, params, state: PhaseState, constraints):
         state.q + state.p + state.t)
     rates = []
     for i in range(1, desc.n_times + 1):
-        dq, dp = vector_field(sid, i, par, state, merged=True)
+        dq, dp = vector_field(sid, i, par, state)
         dz = dq + dp
         # zip stops at the 2n phase slots; the t_i slot's weight is 1
         rates.extend(abs(sum(a * b for a, b in zip(row, dz))

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import max_residual
-from .catalog import PhaseState, constraint_rate, derive_alphas, eval_h, lookup
+from .catalog import (PhaseState, constraint_rate, derive_alphas, eval_h,
+                      full_params, lookup)
 from .sampling import (MAX_DRAWS, rational_complex, sample_params,
                        sample_state, tied_params)
 
@@ -51,7 +52,7 @@ class DegenerationRule:
 
 
 def _project_first_pairs(rule, params, state):
-    small_par = derive_alphas(rule.big, params)
+    small_par = full_params(rule.small, derive_alphas(rule.big, params))
     small_state = PhaseState(state.q[:2], state.p[:2],
                              state.t[:lookup(rule.small).n_times])
     return max_residual([abs(eval_h(rule.big, i, params, state)
@@ -60,7 +61,7 @@ def _project_first_pairs(rule, params, state):
 
 
 def _trace_form_residual(rule, params, state):
-    small_par = derive_alphas(rule.big, params)
+    small_par = full_params(rule.small, derive_alphas(rule.big, params))
     q1, q2, q3 = state.q
     p1, p2, p3 = state.p
     qs = ((q1 + q3) / 2, -q2 - (q1 - q3) ** 2 / 4)
@@ -158,8 +159,9 @@ def check_rule(rule: DegenerationRule, n_samples, rng):
             params = rule.draw_params(rng)
             try:
                 state = rule.onto_manifold(rule, rng, params)
-                h = rule.hamiltonian_residual(rule, params, state)
-                tang = constraint_rate(rule.big, params, state,
+                merged = full_params(rule.big, params)  # after the draws
+                h = rule.hamiltonian_residual(rule, merged, state)
+                tang = constraint_rate(rule.big, merged, state,
                                        rule.constraints)
             except (ValueError, ZeroDivisionError):
                 continue

@@ -31,11 +31,13 @@ Z_0 = I; with u_i = h/(t_i - c) and W_{i,-1} = 0,
 and T = sum_{k<=K} Z_k carries Y(c) to Y(c + h).  The order K comes from
 the majorant (1 - RHO tau)^(-SIGMA/RHO) and rel_tol (:func:`series_order`).
 All chords of a representation, the loop at infinity's included, run
-through this recurrence together, in blocks of BLOCK chords.
+through this recurrence together, in blocks of BLOCK chords, each order
+one matrix product into a preallocated buffer.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,8 +67,8 @@ __all__ = [
 # |h| sum_i ||A_i||/|t_i - c| <= SIGMA
 RHO = 0.4
 SIGMA = 2.0
-# chords per block of the recurrence
-BLOCK = 64
+# chords per block of the recurrence: a multiple of 4 (see _transfer)
+BLOCK = 256
 # the highest series order: series_order reaches rel_tol 1e-70 below it
 MAX_ORDER = 200
 # the smallest defect the check asks for, above roundoff: the worst chord
@@ -151,7 +153,7 @@ class TransportDefectError(RuntimeError):
             f"series defect {defect:.3g} above {tol:.3g} on lasso {lasso}, "
             f"step {step}: chord from c={c:.6g} with h={h:.3g}")
         self.lasso, self.step, self.c, self.h = lasso, step, c, h
-        self.defect = defect
+        self.defect, self.tol = defect, tol
 
 
 def series_order(rel_tol) -> int:
@@ -180,22 +182,32 @@ def _chords(seg, points, norms, lasso):
 
     From a vertex c the next one lies on the segment at chord length
     min(RHO dist(c, points), SIGMA / sum_i norms_i/|t_i - c|), or at the
-    segment's end.  ``norms`` bound the residues' spectral norms.  Raises
+    segment's end.  ``norms`` bound the residues' spectral norms.  The
+    vertices come from one scalar chart per segment, the arithmetic of
+    ``seg.point`` with ``cmath.exp`` for its ``np.exp``.  Raises
     StepBudgetError past MAX_SEGMENT_STEPS chords.
     """
     if isinstance(seg, Line):
-        length = abs(seg.end - seg.start)
+        z0, v = seg.start, seg.end - seg.start
+        length = abs(v)
+
+        def point(s):
+            return z0 + s * v
 
         def advance(r):
             return r / length
     else:
-        diameter, turn = 2 * seg.radius, abs(seg.sweep)
+        z0, radius, a0, sweep = seg.center, seg.radius, seg.angle0, seg.sweep
+        diameter, turn = 2 * radius, abs(sweep)
+
+        def point(s):
+            return z0 + radius * cmath.exp(1j * (a0 + s * sweep))
 
         def advance(r):
             # the arc's chord of length r; a diameter at most
             return 2 * math.asin(min(1.0, r / diameter)) / turn
 
-    s, c = 0.0, complex(seg.point(0.0))
+    s, c = 0.0, complex(point(0.0))
     out = [c]
     while s < 1.0:
         if len(out) > MAX_SEGMENT_STEPS:
@@ -203,13 +215,17 @@ def _chords(seg, points, norms, lasso):
                 f"more than {MAX_SEGMENT_STEPS} chords on a segment of "
                 f"lasso {lasso}, at step {len(out) - 1} of the segment: "
                 f"c={c:.6g}, h={out[-1] - out[-2]:.3g}")
-        dist = [abs(t - c) for t in points]
-        r = RHO * min(dist)
-        weight = sum(a / d for a, d in zip(norms, dist))
+        near, weight = math.inf, 0.0
+        for a, t in zip(norms, points):
+            d = abs(t - c)
+            if d < near:
+                near = d
+            weight += a / d
+        r = RHO * near
         if r * weight > SIGMA:
             r = SIGMA / weight
         s = min(1.0, s + advance(r))
-        c = complex(seg.point(s))
+        c = complex(point(s))
         out.append(c)
     return out
 
@@ -219,11 +235,12 @@ def _transfer(sys, c, h, order, rel_tol, owner, index):
 
     Blocks of BLOCK chords run the recurrence of the module docstring
     side by side: the P W_i of a block form one (P L, b L) array, so each
-    order is one product with [A_1 ... A_P].  Each block is then checked
-    with one broadcast call of ``sys.rhs()``: h M(c + h) T must equal the
-    series' derivative sum k Z_k to max(rel_tol, DEFECT_FLOOR), relative
-    to its size; ``owner`` and ``index`` name a failing chord's lasso and
-    step in the TransportDefectError.
+    order is one product with [A_1 ... A_P], written over Z_k in place;
+    every BLOCK that is a multiple of 4 (the BLAS product's column group)
+    gives the same bits.  Each block is then checked with one broadcast
+    call of ``sys.rhs()``: h M(c + h) T must equal the derivative
+    sum k Z_k to max(rel_tol, DEFECT_FLOOR), relative to its size, or a
+    TransportDefectError (a NaN too) names the chord's lasso and step.
     """
     L, P = sys.size, len(sys.points)
     pts = np.array(sys.points)
@@ -241,21 +258,23 @@ def _transfer(sys, c, h, order, rel_tol, owner, index):
         t = z.copy()
         dz = np.zeros_like(z)  # sum k Z_k
         w = np.zeros((P, L, b, L), dtype=complex)
+        # w takes in Z_k before the product overwrites z with (k + 1) Z_{k+1}
+        w2, z2, zf = w.reshape(P * L, -1), z.reshape(L, -1), z.view(float)
         for k in range(order):
             w += z
             w *= u
-            y = (neg @ w.reshape(P * L, b * L)).reshape(L, b, L)
-            dz += y
-            y /= k + 1
-            t += y
-            z = y
+            np.matmul(neg, w2, out=z2)
+            dz += z
+            # numpy's complex / (k + 1) is (x + 0 y, y - 0 x) * (1 / (k + 1))
+            zf *= 1.0 / (k + 1)
+            t += z
         t = t.transpose(1, 0, 2)
         dz = dz.transpose(1, 0, 2).reshape(b, L * L)
         slope = hb[:, None] * rhs((cb + hb)[:, None], t.reshape(b, L * L))
         size = np.maximum(np.max(np.abs(dz), axis=1), np.finfo(float).tiny)
         defect = np.max(np.abs(slope - dz), axis=1) / size
         worst = int(np.argmax(defect))
-        if defect[worst] > tol:
+        if not defect[worst] <= tol:
             j = lo + worst
             raise TransportDefectError(owner[j], index[j], c[j], h[j],
                                        float(defect[worst]), tol)

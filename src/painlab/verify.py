@@ -247,7 +247,8 @@ def verify_isomonodromy(seed):
 
 def constrained_rigid_params(case, rng):
     """Parent parameters drawn with the case's tie, kept once the trace
-    relation and the parameter constraint check out independently."""
+    relation and the parameter constraint check out independently, and
+    returned merged (:func:`~painlab.catalog.full_params`)."""
     sid = case.parent
     for _ in range(MAX_DRAWS):
         par = tied_params(sid, rng, *case.tie, generic=True)
@@ -258,7 +259,7 @@ def constrained_rigid_params(case, rng):
             continue
         if not case.admissible(merged):
             continue
-        return par
+        return merged
     raise RuntimeError(f"{case.case_id}: no admissible parameters in "
                        f"{MAX_DRAWS} draws")
 

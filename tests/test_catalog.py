@@ -3,9 +3,9 @@
 import pytest
 
 from painlab.algebra import time_derivative
-from painlab.catalog import (PhaseState, constraint_rate, derive_alphas,
-                             eval_h, flow_rhs, flow_states, full_params,
-                             list_systems, lookup, vector_field)
+from painlab.catalog import (MergedParams, PhaseState, constraint_rate,
+                             derive_alphas, eval_h, flow_rhs, flow_states,
+                             full_params, list_systems, lookup, vector_field)
 from painlab.degenerations import RULES
 from painlab.integrator import integrate_two_time
 from painlab.fuchsian import accessory_count, parse_spectral_type
@@ -77,6 +77,39 @@ def test_fuchs_violation_raises():
     par = dict.fromkeys(lookup("21,21,21,21,111").param_names, 0.5)
     with pytest.raises(ValueError):
         derive_alphas("21,21,21,21,111", par)
+
+
+def test_parameters_merged_for_the_system_come_back_as_they_are():
+    sid = "21,21,21,21,111"
+    merged = full_params(sid, sample_params(sid, rng_from_seed(5)))
+    assert isinstance(merged, MergedParams) and merged.sid == sid
+    assert full_params(sid, merged) is merged
+    assert derive_alphas(sid, merged) == {n: merged[n]
+                                          for n in lookup(sid).alpha_names}
+    with pytest.raises(TypeError, match="read-only"):
+        merged["alpha0"] = 0.0
+
+
+def test_merged_parameters_are_derived_again_for_another_system():
+    # a degeneration rule's big system merges the small one's parameters
+    rule = RULES["p3-and-last-exponent-zero"]
+    big = full_params(rule.big, rule.draw_params(rng_from_seed(6)))
+    small = full_params(rule.small, big)
+    assert small.sid == rule.small and small is not big
+    assert all(small[n] == big[n] for n in lookup(rule.small).alpha_names)
+    # and checked again: this system's trace relation does not hold there
+    with pytest.raises(ValueError, match="trace relation violated"):
+        full_params("22,22,22,211", small)
+
+
+def test_a_violated_trace_relation_on_a_plain_dict_still_raises():
+    sid = "21,21,21,21,111"
+    par = dict(full_params(sid, sample_params(sid, rng_from_seed(7))))
+    par["theta1"] += 0.5
+    with pytest.raises(ValueError, match="trace relation violated"):
+        full_params(sid, par)
+    with pytest.raises(ValueError, match="trace relation violated"):
+        eval_h(sid, 1, par, sample_state(sid, rng_from_seed(7)))
 
 
 def test_derive_alphas_is_linear_in_homogeneous_part():
@@ -235,7 +268,7 @@ def reference_rate(sid, params, state, constraints):
     par = full_params(sid, params)
     worst = 0.0
     for i in range(1, lookup(sid).n_times + 1):
-        dq, dp = vector_field(sid, i, par, state, merged=True)
+        dq, dp = vector_field(sid, i, par, state)
         for g in constraints:
             rate = time_derivative(lambda w, t: g(w[:n], w[n:], t, par),
                                    state.q + state.p, dq + dp, state.t, i)

@@ -1,6 +1,7 @@
 """Numerical monodromy: generators, relations, invariance."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -257,6 +258,83 @@ def test_truncated_series_fails_the_defect_check(monkeypatch):
     e = err.value
     assert e.defect > 1e-10 and e.h != 0
     assert 0 <= e.lasso <= len(sys.points) and e.step >= 0
+
+
+def test_a_nan_defect_fails_the_transport_check():
+    # NaN > tol is false: a NaN defect must not read as a passed check
+    sys = _assembled("21,21,21,21,111", rng_from_seed(8))
+    a1 = sys.residues[0].copy()
+    a1[0, 0] = np.nan
+    sys = dataclasses.replace(sys, residues=(a1,) + sys.residues[1:])
+    with pytest.raises(TransportDefectError, match="series defect nan") \
+            as err:
+        monodromy_representation(sys)
+    assert np.isnan(err.value.defect)
+    assert err.value.tol == 1e-10  # rel_tol, above DEFECT_FLOOR
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_blocks_of_a_multiple_of_4_keep_every_bit(sid, monkeypatch):
+    # each chord's recurrence is its own columns of one product per order.
+    # OpenBLAS computes those columns in groups of 4, the last N mod 4 of
+    # them by an edge kernel that rounds differently: blocks of a multiple
+    # of 4 chords keep every column's place mod 4, so every bit, and other
+    # blocks agree to rounding on the rank-3 systems
+    sys = _assembled(sid, rng_from_seed(8))
+    got = {}
+    for block in (1, 7, 64, 128, 256):
+        monkeypatch.setattr(monodromy, "BLOCK", block)
+        rep = monodromy_representation(sys)
+        got[block] = np.array(rep.matrices + (rep.at_infinity,))
+    for block in (64, 128):
+        assert np.array_equal(got[block], got[256])
+    for block in (1, 7):
+        assert np.max(np.abs(got[block] - got[256])) \
+            <= 1e-12 * np.max(np.abs(got[256]))
+
+
+def _chords_by_segment_point(seg, points, norms):
+    """The planner's vertices as ``seg.point`` and a distance list give
+    them: the reference for the one-chart planner."""
+    if isinstance(seg, integrator.Line):
+        length = abs(seg.end - seg.start)
+
+        def advance(r):
+            return r / length
+    else:
+        diameter, turn = 2 * seg.radius, abs(seg.sweep)
+
+        def advance(r):
+            return 2 * math.asin(min(1.0, r / diameter)) / turn
+
+    s, c = 0.0, complex(seg.point(0.0))
+    out = [c]
+    while s < 1.0:
+        dist = [abs(t - c) for t in points]
+        r = monodromy.RHO * min(dist)
+        weight = sum(a / d for a, d in zip(norms, dist))
+        if r * weight > monodromy.SIGMA:
+            r = monodromy.SIGMA / weight
+        s = min(1.0, s + advance(r))
+        c = complex(seg.point(s))
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_chords_match_the_segment_point_planner(sid):
+    sys = _assembled(sid, rng_from_seed(8))
+    norms = [float(np.linalg.norm(a)) for a in sys.residues]
+    x0 = base_point(sys.points)
+    n = 0
+    for b, loop in enumerate(_paths(sys, x0)):
+        for seg in loop.segments[:-1]:
+            got = monodromy._chords(seg, sys.points, norms, b)
+            want = _chords_by_segment_point(seg, sys.points, norms)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] \
+                == [(z.real.hex(), z.imag.hex()) for z in want]
+            n += len(got) - 1
+    assert n == monodromy_representation(sys).transport_steps
 
 
 def test_tiny_step_budget_raises(monkeypatch):

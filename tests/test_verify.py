@@ -25,10 +25,12 @@ ITEM_KEYS = {"id", "residual", "tolerance", "margin", "passed"}
 
 
 def test_checks_reproduce_golden_details_exactly(all_results):
-    # exact equality: code that only restructures the derivative, matrix
-    # and constraint-rate arithmetic must not move a single bit
+    # exact equality: code that only restructures the derivative, matrix,
+    # constraint-rate and series-transport arithmetic must not move a
+    # single bit
     got = {name: all_results[name]["details"]
-           for name in ("degeneration", "isospectral", "particular")}
+           for name in ("degeneration", "isomonodromy", "isospectral",
+                        "particular")}
     assert json.loads(json.dumps(got)) == json.loads(GOLDEN.read_text())
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "time_derivative",
     "value_of",
     "EigenMultiset",
-    "EigenvalueError",
     "eigen_small",
     "default_cluster_tol",
     "mat_mul",
@@ -197,10 +196,6 @@ def time_derivative(f, w, dw, t, i):
 # ---------------------------------------------------------------------------
 
 
-class EigenvalueError(RuntimeError):
-    """Eigenvalue extraction failed to converge."""
-
-
 def default_cluster_tol(eigvals) -> float:
     """Relative clustering tolerance, stable across parameter scales."""
     return 1e-8 * (1.0 + max(abs(w) for w in eigvals))
@@ -240,10 +235,7 @@ def eigen_small(m) -> EigenMultiset:
     L = a.shape[0]
     if not 2 <= L <= 6:
         raise ValueError(f"matrix size {L} outside the supported range 2..6")
-    try:
-        w = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise EigenvalueError(f"eigenvalue iteration failed: {exc}") from exc
+    w = np.linalg.eigvals(a)
     tol = default_cluster_tol(w)
 
     # single-linkage clustering; L <= 6 so the quadratic scan is fine

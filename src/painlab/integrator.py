@@ -1,23 +1,26 @@
 """Adaptive embedded Runge-Kutta integration along paths in the complex plane.
 
-The integrator advances a complex state vector along a piecewise path
-(straight segments and circular arcs), treating each segment as a real
-parameter interval and pulling the right-hand side back through the
-segment chart.  The Dormand-Prince 8(5,3) pair (DOP853) with PI step
-control does the stepping: twelve stages per step, kept with the FSAL
-stage in one stage array, where each stage's state, and each of the two
-error estimates, is one matrix product of step-scaled weights with the
-stage rows.  Each segment's first step comes from the problem (the
-starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4), at one
-extra rhs evaluation.  Only the error controller sizes the steps, the
-last one clipped to land on the segment's end.  A requested sample does
-not steer them: its state is read off DOP853's continuous extension of
-order 7 (ibid., II.6) over the accepted step that holds it, at three
-more rhs evaluations for that step.
+The integrator advances a complex state vector along a piecewise path of
+segments, each a Line or an Arc that carries its own chart s in [0, 1] ->
+z(s): its length, point, reverse, chord step and the pull-back of a
+right-hand side (the series transport in ``monodromy`` plans its chords on
+the same chart).  The stepper advances the pulled-back rhs in s, whatever
+the segment, by the Dormand-Prince 8(5,3) pair (DOP853) with PI step
+control: twelve stages per step, kept with the FSAL stage in one stage
+array, where each stage's state, and each of the two error estimates, is
+one matrix product of step-scaled weights with the stage rows.  Each
+segment's first step comes from the problem (the starting step of Hairer,
+Norsett & Wanner, Solving ODEs I, II.4), at one extra rhs evaluation.
+Only the error controller sizes the steps, the last one clipped to land
+on the segment's end.  A requested sample does not steer them: its state
+is read off DOP853's continuous extension of order 7 (ibid., II.6) over
+the accepted step that holds it, at three more rhs evaluations for that
+step.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -54,11 +57,32 @@ class StepBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class Line:
+    """Straight segment: z(s) = start + s * (end - start), s in [0, 1]."""
+
     start: complex
     end: complex
 
+    @property
+    def length(self):
+        return abs(self.end - self.start)
+
     def point(self, s):
         return self.start + s * (self.end - self.start)
+
+    def reversed(self):
+        return Line(self.end, self.start)
+
+    def chord_step(self, r):
+        """The parameter step of a chord of length r."""
+        return r / self.length
+
+    def pullback(self, rhs):
+        """The rhs pulled back to the chart: f(s, y) = z'(s) rhs(z(s), y)."""
+        z0, v = self.start, self.end - self.start
+
+        def f(s, y):
+            return v * np.asarray(rhs(z0 + s * v, y), dtype=complex)
+        return f
 
     def distance(self, z):
         """Exact distance from z to the segment (clamped projection; by a
@@ -78,11 +102,40 @@ class Arc:
     sweep: float
 
     def __post_init__(self):
-        if self.radius <= 0 or self.sweep == 0:
-            raise ValueError("degenerate arc")
+        # written so that a NaN fails
+        if not (0 < self.radius < math.inf and 0 < abs(self.sweep) < math.inf
+                and cmath.isfinite(self.center)
+                and math.isfinite(self.angle0)):
+            raise ValueError(f"degenerate arc {self}")
+
+    @property
+    def length(self):
+        return self.radius * abs(self.sweep)
 
     def point(self, s):
-        return self.center + self.radius * np.exp(1j * (self.angle0 + s * self.sweep))
+        """The point at a scalar s."""
+        return self.center + self.radius * cmath.exp(
+            1j * (self.angle0 + s * self.sweep))
+
+    def reversed(self):
+        return Arc(self.center, self.radius, self.angle0 + self.sweep,
+                   -self.sweep)
+
+    def chord_step(self, r):
+        """The parameter step of a chord of length r; a diameter at most."""
+        return 2 * math.asin(min(1.0, r / (2 * self.radius))) \
+            / abs(self.sweep)
+
+    def pullback(self, rhs):
+        """The rhs pulled back to the chart, as for a Line; one np.exp per
+        call gives both z(s) and z'(s)."""
+        c, r, a0, sweep = self.center, self.radius, self.angle0, self.sweep
+        turn = 1j * sweep * r  # velocity over exp(i angle)
+
+        def f(s, y):
+            e = np.exp(1j * (a0 + s * sweep))
+            return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
+        return f
 
     def distance(self, z):
         """Exact distance from z to the arc (radial, or to an endpoint)."""
@@ -98,7 +151,7 @@ def default_margin(singularities, segments=()) -> float:
     so 0.05 x the length of the path's segments (0 for no points)."""
     pts = [complex(z) for z in singularities]
     if len(pts) == 1:
-        return 0.05 * sum(_length(seg) for seg in segments)
+        return 0.05 * sum(seg.length for seg in segments)
     return 0.05 * min_gap(pts) if pts else 0.0
 
 
@@ -140,14 +193,9 @@ class ComplexPath:
                    margin=margin)
 
     def reversed(self):
-        segs = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, Line):
-                segs.append(Line(seg.end, seg.start))
-            else:
-                segs.append(Arc(seg.center, seg.radius,
-                                seg.angle0 + seg.sweep, -seg.sweep))
-        return ComplexPath(tuple(segs), self.singularities, self.margin)
+        return ComplexPath(tuple(seg.reversed()
+                                 for seg in reversed(self.segments)),
+                           self.singularities, self.margin)
 
 
 @dataclass
@@ -272,13 +320,6 @@ def _modulus(y):
     return float(np.max(np.abs(y)))
 
 
-def _length(seg):
-    """The segment's length."""
-    if isinstance(seg, Line):
-        return abs(seg.end - seg.start)
-    return seg.radius * abs(seg.sweep)
-
-
 def _rms(x):
     """Root mean square of the moduli of x."""
     u = np.abs(x)
@@ -331,23 +372,7 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
     error controller's alone, the last clipped to land on 1 exactly; a
     stop strictly inside an accepted step is read off its dense output, a
     stop at its end takes its state."""
-
-    # the chart z(s) and its velocity, with the parts constant in s hoisted
-    # (the same arithmetic as Line.point and Arc.point): f is the rhs
-    # pulled back to s
-    if isinstance(seg, Line):
-        z0, v = seg.start, seg.end - seg.start
-
-        def f(s, y):
-            return v * np.asarray(rhs(z0 + s * v, y), dtype=complex)
-    else:
-        c, r, a0, sweep = seg.center, seg.radius, seg.angle0, seg.sweep
-        turn = 1j * sweep * r  # velocity over exp(i angle)
-
-        def f(s, y):
-            e = np.exp(1j * (a0 + s * sweep))
-            return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
-
+    f = seg.pullback(rhs)  # the rhs in the chart parameter s
     s = 0.0
     err_prev = 1.0
     tries = 0  # accepted plus rejected steps on this segment
@@ -369,13 +394,13 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
         if step < 1e-14:
             raise StepUnderflowError(
                 f"step underflow on segment {k} (length "
-                f"{_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
+                f"{seg.length:.3g}) at s={s:.6f}, h={step:.3g}, "
                 f"|y|={_modulus(y):.3g}")
         tries += 1
         if tries > MAX_SEGMENT_STEPS:
             raise StepBudgetError(
                 f"more than {MAX_SEGMENT_STEPS} steps on segment {k} "
-                f"(length {_length(seg):.3g}) at s={s:.6f}, h={step:.3g}, "
+                f"(length {seg.length:.3g}) at s={s:.6f}, h={step:.3g}, "
                 f"|y|={_modulus(y):.3g}")
         np.multiply(_DP_W, step, out=hW)
         np.multiply(_DP_E, step, out=hE)

@@ -37,7 +37,6 @@ one matrix product into a preallocated buffer.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,11 +100,8 @@ def lasso(points, k, x0=None) -> ComplexPath:
     direction = (x0 - tk) / abs(x0 - tk)
     entry = tk + r * direction
     angle0 = float(np.angle(entry - tk))
-    segments = (
-        Line(x0, entry),
-        Arc(tk, r, angle0, 2 * np.pi),
-        Line(entry, x0),
-    )
+    approach = Line(x0, entry)
+    segments = (approach, Arc(tk, r, angle0, 2 * np.pi), approach.reversed())
     others = [z for j, z in enumerate(pts) if j != k]
     margin = min(0.5 * r, default_margin(pts))
     return ComplexPath(segments=segments, singularities=tuple(others),
@@ -125,11 +121,9 @@ def lasso_at_infinity(points, x0=None) -> ComplexPath:
         x0 = base_point(pts)
     x0 = complex(x0)
     far = 2 * x0
-    segments = (
-        Line(x0, far),
-        Arc(0j, abs(far), float(np.angle(x0)), -2 * np.pi),
-        Line(far, x0),
-    )
+    approach = Line(x0, far)
+    segments = (approach, Arc(0j, abs(far), float(np.angle(x0)), -2 * np.pi),
+                approach.reversed())
     return ComplexPath(segments=segments, singularities=tuple(pts),
                        margin=None)
 
@@ -183,30 +177,11 @@ def _chords(seg, points, norms, lasso):
     From a vertex c the next one lies on the segment at chord length
     min(RHO dist(c, points), SIGMA / sum_i norms_i/|t_i - c|), or at the
     segment's end.  ``norms`` bound the residues' spectral norms.  The
-    vertices come from one scalar chart per segment, the arithmetic of
-    ``seg.point`` with ``cmath.exp`` for its ``np.exp``.  Raises
-    StepBudgetError past MAX_SEGMENT_STEPS chords.
+    segment's own chart gives the vertices (``seg.point``) and the
+    parameter steps (``seg.chord_step``).  Raises StepBudgetError past
+    MAX_SEGMENT_STEPS chords.
     """
-    if isinstance(seg, Line):
-        z0, v = seg.start, seg.end - seg.start
-        length = abs(v)
-
-        def point(s):
-            return z0 + s * v
-
-        def advance(r):
-            return r / length
-    else:
-        z0, radius, a0, sweep = seg.center, seg.radius, seg.angle0, seg.sweep
-        diameter, turn = 2 * radius, abs(sweep)
-
-        def point(s):
-            return z0 + radius * cmath.exp(1j * (a0 + s * sweep))
-
-        def advance(r):
-            # the arc's chord of length r; a diameter at most
-            return 2 * math.asin(min(1.0, r / diameter)) / turn
-
+    point, chord_step = seg.point, seg.chord_step
     s, c = 0.0, complex(point(0.0))
     out = [c]
     while s < 1.0:
@@ -224,7 +199,7 @@ def _chords(seg, points, norms, lasso):
         r = RHO * near
         if r * weight > SIGMA:
             r = SIGMA / weight
-        s = min(1.0, s + advance(r))
+        s = min(1.0, s + chord_step(r))
         c = complex(point(s))
         out.append(c)
     return out
@@ -314,8 +289,7 @@ def monodromy_matrix(sys: FuchsianSystem, lassos, rel_tol=1e-10):
     """
     for loop in lassos:
         first, last = loop.segments[0], loop.segments[-1]
-        if not (isinstance(first, Line) and last == Line(first.end,
-                                                          first.start)):
+        if not (isinstance(first, Line) and last == first.reversed()):
             raise ValueError("monodromy_matrix takes lassos: a loop must "
                              "end by retracing its first, straight segment")
     # Frobenius norms: they bound the spectral ones, and need no SVD

@@ -61,19 +61,20 @@ def _judge(item_id, residual, tolerance, minimum=False):
 
 def _check(name):
     """Register a check body under ``name`` in ``CHECKS``.  The body takes
-    only the seed and returns its items, each ``(id, residual,
+    the seed's rng and returns its items, each ``(id, residual,
     tolerance[, minimum])``, and a dict of work counters; the registered
-    check times it and judges the items."""
+    check takes only the seed, times the body and judges the items."""
     def register(body):
         @functools.wraps(body)
         def check(seed=DEFAULT_SEED):
             t0 = time.perf_counter()
-            items, counters = body(seed)
+            items, counters = body(rng_from_seed(seed))
             items = [_judge(*item) for item in items]
             return {"name": name,
                     "passed": all(item["passed"] for item in items),
                     "seconds": round(time.perf_counter() - t0, 4),
                     "details": {"items": items, "counters": counters}}
+        del check.__wrapped__  # its signature is the seed, not the rng
         CHECKS[name] = check
         return check
     return register
@@ -97,7 +98,7 @@ _COUNT_TABLE = {
 
 
 @_check("counts")
-def verify_counts(seed):
+def verify_counts(rng):
     items = [(f"table/{st}", abs(accessory_count(st) - want), 1)
              for st, want in _COUNT_TABLE.items()]
     # cross-check: 2n of each catalog descriptor
@@ -113,8 +114,7 @@ def verify_counts(seed):
 
 
 @_check("degeneration")
-def verify_degeneration(seed):
-    rng = rng_from_seed(seed)
+def verify_degeneration(rng):
     items = []
     for label, rule in degenerations.RULES.items():
         h, tang = degenerations.check_rule(rule, 100, rng)
@@ -132,8 +132,7 @@ _COMPAT_IDS = ("11,11,11,11,11", "11,11,11,11,11,11", "21,21,21,21,111",
 
 
 @_check("compat")
-def verify_compat(seed):
-    rng = rng_from_seed(seed)
+def verify_compat(rng):
     items = []
     for sid in _COMPAT_IDS:
         desc = lookup(sid)
@@ -170,8 +169,7 @@ def _eigenvalue_drift(mats0, mats1):
 
 
 @_check("isospectral")
-def verify_isospectral(seed):
-    rng = rng_from_seed(seed)
+def verify_isospectral(rng):
     sid = "21,21,21,21,111"
     par = sample_params(sid, rng, generic=True)
     st = small_state(sid, rng, _FLOW_TIMES[:lookup(sid).n_times])
@@ -204,8 +202,7 @@ _MONO_IDS = ("21,21,21,21,111", "22,22,211,211")
 
 
 @_check("isomonodromy")
-def verify_isomonodromy(seed):
-    rng = rng_from_seed(seed)
+def verify_isomonodromy(rng):
     items, counters = [], {}
     rel_tol = 1e-10  # of the flows and of the transports
     for sid in _MONO_IDS:
@@ -291,8 +288,7 @@ def _power_sum_residual(M, exponents):
 
 
 @_check("riemann-schemes")
-def verify_riemann_schemes(seed):
-    rng = rng_from_seed(seed)
+def verify_riemann_schemes(rng):
     items = []
     for cid, case in rigid.RIGID_CASES.items():
         residuals = []
@@ -335,8 +331,7 @@ def _rigid_two_time_compat(case, par):
 
 
 @_check("particular")
-def verify_particular(seed):
-    rng = rng_from_seed(seed)
+def verify_particular(rng):
     items = []
     for cid, case in rigid.RIGID_CASES.items():
         par = constrained_rigid_params(case, rng)
@@ -365,8 +360,7 @@ _SYMPLECTIC_IDS = ("21,21,21,21,111", "22,22,211,211", "31,31,22,22,22",
 
 
 @_check("symplectic")
-def verify_symplectic(seed):
-    rng = rng_from_seed(seed)
+def verify_symplectic(rng):
     items = []
     for sid in _SYMPLECTIC_IDS:
         pz = parametrization(sid)
@@ -409,10 +403,9 @@ def verify_symplectic(seed):
 
 
 @_check("gradients")
-def verify_gradients(seed):
+def verify_gradients(rng):
     """The generated gradients every flow uses, against central differences
     of the Hamiltonians themselves."""
-    rng = rng_from_seed(seed)
     items = []
     step = 1e-6  # the difference step
     for sid in catalog.list_systems():

@@ -98,19 +98,73 @@ def test_margin_violation_rejected_at_construction():
     assert ComplexPath.polyline([1.0, 2.0]).margin == 0.0
 
 
-@pytest.mark.parametrize("seg", [
+SEGMENTS = [
     Line(-1.0 + 0.5j, 2.0 - 1.0j),
     Arc(0.5j, 1.5, 0.3, 2.0),
     Arc(0.0, 0.7, 2.5, -4.0),
     Arc(1.0, 1.0, -1.0, 2 * np.pi),
-])
+]
+
+
+@pytest.mark.parametrize("seg", SEGMENTS)
 def test_segment_distance_matches_dense_sampling(seg):
     rng = np.random.default_rng(4)
-    pts = seg.point(np.linspace(0.0, 1.0, 200001))
+    pts = np.array([seg.point(s) for s in np.linspace(0.0, 1.0, 200001)])
     for z in rng.normal(scale=2.0, size=20) + 1j * rng.normal(scale=2.0,
                                                                 size=20):
         dense = float(np.min(np.abs(pts - z)))
         assert dense - 1e-4 <= seg.distance(z) <= dense + 1e-12
+
+
+@pytest.mark.parametrize("seg, length", zip(
+    SEGMENTS, [math.hypot(3.0, 1.5), 1.5 * 2.0, 0.7 * 4.0, 2 * np.pi]),
+    ids=["seg0", "seg1", "seg2", "seg3"])
+def test_segment_length_is_the_closed_form(seg, length):
+    assert seg.length == pytest.approx(length, rel=1e-15)
+
+
+@pytest.mark.parametrize("seg", SEGMENTS)
+def test_reversed_runs_back_and_twice_gives_the_segment(seg):
+    back = seg.reversed()
+    assert type(back) is type(seg) and back.length == seg.length
+    for s in (0.0, 0.2, 0.5, 1.0):
+        assert abs(back.point(s) - seg.point(1.0 - s)) < 1e-14
+    again = back.reversed()
+    if isinstance(seg, Line):
+        assert again == seg
+    else:  # angle0 + sweep - sweep may round
+        assert (again.center, again.radius, again.sweep) \
+            == (seg.center, seg.radius, seg.sweep)
+        assert again.angle0 == pytest.approx(seg.angle0, abs=1e-15)
+
+
+@pytest.mark.parametrize("seg", SEGMENTS + [
+    Arc(0.0, 3.0, 0.0, -2 * np.pi), Arc(2.0 - 1j, 2.0, 1.0, 0.01)])
+def test_chord_step_gives_a_chord_of_that_length(seg):
+    # r up to an arc's diameter, the cap
+    top = 2 * seg.radius if isinstance(seg, Arc) else seg.length
+    for s in (0.0, 0.3, 0.9):
+        for r in (1e-4 * top, 0.1 * top, 0.7 * top, top):
+            step = seg.chord_step(r)
+            assert step > 0
+            assert abs(abs(seg.point(s + step) - seg.point(s)) - r) < 1e-14
+    if isinstance(seg, Arc):
+        # a longer chord than a diameter is a half turn: a diameter
+        assert seg.chord_step(3 * top) == seg.chord_step(top) \
+            == pytest.approx(np.pi / abs(seg.sweep), rel=1e-15)
+
+
+@pytest.mark.parametrize("seg", SEGMENTS)
+def test_pullback_is_the_chart_velocity_times_the_rhs(seg):
+    # rhs (1, z) pulls back to (z'(s), z'(s) z(s)): the central
+    # differences of z(s) and of z(s)**2 / 2
+    f = seg.pullback(lambda z, y: [1.0, z])
+    h = 1e-5
+    for s in (0.0, 0.4, 1.0):
+        got = f(s, np.zeros(2, dtype=complex))
+        lo, hi = seg.point(s - h), seg.point(s + h)
+        want = [(hi - lo) / (2 * h), (hi * hi - lo * lo) / (4 * h)]
+        assert np.allclose(got, want, rtol=1e-8, atol=0)
 
 
 def test_integrate_time_moves_one_time():
@@ -238,7 +292,7 @@ def test_dense_output_matches_the_closed_form(seg):
     assert traj.params == [0.0] + stops + [1.0]
     # some stops are read inside a step
     assert traj.n_rhs_evals > 2 + 12 * (traj.n_steps + traj.n_rejected)
-    z = seg.point(np.array(traj.params))
+    z = np.array([seg.point(s) for s in traj.params])
     exact = np.exp(LAM * (np.sin(z) - np.sin(seg.point(0.0))))
     got = np.array(traj.states)[:, 0]
     assert np.max(np.abs(got - exact) / np.abs(exact)) < rel_tol
@@ -330,6 +384,20 @@ def test_degenerate_arc_rejected():
         Arc(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Arc(0.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("center, radius, angle0, sweep", [
+    (0j, math.nan, 0.0, 1.0), (0j, math.inf, 0.0, 1.0),
+    (0j, 1.0, 0.0, math.nan), (0j, 1.0, 0.0, math.inf),
+    (0j, 1.0, math.nan, 1.0), (0j, 1.0, -math.inf, 1.0),
+    (complex(math.nan, 0.0), 1.0, 0.0, 1.0),
+    (complex(0.0, math.inf), 1.0, 0.0, 1.0),
+], ids=["nan-radius", "inf-radius", "nan-sweep", "inf-sweep", "nan-angle0",
+        "inf-angle0", "nan-center", "inf-center"])
+def test_non_finite_arc_rejected(center, radius, angle0, sweep):
+    # NaN <= 0 is false: a NaN must not pass the degenerate-arc check
+    with pytest.raises(ValueError, match="degenerate arc"):
+        Arc(center, radius, angle0, sweep)
 
 
 def test_zero_length_two_time_returns_input():

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -123,6 +124,24 @@ def test_sweep_margins_tool_runs_one_seed():
     assert len(lines) == n + 1
     assert lines[0].startswith("counts:") and lines[0].endswith("inf  seed 1")
     assert lines[-1] == f"{n} items, seeds 1-1: all passed"
+
+
+def test_bench_pairs_subprocesses_compile_from_source(monkeypatch):
+    # an import under the tool's environment looks for bytecode only under
+    # its fresh prefix, not in the tree's __pycache__, and writes none
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    with bench_pairs.source_env(str(ROOT)) as env:
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import painlab.monodromy as m; print(m.__cached__)"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        cached = run.stdout.strip()
+        assert cached.startswith(os.path.join(prefix, "")), cached
+        assert cached.endswith(".pyc")
+        assert os.listdir(prefix) == []
 
 
 @pytest.mark.parametrize("args", [

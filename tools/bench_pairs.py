@@ -13,7 +13,9 @@ check's median seconds with every verify run (its exit code, whether it
 passed, its seconds), each verification item's thinnest margin over the
 sweep with its seed and the count of items that passed at every seed,
 and the hand-written and generated ``src/`` lines counted apart; and the
-CPU model.
+CPU model.  Every subprocess, on both sides, compiles painlab from its
+checkout's source (:func:`source_env`), so a ``__pycache__`` left in one
+checkout does not time a bytecode import against the other's compile.
 
 Usage, from the root of the repository, with the parent commit checked
 out (``git archive``) in another directory::
@@ -25,6 +27,7 @@ out (``git archive``) in another directory::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import math
@@ -54,11 +57,29 @@ SWEEP = ("import json, sys; sys.path.insert(0, 'tools'); "
          "'seed': seed} for k, (m, seed) in worst.items()}}))")
 
 
+@contextlib.contextmanager
+def source_env(checkout):
+    """The environment of a subprocess that imports painlab from the
+    checkout's ``src`` and compiles it from source: no bytecode is written
+    (PYTHONDONTWRITEBYTECODE), and none is read, since Python looks for it
+    only under a fresh, empty PYTHONPYCACHEPREFIX, not in a ``__pycache__``
+    of the checkout."""
+    with tempfile.TemporaryDirectory() as prefix:
+        yield dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+                   PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+
+
+def run(checkout, *args, **kwargs):
+    """``python *args`` in the checkout under :func:`source_env`, its
+    output captured as text."""
+    with source_env(checkout) as env:
+        return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                              capture_output=True, text=True, **kwargs)
+
+
 def bench(checkout, *args):
     """The last stdout line of one ``bench/run.py`` run, as JSON."""
-    out = subprocess.run([sys.executable, "bench/run.py", *args],
-                         cwd=checkout, check=True, capture_output=True,
-                         text=True).stdout
+    out = run(checkout, "bench/run.py", *args, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -106,11 +127,8 @@ def traced(checkout):
 
 
 def tier1_seconds(checkout):
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                           "no:cacheprovider"], cwd=checkout, env=env,
-                          capture_output=True, text=True)
+    done = run(checkout, "-m", "pytest", "-q", "-p", "no:cacheprovider")
     return {"seconds": time.perf_counter() - start,
             "summary": done.stdout.strip().splitlines()[-1]}
 
@@ -118,13 +136,10 @@ def tier1_seconds(checkout):
 def verify_run(checkout):
     """One ``painlab verify all`` at VERIFY_SEED: its exit code, whether it
     passed, and each check's seconds (none if it wrote no report)."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
-        done = subprocess.run([sys.executable, "-m", "painlab", "verify",
-                               "all", "--seed", str(VERIFY_SEED), "--out",
-                               path], cwd=checkout, env=env,
-                              capture_output=True)
+        done = run(checkout, "-m", "painlab", "verify", "all", "--seed",
+                   str(VERIFY_SEED), "--out", path)
         try:
             with open(path, encoding="utf-8") as fh:
                 report = json.load(fh)
@@ -156,9 +171,7 @@ def sweep(checkout):
     """Each verification item's thinnest margin over SWEEP_SEEDS and its
     seed (margin None: an exact-zero residual at every seed), and how many
     items passed at every seed (margin above 1)."""
-    out = subprocess.run([sys.executable, "-c", SWEEP, SWEEP_SEEDS],
-                         cwd=checkout, check=True, capture_output=True,
-                         text=True).stdout
+    out = run(checkout, "-c", SWEEP, SWEEP_SEEDS, check=True).stdout
     record = json.loads(out)
     thinnest = {key: {"margin": None if math.isinf(item["margin"])
                       else item["margin"], "seed": item["seed"]}

@@ -5,17 +5,21 @@ segments, each a Line or an Arc that carries its own chart s in [0, 1] ->
 z(s): its length, point, reverse, chord step and the pull-back of a
 right-hand side (the series transport in ``monodromy`` plans its chords on
 the same chart).  The stepper advances the pulled-back rhs in s, whatever
-the segment, by the Dormand-Prince 8(5,3) pair (DOP853) with PI step
-control: twelve stages per step, kept with the FSAL stage in one stage
-array, where each stage's state, and each of the two error estimates, is
-one matrix product of step-scaled weights with the stage rows.  Each
-segment's first step comes from the problem (the starting step of Hairer,
-Norsett & Wanner, Solving ODEs I, II.4), at one extra rhs evaluation.
-Only the error controller sizes the steps, the last one clipped to land
-on the segment's end.  A requested sample does not steer them: its state
-is read off DOP853's continuous extension of order 7 (ibid., II.6) over
-the accepted step that holds it, at three more rhs evaluations for that
-step.
+the segment, by the Dormand-Prince 8(5,3) pair (DOP853): twelve stages
+per step, kept with the FSAL stage in one stage array, where each stage's
+state, and each of the two error estimates, is one matrix product of
+step-scaled weights with the stage rows.  Each segment's first step comes
+from the problem (the starting step of Hairer, Norsett & Wanner, Solving
+ODEs I, II.4), at one extra rhs evaluation.  Only the error controller
+sizes the steps, the last one clipped to land on the segment's end.  It
+is a PI controller (Gustafsson, ACM TOMS 17, 1991) whose memory of the
+last error norm is floored at 1e-4, as dop853.f's FACOLD, and whose step
+factor lies in [0.2, 6] (dop853.f's FAC2 is 6): an over-accurate step,
+such as a starting step whose error norm is rounding noise, does not
+shrink the next one.  A requested sample does not steer the steps: its
+state is read off DOP853's continuous extension of order 7 (ibid., II.6)
+over the accepted step that holds it, at three more rhs evaluations for
+that step.
 """
 
 from __future__ import annotations
@@ -61,6 +65,11 @@ class Line:
 
     start: complex
     end: complex
+
+    def __post_init__(self):
+        # written so that a NaN fails
+        if not (cmath.isfinite(self.start) and cmath.isfinite(self.end)):
+            raise ValueError(f"non-finite line {self}")
 
     @property
     def length(self):
@@ -308,9 +317,10 @@ _DP_E[1, [0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118,
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
+_MAX_FACTOR = 6.0
 _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
+_ERR_FLOOR = 1e-4  # the least error norm the PI term remembers
 # accepted plus rejected steps one segment may take before StepBudgetError
 MAX_SEGMENT_STEPS = 50_000
 
@@ -437,7 +447,7 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
             traj.n_steps += 1
             factor = _SAFETY * (enorm + 1e-16) ** (-_PI_ALPHA) \
                 * err_prev ** _PI_BETA
-            err_prev = enorm + 1e-16
+            err_prev = max(enorm, _ERR_FLOOR)  # dop853.f's FACOLD
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         else:
             traj.n_rejected += 1

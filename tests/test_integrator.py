@@ -265,6 +265,47 @@ def _cos_rhs(z, y):
     return LAM * np.cos(z) * y
 
 
+def test_an_over_accurate_step_does_not_shrink_the_next():
+    # y' = i y along [0, 0.5]: the starting step's error norm is rounding
+    # noise (about 7e-10).  The controller remembers at least 1e-4, as
+    # dop853.f's FACOLD, so that noise does not shrink the next step
+    seen = []
+
+    def rhs(z, y):
+        seen.append((z.real / 0.5, y.copy()))  # the chart parameter s
+        return 1j * y
+
+    traj = integrate(rhs, np.array([1.0 + 0j]),
+                     ComplexPath((Line(0j, 0.5 + 0j),)), rel_tol=1e-10,
+                     abs_tol=1e-13)
+    assert traj.n_rejected == 0
+    # after K[0] and the starting-step probe, twelve stages per step:
+    # stage 1 at s + c_1 h, stage 12 at s + h with the step's new state
+    s, y, hs, norms = 0.0, seen[0][1], [], []
+    for i in range(2, len(seen), 12):
+        (s1, _), *_, (s12, y8) = stages = seen[i:i + 12]
+        h = s12 - s
+        assert s1 == pytest.approx(s + integrator._DP_C[1] * h, abs=1e-15)
+        # the step's error norm, recomputed from the stage states
+        K = 0.5j * np.array([y] + [yk for _, yk in stages[:11]])
+        u = np.abs(h * integrator._DP_E @ K) / (
+            1e-13 + 1e-10 * np.maximum(np.abs(y), np.abs(y8)))
+        e5, e3 = u[0] @ u[0], u[1] @ u[1]
+        hs.append(h)
+        norms.append(e5 / math.sqrt(e5 + 0.01 * e3))
+        s, y = s12, y8
+    assert s == 1.0 and len(hs) == traj.n_steps and max(norms) <= 1.0
+    for k in range(1, len(hs)):
+        # a step grows by 6 at most
+        assert hs[k] <= 6 * hs[k - 1] * (1 + 1e-12)
+        # one with an error norm below 1e-3 is not followed by a shorter
+        # one, but for the last, clipped to land on the segment's end
+        if norms[k - 1] < 1e-3 and k < len(hs) - 1:
+            assert hs[k] >= hs[k - 1] * (1 - 1e-12)
+    # without the error floor the controller takes 6 steps here
+    assert traj.n_steps == 5
+
+
 def test_stops_do_not_steer_the_steps():
     # five stops 2**-13 apart cost no step: the run with them takes the
     # steps of the run without, and ends on the same bits
@@ -398,6 +439,19 @@ def test_non_finite_arc_rejected(center, radius, angle0, sweep):
     # NaN <= 0 is false: a NaN must not pass the degenerate-arc check
     with pytest.raises(ValueError, match="degenerate arc"):
         Arc(center, radius, angle0, sweep)
+
+
+@pytest.mark.parametrize("path", [
+    lambda: ComplexPath((Line(0j, complex(math.nan, 0.0)),)),
+    lambda: ComplexPath((Line(complex(0.0, math.nan), 1.0),)),
+    lambda: ComplexPath.polyline([0, complex(math.inf, 0.0)]),
+    lambda: ComplexPath.polyline([complex(0.0, -math.inf), 1.0]),
+], ids=["nan-end", "nan-start", "inf-end", "inf-start"])
+def test_non_finite_line_rejected(path):
+    # else the path builds, and integrate along it ends in a misleading
+    # StepUnderflowError on a segment of length nan or inf
+    with pytest.raises(ValueError, match="non-finite line"):
+        path()
 
 
 def test_zero_length_two_time_returns_input():

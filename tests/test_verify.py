@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +24,37 @@ from painlab.sampling import MAX_DRAWS, rng_from_seed
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "verify_details_20260810.json"
 ITEM_KEYS = {"id", "residual", "tolerance", "margin", "passed"}
+# the checks whose details GOLDEN holds
+GOLDEN_CHECKS = ("degeneration", "isomonodromy", "isospectral", "particular")
 
 
 def test_checks_reproduce_golden_details_exactly(all_results):
     # exact equality: code that only restructures the derivative, matrix,
     # constraint-rate and series-transport arithmetic must not move a
-    # single bit
-    got = {name: all_results[name]["details"]
-           for name in ("degeneration", "isomonodromy", "isospectral",
-                        "particular")}
+    # single bit.  The isomonodromy entries (series transport) and the
+    # flow-driven ones (isospectral, particular: DOP853 stage sums) are
+    # matrix products that numpy hands to the BLAS library, which picks
+    # its kernel from the CPU at run time.  They were recorded with numpy
+    # 2.4.6 and OpenBLAS 0.3.31 running its SkylakeX kernels; another
+    # BLAS build or CPU may move their last bits with no change to the
+    # code (rank-3 generators move by up to 4.7e-15 under another
+    # grouping of the product's columns).  Run ``python
+    # tests/test_verify.py`` to print the current record as JSON.
+    got = {name: all_results[name]["details"] for name in GOLDEN_CHECKS}
     assert json.loads(json.dumps(got)) == json.loads(GOLDEN.read_text())
+
+
+def test_seconds_time_the_check_body_only(monkeypatch):
+    # the first rng of a process imports numpy.random (about 17 ms); it is
+    # made before the clock starts, so a check that draws nothing, such
+    # as counts, does not read that import as its own time
+    def slow_rng(seed):
+        time.sleep(0.5)
+        return rng_from_seed(seed)
+
+    monkeypatch.setattr(verify, "rng_from_seed", slow_rng)
+    r = verify.CHECKS["counts"]()
+    assert r["passed"] and r["seconds"] < 0.25
 
 
 def test_every_result_follows_the_one_schema(all_results):
@@ -321,3 +343,9 @@ def test_trace_checks_pass_at_swept_seeds(seed):
     failed = [r["name"] for r in verify.run_checks(names, seed=seed)
               if not r["passed"]]
     assert not failed
+
+
+if __name__ == "__main__":
+    print(json.dumps({r["name"]: r["details"] for r in verify.run_checks(
+        list(GOLDEN_CHECKS), seed=verify.DEFAULT_SEED)}, indent=2,
+        sort_keys=True))

@@ -149,8 +149,9 @@ class Arc:
     def distance(self, z):
         """Exact distance from z to the arc (radial, or to an endpoint)."""
         sweep = abs(self.sweep)
-        turn = np.sign(self.sweep) * (np.angle(z - self.center) - self.angle0)
-        if sweep >= 2 * np.pi or turn % (2 * np.pi) <= sweep:
+        turn = math.copysign(1.0, self.sweep) * (cmath.phase(z - self.center)
+                                                 - self.angle0)
+        if sweep >= 2 * math.pi or turn % (2 * math.pi) <= sweep:
             return abs(abs(z - self.center) - self.radius)
         return min(abs(z - self.point(0.0)), abs(z - self.point(1.0)))
 

@@ -32,7 +32,9 @@ and T = sum_{k<=K} Z_k carries Y(c) to Y(c + h).  The order K comes from
 the majorant (1 - RHO tau)^(-SIGMA/RHO) and rel_tol (:func:`series_order`).
 All chords of a representation, the loop at infinity's included, run
 through this recurrence together, in blocks of BLOCK chords, each order
-one matrix product into a preallocated buffer.
+one matrix product into a preallocated buffer.  The other passes of an
+order take same-shape operands (u_i is spread over W_i once per block),
+and a block's work arrays are freed before its a-posteriori check.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from .algebra import max_residual
 from .fuchsian import FuchsianSystem
 from .integrator import (MAX_SEGMENT_STEPS, Arc, ComplexPath, Line,
-                         StepBudgetError, default_margin)
+                         StepBudgetError, StepUnderflowError, default_margin)
 
 __all__ = [
     "base_point",
@@ -179,7 +181,8 @@ def _chords(seg, points, norms, lasso):
     segment's end.  ``norms`` bound the residues' spectral norms.  The
     segment's own chart gives the vertices (``seg.point``) and the
     parameter steps (``seg.chord_step``).  Raises StepBudgetError past
-    MAX_SEGMENT_STEPS chords.
+    MAX_SEGMENT_STEPS chords, and StepUnderflowError for a chord whose
+    length is not positive (an infinite residue, say).
     """
     point, chord_step = seg.point, seg.chord_step
     s, c = 0.0, complex(point(0.0))
@@ -199,25 +202,62 @@ def _chords(seg, points, norms, lasso):
         r = RHO * near
         if r * weight > SIGMA:
             r = SIGMA / weight
+        if not r > 0:  # an infinite weight, say: s would never advance
+            raise StepUnderflowError(
+                f"chord of length {r:.3g} on a segment of lasso {lasso}, at "
+                f"step {len(out) - 1} of the segment: c={c:.6g}, "
+                f"weight={weight:.3g}")
         s = min(1.0, s + chord_step(r))
         c = complex(point(s))
         out.append(c)
     return out
 
 
+def _recurrence(neg, u, order):
+    """T = sum Z_k and sum k Z_k of one block, each (L, b, L) with chord
+    j in [:, j, :], from neg = -[A_1 ... A_P] and u_i = h/(t_i - c) (P, b).
+
+    Every pass has same-shape operands: u is spread to W's shape once,
+    and Z_k goes into each W_i by its own in-place add, so numpy's inner
+    loops run over whole rows, not over the L entries a broadcast leaves.
+    """
+    L, (P, b) = len(neg), u.shape
+    z = np.zeros((L, b, L), dtype=complex)  # Z_k[r, j, c]: chord j
+    z[np.arange(L), :, np.arange(L)] = 1.0
+    t = z.copy()
+    dz = np.zeros_like(z)  # sum k Z_k
+    w = np.zeros((P, L, b, L), dtype=complex)
+    u = np.broadcast_to(u[:, None, :, None], w.shape).copy()
+    # w takes in Z_k before the product overwrites z with (k + 1) Z_{k+1}
+    ws = list(w)  # views of the W_i
+    w2, z2, zf = w.reshape(P * L, -1), z.reshape(L, -1), z.view(float)
+    for k in range(order):
+        for wi in ws:
+            wi += z
+        w *= u
+        np.matmul(neg, w2, out=z2)
+        dz += z
+        # numpy's complex / (k + 1) is (x + 0 y, y - 0 x) * (1 / (k + 1))
+        zf *= 1.0 / (k + 1)
+        t += z
+    return t, dz
+
+
 def _transfer(sys, c, h, order, rel_tol, owner, index):
     """Transfer matrices Y(c + h) = T Y(c) of the chords, shape (S, L, L).
 
     Blocks of BLOCK chords run the recurrence of the module docstring
-    side by side: the P W_i of a block form one (P L, b L) array, so each
-    order is one product with [A_1 ... A_P], written over Z_k in place;
-    every BLOCK that is a multiple of 4 (the BLAS product's column group)
-    gives the same bits.  Each block is then checked with one broadcast
-    call of ``sys.rhs()``: h M(c + h) T must equal the derivative
+    side by side (:func:`_recurrence`): the P W_i of a block form one
+    (P L, b L) array, so each order is one product with [A_1 ... A_P],
+    written over Z_k in place; every BLOCK that is a multiple of 4 (the
+    BLAS product's column group) gives the same bits.  The work arrays
+    are freed when the recurrence returns, so they are not held while
+    each block is checked with one broadcast call of ``sys.rhs()``:
+    h M(c + h) T must equal the derivative
     sum k Z_k to max(rel_tol, DEFECT_FLOOR), relative to its size, or a
     TransportDefectError (a NaN too) names the chord's lasso and step.
     """
-    L, P = sys.size, len(sys.points)
+    L = sys.size
     pts = np.array(sys.points)
     # -[A_1 ... A_P]: Z_{k+1} = this times the stacked W_k over k + 1
     neg = -np.concatenate(sys.residues, axis=1)
@@ -227,22 +267,7 @@ def _transfer(sys, c, h, order, rel_tol, owner, index):
     for lo in range(0, len(c), BLOCK):
         cb, hb = c[lo:lo + BLOCK], h[lo:lo + BLOCK]
         b = len(cb)
-        u = (hb / (pts[:, None] - cb))[:, None, :, None]  # (P, 1, b, 1)
-        z = np.zeros((L, b, L), dtype=complex)  # Z_k[r, j, c]: chord j
-        z[np.arange(L), :, np.arange(L)] = 1.0
-        t = z.copy()
-        dz = np.zeros_like(z)  # sum k Z_k
-        w = np.zeros((P, L, b, L), dtype=complex)
-        # w takes in Z_k before the product overwrites z with (k + 1) Z_{k+1}
-        w2, z2, zf = w.reshape(P * L, -1), z.reshape(L, -1), z.view(float)
-        for k in range(order):
-            w += z
-            w *= u
-            np.matmul(neg, w2, out=z2)
-            dz += z
-            # numpy's complex / (k + 1) is (x + 0 y, y - 0 x) * (1 / (k + 1))
-            zf *= 1.0 / (k + 1)
-            t += z
+        t, dz = _recurrence(neg, hb / (pts[:, None] - cb), order)
         t = t.transpose(1, 0, 2)
         dz = dz.transpose(1, 0, 2).reshape(b, L * L)
         slope = hb[:, None] * rhs((cb + hb)[:, None], t.reshape(b, L * L))

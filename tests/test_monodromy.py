@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from painlab.catalog import PhaseState, lookup
 from painlab.fuchsian import FuchsianSystem
 from painlab import integrator, monodromy
-from painlab.integrator import Arc, ComplexPath, StepBudgetError, integrate
+from painlab.integrator import (Arc, ComplexPath, StepBudgetError,
+                                StepUnderflowError, integrate)
 from painlab.monodromy import (TransportDefectError, base_point, big_circle,
                                invariant_traces, isomonodromy_drift, lasso,
                                lasso_at_infinity, monodromy_matrix,
@@ -271,6 +273,43 @@ def test_a_nan_defect_fails_the_transport_check():
         monodromy_representation(sys)
     assert np.isnan(err.value.defect)
     assert err.value.tol == 1e-10  # rel_tol, above DEFECT_FLOOR
+
+
+def test_an_infinite_residue_fails_the_chord_planner():
+    # SIGMA / inf plans chords of length 0: s would never advance, and
+    # the planner would run up MAX_SEGMENT_STEPS of them
+    sys = _assembled("21,21,21,21,111", rng_from_seed(8))
+    a2 = sys.residues[1].copy()
+    a2[0, 0] = np.inf
+    sys = dataclasses.replace(
+        sys, residues=sys.residues[:1] + (a2,) + sys.residues[2:])
+    with pytest.raises(StepUnderflowError,
+                       match=r"chord of length 0 on a segment of lasso 0, at "
+                             r"step 0 of the segment: c=.*, weight=inf"):
+        monodromy_representation(sys)
+
+
+# tracemalloc peak of one monodromy_representation at seed 8, in bytes,
+# recorded while the recurrence's work arrays were still held through the
+# defect check.  numpy reports its allocations to tracemalloc, so a peak
+# repeats from run to run, to within 3 KB of what ran before it: these
+# are the highest, read with this test run first
+PEAK_BEFORE_RELEASE = {"21,21,21,21,111": 768152, "31,31,22,22,22": 716784,
+                       "21,111,111,111": 400640, "31,22,211,1111": 1072696,
+                       "22,22,211,211": 490920}
+
+
+@pytest.mark.parametrize("sid", SUPPORTED)
+def test_transport_peak_memory_does_not_grow(sid):
+    sys = _assembled(sid, rng_from_seed(8))
+    monodromy_representation(sys)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        monodromy_representation(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BEFORE_RELEASE[sid]
 
 
 @pytest.mark.parametrize("sid", SUPPORTED)

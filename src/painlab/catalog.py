@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._gradients import gradient
+from ._gradients import field
 from .algebra import COLLISION_TOL, dual_gradient, max_residual, min_gap
 from .hamiltonians import HAMILTONIANS
 from .integrator import integrate_time
@@ -324,54 +324,53 @@ def _lookup_flow(sid: str, i: int):
 def eval_h(sid: str, i: int, params, state: PhaseState):
     """Value of the i-th Hamiltonian at a phase-space point."""
     desc = _lookup_flow(sid, i)
-    if len(state.q) != desc.n_pairs or len(state.t) != desc.n_times:
+    n = desc.n_pairs
+    if len(state.q) != n or len(state.p) != n or len(state.t) != desc.n_times:
         raise ValueError(f"{sid}: state has wrong dimensions")
     merged = full_params(sid, params)
     return HAMILTONIANS[sid](i, merged, state.q, state.p, state.t)
 
 
 def vector_field(sid: str, i: int, params, state: PhaseState):
-    """(dq/dt_i, dp/dt_i): the canonical flow of H_i.
+    """(dq/dt_i, dp/dt_i): the canonical flow of H_i, from the generated
+    field bound at ``state``'s times.
 
     Convention: t_i(t_i-1) dq_j/dt_i = +dH_i/dp_j and
     t_i(t_i-1) dp_j/dt_i = -dH_i/dq_j.
     """
     desc = _lookup_flow(sid, i)
-    par = full_params(sid, params)
     n = desc.n_pairs
-    grad = gradient(sid, i)(par, state.q, state.p, state.t)
+    if len(state.q) != n or len(state.p) != n or len(state.t) != desc.n_times:
+        raise ValueError(f"{sid}: state has wrong dimensions")
     ti = state.t[i - 1]
-    scale = 1.0 / (ti * (ti - 1))
-    dq = tuple(scale * grad[n + j] for j in range(n))
-    dp = tuple(-scale * grad[j] for j in range(n))
-    return dq, dp
+    v = field(sid, i)(full_params(sid, params), state.t)(
+        ti, state.q + state.p, 1.0 / (ti * (ti - 1)))
+    return v[:n], v[n:]
 
 
 def flow_rhs(sid: str, i: int, params, times, scale=1.0) -> Callable:
     """rhs(z, y) for integrating the i-th flow with the integrator module.
 
     ``y`` is an array stacking q then p; ``z`` is the running value of
-    t_i; the other entries of ``times`` stay frozen.  ``scale`` multiplies
-    the Hamiltonian (1.0 is the true flow; other values give the negative
-    controls of the isomonodromy check).
+    t_i; the other entries of ``times`` (one per time of ``sid``) stay
+    frozen.  The generated field is bound to the parameters and the
+    frozen times once, here.  ``scale`` multiplies the Hamiltonian (1.0
+    is the true flow; other values give the negative controls of the
+    isomonodromy check).
     """
     desc = _lookup_flow(sid, i)
-    merged = full_params(sid, params)
-    n = desc.n_pairs
-    grad_h = gradient(sid, i)
-    # the times before and after t_i, frozen
-    before = tuple(complex(v) for v in times[:i - 1])
-    after = tuple(complex(v) for v in times[i:desc.n_times])
+    if len(times) != desc.n_times:
+        raise ValueError(f"{sid}: {len(times)} times given, "
+                         f"{desc.n_times} expected")
+    kernel = field(sid, i)(full_params(sid, params),
+                           tuple(map(complex, times)))
 
     def rhs(z, y):
         # plain Python complex: the generated arithmetic is several times
         # slower on numpy scalars
         z = complex(z)
-        w = y.tolist()
-        grad = grad_h(merged, w[:n], w[n:], before + (z,) + after)
-        sc = scale / (z * (z - 1))
-        return np.array([sc * g for g in grad[n:]]
-                        + [-sc * g for g in grad[:n]], dtype=complex)
+        return np.array(kernel(z, y.tolist(), scale / (z * (z - 1))),
+                        dtype=complex)
 
     return rhs
 

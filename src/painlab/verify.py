@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import catalog, degenerations, rigid
-from ._gradients import gradient
+from ._gradients import field
 from .algebra import dual_gradient, max_residual
 from .catalog import flow_states, full_params, lookup
 from .fuchsian import accessory_count
@@ -407,8 +407,8 @@ def verify_symplectic(rng):
 
 @_check("gradients")
 def verify_gradients(rng):
-    """The generated gradients every flow uses, against central differences
-    of the Hamiltonians themselves."""
+    """The generated flow fields every flow uses, bound and called at
+    sc = 1, against central differences of the Hamiltonians themselves."""
     items = []
     step = 1e-6  # the difference step
     for sid in catalog.list_systems():
@@ -424,7 +424,10 @@ def verify_gradients(rng):
                 def f(*z):
                     return h(i, merged, z[:n], z[n:], st.t)
 
-                grad = gradient(sid, i)(merged, st.q, st.p, st.t)
+                # the bound kernel at sc = 1 gives (dH/dp, -dH/dq)
+                v = field(sid, i)(merged, st.t)(st.t[i - 1], st.q + st.p,
+                                                1.0)
+                grad = tuple(-x for x in v[n:]) + v[:n]
                 z0 = list(st.q + st.p)
                 for k in range(2 * n):
                     zp, zm = list(z0), list(z0)

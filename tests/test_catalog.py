@@ -182,6 +182,24 @@ def test_vector_field_validates_index():
             vector_field(sid, i, par, st)
 
 
+def test_vector_field_rejects_wrong_dimensions():
+    # q and p of lengths 2 and 4 still sum to 2n = 6
+    sid = "21,21,21,21,111"
+    rng = rng_from_seed(6)
+    par = sample_params(sid, rng)
+    st = sample_state(sid, rng)
+    odd = PhaseState(st.q[:2], st.q[2:] + st.p, st.t)
+    with pytest.raises(ValueError, match=f"{sid}: state has wrong dim"):
+        vector_field(sid, 1, par, odd)
+
+
+def test_flow_rhs_rejects_wrong_number_of_times():
+    sid = "21,21,111,111"
+    par = sample_params(sid, rng_from_seed(6))
+    with pytest.raises(ValueError, match=f"{sid}: 2 times given, 1 expected"):
+        flow_rhs(sid, 1, par, (1.7 + 0.6j, -0.8 + 0.5j))
+
+
 def test_flow_states_times_and_endpoint():
     sid = "11,11,11,11,11"
     rng = rng_from_seed(5)

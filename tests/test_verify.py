@@ -216,9 +216,9 @@ def test_compare_reports_tool_names_a_changed_residual(tmp_path):
 NAN = float("nan")
 
 
-def _spoil_gradient(real, *args):
-    grad = real(*args)
-    return lambda *z: [NAN] * len(grad(*z))
+def _spoil_field(real, *args):
+    bind = real(*args)
+    return lambda *a: lambda *z: (NAN,) * len(bind(*a)(*z))
 
 
 # (check, item, where, name, call, spoil): the call-th call of where.name
@@ -264,7 +264,7 @@ NAN_FOLDS = {
                    lambda real, *a: (real(*a)[0],
                                      np.full_like(real(*a)[1], NAN))),
     "gradients": ("gradients", "11,11,11,11/relative_error", verify,
-                  "gradient", 2, _spoil_gradient),
+                  "field", 2, _spoil_field),
 }
 
 

@@ -1,11 +1,15 @@
-"""Generate the exact gradients of the catalog Hamiltonians.
+"""Generate the bound flow fields of the catalog Hamiltonians.
 
 Every Hamiltonian in :mod:`painlab.hamiltonians` is written over generic
 scalars, so calling it with SymPy symbols for ``q``, ``p``, ``t`` and the
 parameters traces it into one symbolic expression.  For every flow
 ``(sid, i)`` of the catalog this script differentiates ``H_i`` in each
 ``q_j`` and ``p_j``, shares common subexpressions with ``sympy.cse`` and
-prints plain-Python complex arithmetic.  The output is one module per
+prints plain-Python complex arithmetic as ``field_<i>(par, t)``.  That
+function reads the parameters, unpacks the frozen times and runs the
+subexpressions that depend on no q, no p and not on t_i, once; the
+``kernel(z, w, sc)`` it returns runs the rest, in the same order, and
+scales the partials into the flow field.  The output is one module per
 system in ``src/painlab/_gradients/``; see that package's docstring for
 the interface.
 
@@ -75,14 +79,13 @@ def _symbols(prefix, count):
     return tuple(sympy.Symbol(f"{prefix}{k}") for k in range(1, count + 1))
 
 
-def _unpack(names, source):
-    if len(names) == 1:
-        return f"    ({names[0]},) = {source}"
-    return f"    {', '.join(names)} = {source}"
+def render_field(sid, i):
+    """Source of ``field_<i>(par, t)`` for the flow ``(sid, i)``.
 
-
-def render_function(sid, i):
-    """Source of ``grad_<i>(par, q, p, t)`` for the flow ``(sid, i)``."""
+    The CSE steps that depend on no q, no p and not on t_i, directly or
+    through an earlier step, run once in ``field_<i>``; the rest run in
+    the ``kernel(z, w, sc)`` it returns, in the same order.
+    """
     desc = CATALOG[sid]
     q = _symbols("q", desc.n_pairs)
     p = _symbols("p", desc.n_pairs)
@@ -93,33 +96,50 @@ def render_function(sid, i):
     steps, exprs = sympy.cse(partials, symbols=sympy.numbered_symbols("x"))
     used = set().union(*(e.free_symbols for e in exprs),
                        *(e.free_symbols for _, e in steps))
+    moving = set(q + p) | {t[i - 1]}
+    bound, per_call = [], []
+    for lhs, rhs in steps:
+        if rhs.free_symbols & moving:
+            moving.add(lhs)
+            per_call.append((lhs, rhs))
+        else:
+            bound.append((lhs, rhs))
     printer = _Printer()
-    lines = [f"def grad_{i}(par, q, p, t):"]
+    n = desc.n_pairs
+    lines = [f"def field_{i}(par, t):"]
     lines += [f'    {name} = par["{name}"]'
               for name in sorted(par) if par[name] in used]
-    lines.append(_unpack([s.name for s in q], "q"))
-    lines.append(_unpack([s.name for s in p], "p"))
-    lines.append(_unpack([s.name for s in t], "t"))
-    lines += [f"    {lhs} = {printer.doprint(rhs)}" for lhs, rhs in steps]
-    lines.append("    return (")
-    lines += [f"        {printer.doprint(e)}," for e in exprs]
-    lines.append("    )")
+    if desc.n_times > 1:
+        names = [s.name for s in t]
+        names[i - 1] = "_"
+        lines.append(f"    {', '.join(names)} = t")
+    lines += [f"    {lhs} = {printer.doprint(rhs)}" for lhs, rhs in bound]
+    lines += ["", "    def kernel(z, w, sc):"]
+    if t[i - 1] in used:
+        lines.append(f"        {t[i - 1].name} = z")
+    lines.append(f"        {', '.join(s.name for s in q + p)} = w")
+    lines += [f"        {lhs} = {printer.doprint(rhs)}"
+              for lhs, rhs in per_call]
+    lines += ["        msc = -sc", "        return ("]
+    lines += [f"            sc*({printer.doprint(e)})," for e in exprs[n:]]
+    lines += [f"            msc*({printer.doprint(e)})," for e in exprs[:n]]
+    lines += ["        )", "", "    return kernel"]
     return "\n".join(lines)
 
 
 def render_module(sid):
     """Source of the generated module of one catalog system."""
     desc = CATALOG[sid]
-    funcs = [render_function(sid, i) for i in range(1, desc.n_times + 1)]
-    names = ", ".join(f"grad_{i}" for i in range(1, desc.n_times + 1))
+    funcs = [render_field(sid, i) for i in range(1, desc.n_times + 1)]
+    names = ", ".join(f"field_{i}" for i in range(1, desc.n_times + 1))
     header = (
-        f'"""Exact gradients of the {sid} Hamiltonians.\n\n'
+        f'"""Bound flow fields of the {sid} Hamiltonians.\n\n'
         "Generated by tools/gen_gradients.py from painlab.hamiltonians;"
         " do not edit.\n"
         '"""\n'
     )
     body = "\n\n\n".join(funcs)
-    return f"{header}\n\n{body}\n\n\nGRADIENTS = ({names},)\n"
+    return f"{header}\n\n{body}\n\n\nFIELDS = ({names},)\n"
 
 
 def expected_files():

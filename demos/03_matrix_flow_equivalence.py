@@ -25,11 +25,9 @@ end = flow_states(sid, 1, par, st, t1, rel_tol=1e-11)[-1]
 mats_canonical = assemble(sid, par, end).residues
 
 sys0 = assemble(sid, par, st)
-trajS = integrate_time(schlesinger_flow_rhs(st.t + (1.0, 0.0), 1),
-                       np.concatenate([a.ravel() for a in sys0.residues]),
-                       st.t, 1, t1, rel_tol=1e-11)
-mats_raw = [trajS.end_state[k * 9:(k + 1) * 9].reshape(3, 3)
-            for k in range(4)]
+trajS = integrate_time(schlesinger_flow_rhs(sys0.points, 1),
+                       sys0.residues.ravel(), st.t, 1, t1, rel_tol=1e-11)
+mats_raw = trajS.end_state.reshape(sys0.residues.shape)
 
 for a0, a1 in zip(sys0.residues, mats_raw):
     drift = np.max(np.abs(np.sort_complex(np.linalg.eigvals(a0))

@@ -1,9 +1,10 @@
 """Fuchsian systems: residue bookkeeping, spectral types, Riemann schemes.
 
 A system is the data of its finite singular points (deformation times,
-then 1, then 0) and one residue matrix per point; the residue at
-infinity is minus their sum.  Spectral types are tuples of integer
-partitions, one per singular point including infinity, in that order.
+then 1, then 0) and one residue matrix per point, held as one (P, L, L)
+stack; the residue at infinity is minus their sum.  Spectral types are
+tuples of integer partitions, one per singular point including
+infinity, in that order.
 """
 
 from __future__ import annotations
@@ -53,28 +54,27 @@ class FuchsianSystem:
     """Finite singular points with residue matrices; A_infinity derived."""
 
     points: tuple
-    residues: tuple  # complex arrays, one per finite point
+    residues: np.ndarray  # (P, L, L) complex, one matrix per finite point
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(complex(z) for z in self.points))
-        res = tuple(np.array(a, dtype=complex) for a in self.residues)
-        if len(res) != len(self.points):
-            raise ValueError("one residue matrix per finite point required")
-        L = res[0].shape[0]
-        for a in res:
-            if a.shape != (L, L):
-                raise ValueError("residue matrices must share one square size")
+        # a copy, read-only: rhs() binds it without copying again
+        res = np.array(self.residues, dtype=complex)
+        res.flags.writeable = False
+        if res.shape != (len(self.points),) + res.shape[-1:] * 2:
+            raise ValueError(f"residues of shape {res.shape}: one square "
+                             f"matrix per finite point required")
         if not min_gap(self.points) > COLLISION_TOL:
             raise ValueError("singular points must be finite and distinct")
         object.__setattr__(self, "residues", res)
 
     @property
     def size(self):
-        return self.residues[0].shape[0]
+        return self.residues.shape[-1]
 
     @property
     def residue_at_infinity(self):
-        return -sum(self.residues)
+        return -sum(self.residues)  # from 0: np.sum can flip a zero's sign
 
     def rhs(self):
         """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened).
@@ -84,11 +84,11 @@ class FuchsianSystem:
         as the series transport of :mod:`painlab.monodromy` checks a block
         of chords.
         """
-        # stacked once; add.reduce over the point axis keeps the
-        # left-to-right order of a plain sum of A_i/(x - t_i), where a
-        # product with a weight vector would round differently
+        # add.reduce over the point axis keeps the left-to-right order of
+        # a plain sum of A_i/(x - t_i), where a product with a weight
+        # vector would round differently
         pts = np.array(self.points)
-        res = np.array(self.residues)
+        res = self.residues
         L = self.size
 
         def rhs(x, y):

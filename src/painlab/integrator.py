@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import min_gap
+from .algebra import COLLISION_TOL, min_gap
 
 __all__ = [
     "Line",
@@ -171,6 +171,8 @@ class ComplexPath:
 
     Construction fails fast if any segment comes closer than ``margin`` to
     a singularity; the 1/(z - t) coefficients downstream blow up there.
+    Declared points that collide (their default margin would be 0) or are
+    not finite fail it too.
     """
 
     segments: tuple
@@ -181,6 +183,9 @@ class ComplexPath:
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "singularities",
                            tuple(complex(z) for z in self.singularities))
+        if not min_gap(self.singularities) > COLLISION_TOL:
+            raise PathMarginError(f"declared singular points collide or are "
+                                  f"not finite: {self.singularities}")
         m = self.margin
         if m is None:
             m = default_margin(self.singularities, self.segments)

@@ -370,9 +370,6 @@ def assemble(sid: str, params, state: PhaseState) -> FuchsianSystem:
     par = full_params(sid, params)
     b, c = pz.bc_from_state(par, state.q, state.p, state.t)
     mats = pz.matrices_from_bc(par, b, c)
-    arrays = tuple(np.array([[complex(x) for x in row] for row in m])
-                   for m in mats)
-    points = state.t + (1.0, 0.0)
-    if len(arrays) != len(points):
-        raise AssertionError("matrix count mismatch")
-    return FuchsianSystem(points=points, residues=arrays)
+    residues = np.array([[[complex(x) for x in row] for row in m]
+                         for m in mats])
+    return FuchsianSystem(points=state.t + (1.0, 0.0), residues=residues)

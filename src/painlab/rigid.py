@@ -43,7 +43,8 @@ class RigidCase:
     tie: tuple
     # merged params -> whether the case's matrices are defined there
     admissible: callable
-    # per deformation time: merged params -> (M_t | None, M_1, M_0)
+    # merged params -> per deformation time, the (P, 4, 4) residue stack at
+    # the leg's points: (M_t, M_1, M_0) for two times, (M_1, M_0) for one
     matrices: callable
     # constraint expressions g_k(q, p, t, par) cutting the submanifold
     constraints: tuple
@@ -85,7 +86,7 @@ def _mats_case51(par):
         [0, 0, a1, 1],
         [0, 0, -a2 - a3 + r3 + 1, 0],
         [0, 0, 0, -a2 - a3 + r3 + 1]], dtype=complex)
-    return ((Mt, M1_1, M0_1), (Mt, M1_2, M0_2))
+    return np.array([(Mt, M1_1, M0_1), (Mt, M1_2, M0_2)])
 
 
 def _mats_case52(par):
@@ -105,9 +106,8 @@ def _mats_case52(par):
         [0, 0, 0, 0],
         [0, a2, -a3, 1],
         [0, 0, 0, 0]], dtype=complex)
-    first = (Mt, M1, M0)
-    second = tuple(_E23 @ m @ _E23 for m in first)
-    return (first, second)
+    first = np.array([Mt, M1, M0])
+    return np.array([first, _E23 @ first @ _E23])
 
 
 def _mats_case53(par):
@@ -124,7 +124,7 @@ def _mats_case53(par):
         [a3, -a2 - a3, 0, -a3],
         [a3, a1, a4 + a5 - 1, 0],
         [0, 0, 0, 0]], dtype=complex)
-    return ((None, M1, M0),)
+    return np.array([(M1, M0)])
 
 
 def _mats_case54(par):
@@ -142,7 +142,7 @@ def _mats_case54(par):
         [0, -a0, a1, a1 - eta],
         [0, 0, 0, 0],
         [0, 0, 0, 0]], dtype=complex)
-    return ((None, M1, M0),)
+    return np.array([(M1, M0)])
 
 
 def _lift51(y, t, par):
@@ -391,7 +391,7 @@ RIGID_CASES = {
 
 
 def build_rigid_matrices(case: RigidCase, params):
-    """Residue matrices of the rigid system(s), one tuple per time; the
+    """The rigid residue stacks, one per time (``RigidCase.matrices``); the
     case's parameter constraint must vanish to 1e-9 (not NaN)."""
     par = full_params(case.parent, params)
     res = abs(case.parameter_constraint(par))
@@ -403,14 +403,19 @@ def build_rigid_matrices(case: RigidCase, params):
 
 def rigid_rhs(case: RigidCase, params, i, other_times):
     """dy/dt_i = (M_t/(t_i - t_j) + M_1/(t_i - 1) + M_0/t_i) y, as a plain
-    rhs(z, y) for :func:`~painlab.integrator.integrate`."""
-    mats = build_rigid_matrices(case, params)
-    Mt, M1, M0 = mats[i - 1]
+    rhs(z, y) for :func:`~painlab.integrator.integrate`; ValueError unless
+    1 <= i <= n_times, with n_times - 1 other times."""
+    n = case.n_times
+    if not 1 <= i <= n or len(other_times) != n - 1:
+        raise ValueError(f"{case.case_id}: time index {i} with "
+                         f"{len(other_times)} other times, not 1..{n} "
+                         f"with {n - 1}")
+    *Mt, M1, M0 = build_rigid_matrices(case, params)[i - 1]
 
     def rhs(z, y):
         M = M1 / (z - 1) + M0 / z
-        if Mt is not None:
-            M = M + Mt / (z - other_times[0])
+        for A, tj in zip(Mt, other_times):
+            M = M + A / (z - tj)
         return np.matmul(M, y)
 
     return rhs
@@ -425,13 +430,14 @@ def lift_solution(case: RigidCase, params, ys, times_list):
     """Map rigid-system samples y(t) to parent phase-space points.
 
     ``ys``: iterable of 4-vectors; ``times_list``: matching deformation
-    time tuples.  Raises ZeroDivisionError if y0 vanishes.
+    time tuples.  Raises ZeroDivisionError, naming the sample, where y0
+    is below 1e-14 in size or NaN.
     """
     par = full_params(case.parent, params)
     out = []
-    for y, t in zip(ys, times_list):
-        if abs(y[0]) < 1e-14:
-            raise ZeroDivisionError("y0 vanished along the lift")
+    for k, (y, t) in enumerate(zip(ys, times_list)):
+        if not abs(y[0]) >= 1e-14:  # written so that a NaN fails
+            raise ZeroDivisionError(f"y0 = {y[0]} at sample {k} of the lift")
         q, p = case.lift(tuple(y), tuple(t), par)
         out.append(PhaseState(q, p, tuple(t)))
     return out

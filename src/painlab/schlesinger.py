@@ -2,8 +2,10 @@
 
 The residue matrices of an isomonodromic family satisfy the commutator
 flow ``dA_j/dt_i = [A_i, A_j]/(t_i - t_j)`` with trace Hamiltonians
-``H_i = sum_j tr(A_i A_j)/(t_i - t_j)``.  ``realign_to_slice`` brings the
-flowed matrices back onto a parametrization's gauge slice, and
+``H_i = sum_j tr(A_i A_j)/(t_i - t_j)``.  The family is one (P, L, L)
+stack, as in :class:`~painlab.fuchsian.FuchsianSystem`: ``schlesinger_rhs``
+is one broadcast commutator over it.  ``realign_to_slice`` brings the
+flowed stack back onto a parametrization's gauge slice, and
 ``induced_state_field`` pushes the canonical flow of the trace
 Hamiltonian through the coordinate maps of a parametrization, so both
 can be compared with the catalog flows.
@@ -35,41 +37,34 @@ def _check_times(points, i):
 
 
 def schlesinger_rhs(points, mats, i):
-    """d/dt_i of every residue matrix (the commutator flow).
+    """d/dt_i of every residue matrix (the commutator flow), as a stack.
 
     ``points`` lists the finite singular points (deformation times, then
-    1, then 0); ``mats`` the matching residues; ``i`` is 1-based among
-    the deformation times.  The derivatives sum to zero, so the residue
-    at infinity stays constant.
+    1, then 0); ``mats`` the matching (P, L, L) stack of residues; ``i``
+    is 1-based among the deformation times.  Row i - 1 is minus the sum
+    of the others, so the residue at infinity stays constant.
     """
     _check_times(points, i)
-    mats = [np.asarray(a, dtype=complex) for a in mats]
-    Ai = mats[i - 1]
-    ti = points[i - 1]
-    out = []
-    own = np.zeros_like(Ai)
-    for j, (tj, Aj) in enumerate(zip(points, mats)):
-        if j == i - 1:
-            out.append(None)
-            continue
-        comm = (Ai @ Aj - Aj @ Ai) / (ti - tj)
-        out.append(comm)
-        own -= comm
-    out[i - 1] = own
+    A = np.asarray(mats, dtype=complex)
+    Ai = A[i - 1]
+    dt = points[i - 1] - np.array(points, dtype=complex)
+    dt[i - 1] = 1  # over the own row's commutator, which is 0
+    out = (Ai @ A - A @ Ai) / dt[:, None, None]
+    # 0 - C_1 - C_2 - ..., left to right
+    out[i - 1] = np.subtract.reduce(out, axis=0, initial=0)
     return out
 
 
 def schlesinger_flow_rhs(points, i):
-    """rhs(z, y) for the integrator: y = stacked residues, z = t_i."""
+    """rhs(z, y) for the integrator: y = the flattened (P, L, L) residue
+    stack, z = t_i."""
     fixed = list(points)
+    n = len(fixed)
 
     def rhs(z, y):
-        pts = [z if k == i - 1 else fixed[k] for k in range(len(fixed))]
-        n = len(pts)
+        pts = fixed[:i - 1] + [z] + fixed[i:]
         L = int(round((len(y) / n) ** 0.5))
-        mats = [y[k * L * L:(k + 1) * L * L].reshape(L, L) for k in range(n)]
-        ders = schlesinger_rhs(pts, mats, i)
-        return np.concatenate([d.ravel() for d in ders])
+        return schlesinger_rhs(pts, y.reshape(n, L, L), i).reshape(y.shape)
 
     return rhs
 
@@ -92,7 +87,8 @@ def trace_hamiltonian(points, mats, i):
 
 
 def realign_to_slice(sid, params, mats):
-    """Conjugate raw matrices back onto the gauge slice of the parametrization.
+    """Conjugate a raw (P, L, L) residue stack back onto the gauge slice of
+    the parametrization, and return the conjugated stack.
 
     The matrix deformation flow preserves the residue at infinity exactly,
     while the parametrized family lets its lower-triangular entries move;
@@ -103,7 +99,7 @@ def realign_to_slice(sid, params, mats):
     if sid != "21,21,21,21,111":
         raise NotImplementedError("slice realignment implemented for the "
                                   "headline three-by-three system only")
-    A = [np.asarray(m, dtype=complex) for m in mats]
+    A = np.asarray(mats, dtype=complex)
 
     def conditions(x, y, z, d2, d3):
         g = ((1, 0, 0), (x, d2, 0), (y, z, d3))
@@ -112,7 +108,7 @@ def realign_to_slice(sid, params, mats):
               ((x * z - y * d2) / (d2 * d3), -z / (d2 * d3), 1 / d3))
         B = [mat_mul(mat_mul(gi, m), g) for m in A]
         B4, B3 = B[3], B[2]
-        col = max(range(3), key=lambda j: abs(A[3][0, j]))
+        col = max(range(3), key=lambda j: abs(A[3, 0, j]))
         u4 = tuple(B4[r][col] for r in range(3))
         ainf21 = -(B[0][2][1] + B[1][2][1] + B[2][2][1] + B[3][2][1])
         return (u4[1] / u4[0], u4[2] / u4[0],
@@ -130,7 +126,7 @@ def realign_to_slice(sid, params, mats):
     x, y, z, d2, d3 = u
     g = np.array([[1, 0, 0], [x, d2, 0], [y, z, d3]], dtype=complex)
     gi = np.linalg.inv(g)
-    return [gi @ m @ g for m in A]
+    return gi @ A @ g
 
 
 def induced_state_field(sid, params, state: PhaseState, i):

@@ -181,15 +181,12 @@ def verify_isospectral(rng):
     mats_ham = assemble(sid, par, end).residues
 
     sys0 = assemble(sid, par, st)
-    pts = st.t + (1.0, 0.0)
-    trajS = integrate_time(schlesinger_flow_rhs(pts, 1),
-                           np.concatenate([a.ravel() for a in sys0.residues]),
-                           st.t, 1, t1v, rel_tol=1e-11, abs_tol=1e-13)
-    mats_raw = [trajS.end_state[k * 9:(k + 1) * 9].reshape(3, 3)
-                for k in range(4)]
+    trajS = integrate_time(schlesinger_flow_rhs(sys0.points, 1),
+                           sys0.residues.ravel(), st.t, 1, t1v,
+                           rel_tol=1e-11, abs_tol=1e-13)
+    mats_raw = trajS.end_state.reshape(sys0.residues.shape)
     realigned = realign_to_slice(sid, par, mats_raw)
-    deviation = max_residual(float(np.max(np.abs(a - b)))
-                             for a, b in zip(mats_ham, realigned))
+    deviation = float(np.max(np.abs(mats_ham - realigned)))
 
     drift = _eigenvalue_drift(sys0.residues, mats_raw)
     return [(f"{sid}/matrix_deviation", deviation, 1e-6),
@@ -300,11 +297,8 @@ def verify_riemann_schemes(rng):
             mats = rigid.build_rigid_matrices(case, par)
             cols = rigid.riemann_scheme_columns(case, par)
             for mset, colset in zip(mats, cols):
-                Mt, M1, M0 = mset
-                finite = [m for m in (Mt, M1, M0) if m is not None]
-                all_m = finite + [-sum(finite)]
-                residuals += [_power_sum_residual(M, want)
-                              for M, want in zip(all_m, colset)]
+                residuals += [_power_sum_residual(M, want) for M, want
+                              in zip([*mset, -sum(mset)], colset)]
         items += [(f"{cid}/scheme_residual", max_residual(residuals), 1e-9),
                   (f"{cid}/accessory_count",
                    abs(accessory_count(case.spectral_type)), 1)]

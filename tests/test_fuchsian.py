@@ -55,6 +55,32 @@ def test_residue_infinity_zero_cases():
     assert np.max(np.abs(sys.residue_at_infinity)) == 0
 
 
+def test_residues_are_one_read_only_stack():
+    a = np.array([[1.0, 2.0], [0.5, -1.0]])
+    sys = FuchsianSystem(points=(0.5, 1.0, 0.0), residues=(a, -a, 2 * a))
+    assert isinstance(sys.residues, np.ndarray)
+    assert sys.residues.shape == (3, 2, 2) and sys.residues.dtype == complex
+    assert sys.size == 2
+    # a read-only copy: later edits of the caller's matrices do not reach
+    # it, and no edit through it can reach an rhs bound to it
+    a[0, 0] = 7.0
+    assert sys.residues[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        sys.residues[0, 0, 0] = 7.0
+
+
+@pytest.mark.parametrize("residues", [
+    (np.eye(2), np.eye(2)),                    # two matrices, three points
+    (np.eye(2),) * 4,                          # four matrices
+    (np.ones((2, 3)),) * 3,                    # not square
+    (np.eye(2), np.eye(3), np.eye(2)),         # ragged
+    (1.0, 2.0, 3.0),                           # not matrices
+], ids=["too-few", "too-many", "not-square", "ragged", "scalars"])
+def test_residue_count_and_shape_checked(residues):
+    with pytest.raises(ValueError):
+        FuchsianSystem(points=(0.5, 1.0, 0.0), residues=residues)
+
+
 @pytest.mark.parametrize("points", [(float("nan"), 1.0, 0.0),
                                     (0.5, float("nan"), 0.0),
                                     (0.5, 1.0, float("nan"))],

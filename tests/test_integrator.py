@@ -98,6 +98,20 @@ def test_margin_violation_rejected_at_construction():
     assert ComplexPath.polyline([1.0, 2.0]).margin == 0.0
 
 
+def test_colliding_singular_points_rejected():
+    # colliding points would give a default margin of 0, which switched
+    # the margin check off: this leg ran straight through the pole at 1
+    with pytest.raises(PathMarginError, match="collide"):
+        integrate_time(lambda z, y: y / (z - 1), [1.0], (1.7, 1.0), 1, 0.9)
+    for margin in (None, 0.01):
+        with pytest.raises(PathMarginError, match="collide"):
+            ComplexPath.polyline([2.0, 3.0], singularities=[0.0, 1.0, 1.0],
+                                 margin=margin)
+    # distinct points within COLLISION_TOL collide too
+    with pytest.raises(PathMarginError, match="collide"):
+        ComplexPath.polyline([2.0, 3.0], singularities=[0.0, 1.0, 1 + 1e-13])
+
+
 SEGMENTS = [
     Line(-1.0 + 0.5j, 2.0 - 1.0j),
     Arc(0.5j, 1.5, 0.3, 2.0),

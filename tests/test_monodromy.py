@@ -265,9 +265,9 @@ def test_truncated_series_fails_the_defect_check(monkeypatch):
 def test_a_nan_defect_fails_the_transport_check():
     # NaN > tol is false: a NaN defect must not read as a passed check
     sys = _assembled("21,21,21,21,111", rng_from_seed(8))
-    a1 = sys.residues[0].copy()
-    a1[0, 0] = np.nan
-    sys = dataclasses.replace(sys, residues=(a1,) + sys.residues[1:])
+    res = sys.residues.copy()
+    res[0, 0, 0] = np.nan
+    sys = dataclasses.replace(sys, residues=res)
     with pytest.raises(TransportDefectError, match="series defect nan") \
             as err:
         monodromy_representation(sys)
@@ -279,10 +279,9 @@ def test_an_infinite_residue_fails_the_chord_planner():
     # SIGMA / inf plans chords of length 0: s would never advance, and
     # the planner would run up MAX_SEGMENT_STEPS of them
     sys = _assembled("21,21,21,21,111", rng_from_seed(8))
-    a2 = sys.residues[1].copy()
-    a2[0, 0] = np.inf
-    sys = dataclasses.replace(
-        sys, residues=sys.residues[:1] + (a2,) + sys.residues[2:])
+    res = sys.residues.copy()
+    res[1, 0, 0] = np.inf
+    sys = dataclasses.replace(sys, residues=res)
     with pytest.raises(StepUnderflowError,
                        match=r"chord of length 0 on a segment of lasso 0, at "
                              r"step 0 of the segment: c=.*, weight=inf"):

@@ -66,7 +66,7 @@ def test_one_time_case_exponent_columns():
     case = RIGID_CASES["case-21-111"]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
-    ((_, M1, M0),) = build_rigid_matrices(case, par)
+    ((M1, M0),) = build_rigid_matrices(case, par)
     a1, a2, a3, a4, a5 = (merged["alpha1"], merged["alpha2"],
                           merged["alpha3"], merged["alpha4"],
                           merged["alpha5"])
@@ -91,8 +91,7 @@ def test_printed_scheme_matches_eigenvalues(cid):
         mats = build_rigid_matrices(case, par)
         cols = riemann_scheme_columns(case, par)
         for mset, colset in zip(mats, cols):
-            finite = [m for m in mset if m is not None]
-            for M, want in zip(finite + [-sum(finite)], colset):
+            for M, want in zip(list(mset) + [-sum(mset)], colset):
                 got = list(np.linalg.eigvals(M))
                 for w in want:
                     j = int(np.argmin([abs(g - complex(w)) for g in got]))
@@ -185,6 +184,31 @@ def test_lift_fails_cleanly_when_y0_vanishes():
     y = np.array([0.0, 0.2, -0.3, 0.15], dtype=complex)
     with pytest.raises(ZeroDivisionError):
         lift_solution(case, par, [y], [TIMES1])
+
+
+def test_lift_fails_on_a_nan_y0_and_names_the_sample():
+    rng = rng_from_seed(9)
+    case = RIGID_CASES["case-21-111"]
+    par = constrained_rigid_params(case, rng)
+    good = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
+    bad = np.array([np.nan, 0.1, 0.1, 0.1], dtype=complex)
+    with pytest.raises(ZeroDivisionError, match="sample 1 "):
+        lift_solution(case, par, [good, bad], [TIMES1, TIMES1])
+
+
+@pytest.mark.parametrize("cid, i, other", [
+    ("case-3131", 0, TIMES2[1:]),     # once built the time-2 leg silently
+    ("case-3131", 3, TIMES2[1:]),
+    ("case-3131", 1, ()),             # once failed at the first call
+    ("case-3131", 1, TIMES2),
+    ("case-21-111", 1, TIMES2[1:]),   # once ignored the extra time
+    ("case-21-111", 2, ()),
+])
+def test_rigid_rhs_checks_time_index_and_other_times(cid, i, other):
+    case = RIGID_CASES[cid]
+    par = constrained_rigid_params(case, rng_from_seed(5))
+    with pytest.raises(ValueError, match=cid):
+        rigid_rhs(case, par, i, other)
 
 
 @pytest.mark.parametrize("cid", list(RIGID_CASES))

@@ -37,6 +37,38 @@ def test_derivatives_are_traceless_and_sum_to_zero():
     assert np.max(np.abs(sum(ders))) < 1e-12
 
 
+def _per_pair_rhs(points, mats, i):
+    """The commutator flow one pair at a time: [A_i, A_j]/(t_i - t_j), and
+    for j = i minus the others' sum, subtracted left to right from 0."""
+    Ai, ti = mats[i - 1], points[i - 1]
+    out, own = [], np.zeros_like(Ai)
+    for j, (tj, Aj) in enumerate(zip(points, mats)):
+        if j == i - 1:
+            out.append(None)
+            continue
+        out.append((Ai @ Aj - Aj @ Ai) / (ti - tj))
+        own -= out[-1]
+    out[i - 1] = own
+    return np.array(out)
+
+
+@pytest.mark.parametrize("P", [3, 4, 5])
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_stacked_rhs_matches_per_pair_bit_for_bit(P, L):
+    rng = rng_from_seed(100 * P + L)
+    for draw in range(20):
+        A = rng.normal(size=(P, L, L)) + 1j * rng.normal(size=(P, L, L))
+        if draw % 2:
+            # small integers and zeros: exact commutators, signed zeros
+            A = np.round(2 * A) / 2
+        pts = [complex(*rng.normal(size=2)) for _ in range(P - 2)]
+        pts += [1.0, 0.0]
+        for i in range(1, P - 1):
+            got = schlesinger_rhs(pts, A, i)
+            assert isinstance(got, np.ndarray) and got.shape == (P, L, L)
+            assert got.tobytes() == _per_pair_rhs(pts, A, i).tobytes()
+
+
 def test_flow_is_hamiltonian_for_trace_function():
     # the entrywise bracket {(A)_kl, (A)_rs} = d_rl A_ks - d_ks A_rl turns
     # the trace Hamiltonian into {H, A_j} = [(dH/dA_j)^T, A_j]; check that

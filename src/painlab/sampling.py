@@ -4,7 +4,10 @@ Property tests draw rational complex values of modulus at most 2 and
 solve the last free parameter from the trace relation exactly, so the
 relation holds to machine precision and accidental resonances are
 avoided.  All draws go through a caller-supplied ``numpy.random.Generator``
-so every report is reproducible from its seed.
+so every report is reproducible from its seed.  They read the bit
+generator's 32-bit stream directly, by the map ``Generator.integers``
+applies to it, so they give the same values and leave the same state as
+``integers`` calls would, without their per-call overhead.
 """
 
 from __future__ import annotations
@@ -25,13 +28,45 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _below(draw, state, n):
+    """``Generator.integers(0, n)`` for 1 < n < 2**32, from ``draw(state)``,
+    the bit generator's ``next_uint32``.
+
+    This is the map numpy applies (Lemire, ACM TOMACS 29(1), 2019): a draw
+    u gives u*n >> 32, redrawn while u*n mod 2**32 < 2**32 mod n.  That
+    bound is below n, so only u*n mod 2**32 < n can redraw.
+    """
+    m = draw(state) * n
+    if m & 0xFFFFFFFF < n:
+        floor = (1 << 32) % n
+        draws = 1
+        while m & 0xFFFFFFFF < floor:
+            if draws == MAX_DRAWS:
+                raise RuntimeError(f"no unbiased draw below {n} in "
+                                   f"{MAX_DRAWS} draws")
+            m = draw(state) * n
+            draws += 1
+    return m >> 32
+
+
 def rational_complex(rng, nonzero=False) -> complex:
-    """Random rational complex value with |z| <= 2."""
+    """Random rational complex value with |z| <= 2.
+
+    The denominator, the real and the imaginary numerator are the values
+    ``rng.integers(1, 5)``, ``rng.integers(-hi, hi + 1)`` twice would give,
+    in that order.  Unlike ``integers``, this path does not take the bit
+    generator's lock, so the rng must not be shared between threads.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rational_complex: rng must be a "
+                        f"numpy.random.Generator, got {type(rng).__name__}")
+    bits = rng.bit_generator.ctypes
+    draw, state = bits.next_uint32, bits.state
     for _ in range(MAX_DRAWS):
-        den = int(rng.integers(1, 5))
+        den = 1 + _below(draw, state, 4)
         hi = 2 * den
-        z = complex(int(rng.integers(-hi, hi + 1)) / den,
-                    int(rng.integers(-hi, hi + 1)) / den)
+        z = complex((_below(draw, state, 2 * hi + 1) - hi) / den,
+                    (_below(draw, state, 2 * hi + 1) - hi) / den)
         if abs(z) > 2:
             continue
         if nonzero and abs(z) < 0.25:
@@ -47,13 +82,22 @@ def sample_params(sid: str, rng, fixed=None, generic=False):
     relation is solved for the last parameter not preset.  With
     ``generic=True`` the draw is repeated until all parameters are nonzero
     and pairwise distinct by 0.2, which keeps eigenvalue clusters of
-    assembled systems well separated.
+    assembled systems well separated.  A preset name the system lacks, or
+    presets that leave no parameter of the relation free, raise
+    ``ValueError`` before any draw.
     """
     desc = lookup(sid)
     fixed = dict(fixed or {})
     names = list(desc.param_names)
-    solve_name = [n for n in names if n not in fixed
-                  and n in desc.fuchs_relation.coeffs][-1]
+    unknown = sorted(set(fixed) - set(names))
+    if unknown:
+        raise ValueError(f"{sid}: no parameter named {', '.join(unknown)}")
+    free = [n for n in names if n not in fixed
+            and n in desc.fuchs_relation.coeffs]
+    if not free:
+        raise ValueError(f"{sid}: no free parameter of the trace relation "
+                         f"to solve for")
+    solve_name = free[-1]
     for _ in range(MAX_DRAWS):
         values = {}
         for n in names:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -268,25 +269,35 @@ def eigen_small(m) -> EigenMultiset:
 # ---------------------------------------------------------------------------
 
 
+def _shape(a):
+    """(rows, columns) of a nested-tuple matrix, or (rows, the row lengths)
+    for a ragged one."""
+    lengths = tuple(map(len, a))
+    return (len(a), lengths[0] if len(set(lengths)) == 1 else lengths)
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    """a @ b, each entry summed left to right from 0; ValueError naming
+    both shapes where a's rows do not all have len(b) entries or b is
+    ragged."""
+    cols = tuple(zip(*b))
+    for rows, n in ((a, len(b)), (b, len(cols))):
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"cannot multiply a {_shape(a)} matrix by "
+                                 f"a {_shape(b)} one")
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                  for row in a])
 
 
 def mat_smul(s, a):
-    return tuple(tuple(s * x for x in row) for row in a)
+    return tuple([tuple([s * x for x in row]) for row in a])
 
 
 def mat_shift(a, s):
     """a + s*I for a square generic matrix."""
-    return tuple(
-        tuple(x + s if i == j else x for j, x in enumerate(row))
-        for i, row in enumerate(a)
-    )
+    return tuple([tuple([x + s if i == j else x for j, x in enumerate(row)])
+                  for i, row in enumerate(a)])
 
 
 def mat_trace(a):

@@ -12,6 +12,7 @@ exponents) must vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Mapping
 
 import numpy as np
@@ -46,12 +47,15 @@ class LinearForm:
     const: float = 0.0
 
     def __call__(self, values: Mapping[str, complex]) -> complex:
-        return sum(c * values[name] for name, c in self.coeffs.items()) + self.const
+        coeffs = self.coeffs
+        return sum(map(mul, coeffs.values(), map(values.__getitem__, coeffs))) \
+            + self.const
 
     def solve_for(self, name: str, values: Mapping[str, complex]) -> complex:
         """Value of ``name`` that makes the form vanish, others given."""
-        c = self.coeffs[name]
-        rest = sum(ck * values[k] for k, ck in self.coeffs.items() if k != name)
+        others = dict(self.coeffs)
+        c = others.pop(name)
+        rest = sum(map(mul, others.values(), map(values.__getitem__, others)))
         return -(rest + self.const) / c
 
 
@@ -418,7 +422,7 @@ def constraint_rate(sid: str, params, state: PhaseState, constraints):
     for i in range(1, desc.n_times + 1):
         dq, dp = vector_field(sid, i, par, state)
         dz = dq + dp
-        # zip stops at the 2n phase slots; the t_i slot's weight is 1
-        rates.extend(abs(sum(a * b for a, b in zip(row, dz))
-                         + row[2 * n + i - 1]) for row in rows)
+        # map stops at the 2n phase slots; the t_i slot's weight is 1
+        rates.extend(abs(sum(map(mul, row, dz)) + row[2 * n + i - 1])
+                     for row in rows)
     return max_residual(rates)

@@ -2,8 +2,11 @@
 
 A system is the data of its finite singular points (deformation times,
 then 1, then 0) and one residue matrix per point, held as one (P, L, L)
-stack; the residue at infinity is minus their sum.  Spectral types are
-tuples of integer partitions, one per singular point including
+stack; the residue at infinity is minus their sum.  Its coefficient
+M(x) = sum A_i/(x - t_i) drives two right-hand sides: ``rhs()`` on the
+flattened L x L fundamental matrix, and :class:`LinearRhs` on a vector,
+which the integrator steps with one evaluation of M per step.  Spectral
+types are tuples of integer partitions, one per singular point including
 infinity, in that order.
 """
 
@@ -17,6 +20,7 @@ from .algebra import COLLISION_TOL, EigenMultiset, eigen_small, min_gap
 
 __all__ = [
     "FuchsianSystem",
+    "LinearRhs",
     "RiemannScheme",
     "ClusterAmbiguityError",
     "parse_spectral_type",
@@ -51,14 +55,18 @@ def accessory_count(st) -> int:
 
 @dataclass(frozen=True)
 class FuchsianSystem:
-    """Finite singular points with residue matrices; A_infinity derived."""
+    """Finite singular points with residue matrices; A_infinity derived.
+
+    The points may come in any order: the coefficient sums A_i/(x - t_i)
+    in the order given, so the order fixes its rounding.
+    """
 
     points: tuple
     residues: np.ndarray  # (P, L, L) complex, one matrix per finite point
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(complex(z) for z in self.points))
-        # a copy, read-only: rhs() binds it without copying again
+        # a copy, read-only: the coefficient binds it without copying again
         res = np.array(self.residues, dtype=complex)
         res.flags.writeable = False
         if res.shape != (len(self.points),) + res.shape[-1:] * 2:
@@ -84,18 +92,49 @@ class FuchsianSystem:
         as the series transport of :mod:`painlab.monodromy` checks a block
         of chords.
         """
-        # add.reduce over the point axis keeps the left-to-right order of
-        # a plain sum of A_i/(x - t_i), where a product with a weight
-        # vector would round differently
-        pts = np.array(self.points)
-        res = self.residues
+        coefficient = _coefficient(self)
         L = self.size
 
         def rhs(x, y):
-            M = np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
-            return (M @ y.reshape(y.shape[:-1] + (L, L))).reshape(y.shape)
+            Y = y.reshape(y.shape[:-1] + (L, L))
+            return (coefficient(x) @ Y).reshape(y.shape)
 
         return rhs
+
+
+def _coefficient(sys: FuchsianSystem):
+    """M(x) = sum A_i/(x - t_i), the points in the system's order; (B, 1)
+    points x give (B, L, L), one matrix per row."""
+    # add.reduce over the point axis keeps the left-to-right order of a
+    # plain sum of A_i/(x - t_i), where a product with a weight vector
+    # would round differently
+    pts = np.array(sys.points)
+    res = sys.residues
+
+    def coefficient(x):
+        return np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
+
+    return coefficient
+
+
+class LinearRhs:
+    """dy/dx = M(x) y on a vector y, for M the coefficient of a
+    :class:`FuchsianSystem`: a plain rhs(x, y) that carries M as
+    ``coefficient``, which broadcasts as ``FuchsianSystem.rhs()`` does.
+
+    :func:`~painlab.integrator.integrate` recognises it and evaluates M at
+    a step's twelve stage points in one call; each stage then multiplies
+    its state by its matrix, as a call of this rhs does, so the two routes
+    agree to the bit.
+    """
+
+    __slots__ = ("coefficient",)
+
+    def __init__(self, sys: FuchsianSystem):
+        self.coefficient = _coefficient(sys)
+
+    def __call__(self, x, y):
+        return self.coefficient(x) @ y
 
 
 class ClusterAmbiguityError(RuntimeError):

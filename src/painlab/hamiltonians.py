@@ -251,9 +251,9 @@ def _painleve_trace(Q, P, a0, a1, a2, a3, a4, t):
     + a2*(a0+a2)*Q}, the matrix sixth-Painleve expression."""
     Qm1 = mat_shift(Q, -1)
     Qmt = mat_shift(Q, -t)
-    term = mat_mul(mat_mul(mat_mul(mat_mul(Q, Qm1), P), Qmt), P)
-    out = mat_trace(term)
-    out = out - (a1 - 1) * mat_trace(mat_mul(mat_mul(Q, Qm1), P))
+    QQm1P = mat_mul(mat_mul(Q, Qm1), P)
+    out = mat_trace(mat_mul(mat_mul(QQm1P, Qmt), P))
+    out = out - (a1 - 1) * mat_trace(QQm1P)
     out = out - a3 * mat_trace(mat_mul(mat_mul(Q, Qmt), P))
     out = out - a4 * mat_trace(mat_mul(mat_mul(Qm1, Qmt), P))
     out = out + a2 * (a0 + a2) * mat_trace(Q)

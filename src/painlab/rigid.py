@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import time_derivative
 from .catalog import PhaseState, constraint_rate, full_params, vector_field
+from .fuchsian import FuchsianSystem, LinearRhs
 from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "build_rigid_matrices", "rigid_rhs",
@@ -402,23 +403,21 @@ def build_rigid_matrices(case: RigidCase, params):
 
 
 def rigid_rhs(case: RigidCase, params, i, other_times):
-    """dy/dt_i = (M_t/(t_i - t_j) + M_1/(t_i - 1) + M_0/t_i) y, as a plain
-    rhs(z, y) for :func:`~painlab.integrator.integrate`; ValueError unless
-    1 <= i <= n_times, with n_times - 1 other times."""
+    """dy/dt_i = (M_1/(t_i - 1) + M_0/t_i + M_t/(t_i - t_j)) y, summed in
+    that order: the :class:`~painlab.fuchsian.LinearRhs` of the leg as a
+    Fuchsian system in t_i with points (1, 0, t_j) and residues (M_1, M_0,
+    M_t).  A plain rhs(z, y) for :func:`~painlab.integrator.integrate`,
+    which steps it with one evaluation of the coefficient per step.
+    ValueError unless 1 <= i <= n_times, with n_times - 1 other times
+    distinct from each other and from 0 and 1."""
     n = case.n_times
     if not 1 <= i <= n or len(other_times) != n - 1:
         raise ValueError(f"{case.case_id}: time index {i} with "
                          f"{len(other_times)} other times, not 1..{n} "
                          f"with {n - 1}")
-    *Mt, M1, M0 = build_rigid_matrices(case, params)[i - 1]
-
-    def rhs(z, y):
-        M = M1 / (z - 1) + M0 / z
-        for A, tj in zip(Mt, other_times):
-            M = M + A / (z - tj)
-        return np.matmul(M, y)
-
-    return rhs
+    mats = build_rigid_matrices(case, params)[i - 1]  # (M_t..., M_1, M_0)
+    return LinearRhs(FuchsianSystem((1.0, 0.0, *other_times),
+                                    np.concatenate((mats[-2:], mats[:-2]))))
 
 
 def constraint_flow_drift(case: RigidCase, params, state: PhaseState):

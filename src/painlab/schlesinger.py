@@ -25,8 +25,25 @@ __all__ = [
     "schlesinger_flow_rhs",
     "trace_hamiltonian",
     "realign_to_slice",
+    "SliceRealignmentError",
     "induced_state_field",
 ]
+
+# Newton iterations realign_to_slice may take
+_NEWTON_STEPS = 50
+
+
+class SliceRealignmentError(RuntimeError):
+    """The Newton iteration of :func:`realign_to_slice` failed: a singular
+    step, slice conditions undefined at the iterate, or no convergence.
+    ``iteration`` counts the Newton steps taken before it failed and
+    ``residual`` is the last max|F| (NaN before the first)."""
+
+    def __init__(self, reason, iteration, residual):
+        super().__init__(f"slice realignment: {reason} at Newton iteration "
+                         f"{iteration} (last max|F| {residual:.3e})")
+        self.iteration = iteration
+        self.residual = residual
 
 
 def _check_times(points, i):
@@ -95,11 +112,15 @@ def realign_to_slice(sid, params, mats):
     the two families differ by a triangular conjugation.  This solves for
     the lower-triangular gauge g (Newton, analytic Jacobian via duals)
     that restores the slice normalization, for the headline system.
+    ValueError for a non-finite stack; :class:`SliceRealignmentError` if
+    Newton fails.
     """
     if sid != "21,21,21,21,111":
         raise NotImplementedError("slice realignment implemented for the "
                                   "headline three-by-three system only")
     A = np.asarray(mats, dtype=complex)
+    if not np.isfinite(A).all():
+        raise ValueError("slice realignment of a non-finite residue stack")
 
     def conditions(x, y, z, d2, d3):
         g = ((1, 0, 0), (x, d2, 0), (y, z, d3))
@@ -115,14 +136,25 @@ def realign_to_slice(sid, params, mats):
                 B3[0][1] - 1, B3[0][2] - 1, ainf21)
 
     u = [0.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j, 1.0 + 0j]
-    for _ in range(50):
-        F, J = map(np.array, dual_gradient(conditions, u))
-        if np.max(np.abs(F)) < 1e-12:
+    residual = float("nan")
+    for it in range(_NEWTON_STEPS):
+        try:
+            F, J = map(np.array, dual_gradient(conditions, u))
+        except ZeroDivisionError:
+            raise SliceRealignmentError("the slice conditions divide by "
+                                        "zero", it, residual) from None
+        residual = float(np.max(np.abs(F)))
+        if residual < 1e-12:
             break
-        du = np.linalg.solve(J, -F)
+        try:
+            du = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            raise SliceRealignmentError("singular Newton step", it,
+                                        residual) from None
         u = [ui + d for ui, d in zip(u, du)]
     else:
-        raise RuntimeError("slice realignment did not converge")
+        raise SliceRealignmentError("no convergence", _NEWTON_STEPS,
+                                    residual)
     x, y, z, d2, d3 = u
     g = np.array([[1, 0, 0], [x, d2, 0], [y, z, d3]], dtype=complex)
     gi = np.linalg.inv(g)

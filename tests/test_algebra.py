@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painlab.algebra import (Dual, dual_gradient, eigen_small, max_residual,
-                             min_gap, time_derivative)
+from painlab.algebra import (Dual, dual_gradient, eigen_small, mat_mul,
+                             mat_shift, mat_smul, max_residual, min_gap,
+                             time_derivative)
 from painlab.catalog import full_params
 from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
                               sample_state)
@@ -195,3 +196,77 @@ def test_size_guard():
         eigen_small(np.eye(7))
     with pytest.raises(ValueError):
         eigen_small(np.eye(1))
+
+
+@pytest.mark.parametrize("a, b", [
+    (((1, 2), (3, 4)), ((1, 2, 3),)),             # inner dimensions 2 and 1
+    (((1, 2, 3), (4, 5)), ((1,), (2,), (3,))),    # a ragged left operand
+    (((1, 2), (3, 4)), ((1, 2), (3,))),           # a ragged right operand
+    (((1, 2), (3, 4)), ((1,), (2, 3))),
+])
+def test_mat_mul_rejects_mismatched_or_ragged_operands(a, b):
+    with pytest.raises(ValueError, match="cannot multiply a .* by a "):
+        mat_mul(a, b)
+
+
+# the helpers' generator forms, as reference: the new forms must make the
+# same products and sums, in the same order
+def _ref_mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m))
+        for i in range(n))
+
+
+def _ref_mat_smul(s, a):
+    return tuple(tuple(s * x for x in row) for row in a)
+
+
+def _ref_mat_shift(a, s):
+    return tuple(tuple(x + s if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+
+
+def _bits(x):
+    """Every bit of a complex or Dual entry: value, then gradient slots."""
+    parts = [x.val, *x.grad] if isinstance(x, Dual) else [x]
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in parts]
+
+
+def _draw(rng, width):
+    """A complex entry, a signed zero one time in three, or a Dual of the
+    gradient width (with signed-zero slots) if width > 0."""
+    def scalar():
+        if rng.random() < 1 / 3:
+            return SIGNED_ZEROS[rng.integers(4)]
+        return complex(*rng.normal(size=2))
+    if width == 0:
+        return scalar()
+    return Dual(scalar(), [scalar() for _ in range(width)])
+
+
+@pytest.mark.parametrize("width", [0, 3])
+def test_matrix_helpers_repeat_the_generator_forms_bit_for_bit(width):
+    rng = rng_from_seed(29)
+    for n in range(1, 5):
+        for k in range(1, 5):
+            for m in range(1, 5):
+                for _ in range(3):
+                    a = tuple(tuple(_draw(rng, width) for _ in range(k))
+                              for _ in range(n))
+                    b = tuple(tuple(_draw(rng, width) for _ in range(m))
+                              for _ in range(k))
+                    s = _draw(rng, width)
+                    for got, want in (
+                            (mat_mul(a, b), _ref_mat_mul(a, b)),
+                            (mat_smul(s, a), _ref_mat_smul(s, a))):
+                        assert [list(map(_bits, r)) for r in got] \
+                            == [list(map(_bits, r)) for r in want]
+        sq = tuple(tuple(_draw(rng, width) for _ in range(n))
+                   for _ in range(n))
+        s = _draw(rng, width)
+        assert [list(map(_bits, r)) for r in mat_shift(sq, s)] \
+            == [list(map(_bits, r)) for r in _ref_mat_shift(sq, s)]

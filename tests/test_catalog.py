@@ -73,6 +73,45 @@ def test_fuchs_relation_solved_exactly():
                 assert abs(relation(alphas)) < 1e-10
 
 
+def _catalog_forms():
+    """Every LinearForm of the catalog: trace relations, alpha relations
+    and alpha maps."""
+    for sid in list_systems():
+        desc = lookup(sid)
+        yield desc.fuchs_relation
+        if desc.alpha_relation is not None:
+            yield desc.alpha_relation
+        yield from (desc.alpha_map or {}).values()
+
+
+def test_linear_forms_repeat_the_generator_forms_bit_for_bit():
+    # the generator forms, as reference: the same products, summed in the
+    # same order from int 0
+    def ref_call(form, values):
+        return sum(c * values[name] for name, c in form.coeffs.items()) \
+            + form.const
+
+    def ref_solve_for(form, name, values):
+        c = form.coeffs[name]
+        rest = sum(ck * values[k] for k, ck in form.coeffs.items()
+                   if k != name)
+        return -(rest + form.const) / c
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    rng = rng_from_seed(29)
+    forms = list(_catalog_forms())
+    assert len(forms) > len(list_systems())
+    for form in forms:
+        for _ in range(100):
+            values = {name: rational_complex(rng) for name in form.coeffs}
+            assert bits(form(values)) == bits(ref_call(form, values))
+            for name in form.coeffs:
+                assert bits(form.solve_for(name, values)) \
+                    == bits(ref_solve_for(form, name, values))
+
+
 def test_fuchs_violation_raises():
     par = dict.fromkeys(lookup("21,21,21,21,111").param_names, 0.5)
     with pytest.raises(ValueError):

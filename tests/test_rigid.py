@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from painlab.catalog import PhaseState, full_params, lookup
-from painlab.fuchsian import accessory_count
+from painlab.fuchsian import LinearRhs, accessory_count
+from painlab.integrator import Arc, ComplexPath, Line, integrate
 from painlab.rigid import (RIGID_CASES, build_rigid_matrices,
                            constraint_flow_drift, lift_residuals,
                            lift_solution, rigid_rhs, riemann_scheme_columns)
@@ -211,6 +212,14 @@ def test_rigid_rhs_checks_time_index_and_other_times(cid, i, other):
         rigid_rhs(case, par, i, other)
 
 
+@pytest.mark.parametrize("other", [0.0, 1.0 + 1e-13, np.nan])
+def test_rigid_rhs_rejects_another_time_on_a_fixed_point(other):
+    case = RIGID_CASES["case-3131"]
+    par = constrained_rigid_params(case, rng_from_seed(5))
+    with pytest.raises(ValueError, match="finite and distinct"):
+        rigid_rhs(case, par, 1, (other,))
+
+
 @pytest.mark.parametrize("cid", list(RIGID_CASES))
 def test_tie_satisfies_parameter_constraint(cid):
     case = RIGID_CASES[cid]
@@ -230,3 +239,64 @@ def test_case_3122_draws_keep_eta_away_from_zero():
     for _ in range(90):
         par = constrained_rigid_params(case, rng)
         assert abs(full_params(case.parent, par)["eta"]) >= 0.05
+
+
+# the bench's lift stops: clusters of five, 2^-13 apart, around six centres
+LIFT_STOPS = tuple(c + j * 2.0 ** -13 for c in (0.15, 0.3, 0.45, 0.6, 0.75,
+                                                0.9)
+                   for j in range(-2, 3))
+
+
+def _legs():
+    """(case id, i, the leg's path) for every time of every case, plus one
+    path through an arc; each leg moves t_i by 0.2 + 0.15i, the others
+    frozen.  The bench moves t_1 by 0.25, a z' that scales exactly and
+    so would hide the order of the stage's product."""
+    for cid, case in RIGID_CASES.items():
+        times = times_for(case)
+        for i in range(1, case.n_times + 1):
+            t0 = times[i - 1]
+            others = times[:i - 1] + times[i:]
+            yield pytest.param(cid, i, ComplexPath.polyline(
+                [t0, t0 + 0.2 + 0.15j], singularities=[0.0, 1.0, *others]),
+                id=f"{cid}-t{i}")
+    t0, t2 = TIMES2
+    yield pytest.param("case-21x4", 1, ComplexPath(
+        (Line(t0 - 0.3, t0), Arc(t0 - 0.3, 0.3, 0.4, 2.2)),
+        singularities=[0.0, 1.0, t2]), id="case-21x4-t1-arc")
+
+
+@pytest.mark.parametrize("cid, i, path", _legs())
+def test_linear_path_repeats_the_per_stage_path_bit_for_bit(cid, i, path):
+    case = RIGID_CASES[cid]
+    par = constrained_rigid_params(case, rng_from_seed(29))
+    others = path.singularities[2:]
+    rhs = rigid_rhs(case, par, i, others)
+    assert isinstance(rhs, LinearRhs)
+    coefficient = rhs.coefficient
+    evals = []
+
+    def counted(x):
+        evals.append(x)
+        return coefficient(x)
+
+    rhs.coefficient = counted
+    y0 = np.array([1.0, 0.1 - 0.2j, 0.15, -0.1 + 0.05j])
+    samples = [k + s for k in range(len(path.segments)) for s in LIFT_STOPS]
+    kwargs = dict(rel_tol=1e-11, abs_tol=1e-14, samples=samples)
+    fast = integrate(rhs, y0, path, **kwargs)
+    evals_fast = list(evals)
+    plain = integrate(lambda z, y: rhs(z, y), y0, path, **kwargs)
+    assert fast.params == plain.params
+    assert [y.tobytes() for y in fast.states] \
+        == [y.tobytes() for y in plain.states]
+    assert (fast.n_steps, fast.n_rejected, fast.n_rhs_evals) \
+        == (plain.n_steps, plain.n_rejected, plain.n_rhs_evals)
+    # one evaluation per step tried, at its twelve stage points; one each
+    # for a segment's first stage and its starting-step probe, and one
+    # per dense stage, at a single point
+    tries = fast.n_steps + fast.n_rejected
+    assert len(evals_fast) == fast.n_rhs_evals - 11 * tries
+    assert sum(np.shape(x) == (12, 1) for x in evals_fast) == tries
+    # the plain callable takes the per-stage path: one evaluation per stage
+    assert len(evals) - len(evals_fast) == plain.n_rhs_evals

@@ -8,7 +8,9 @@ from painlab.catalog import (PhaseState, eval_h, full_params, lookup,
 from painlab.parametrizations import SUPPORTED, assemble, parametrization
 from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
                               sample_state)
-from painlab.schlesinger import (induced_state_field, schlesinger_rhs,
+from painlab import schlesinger
+from painlab.schlesinger import (SliceRealignmentError, induced_state_field,
+                                 realign_to_slice, schlesinger_rhs,
                                  trace_hamiltonian)
 
 
@@ -210,3 +212,49 @@ def test_catalog_field_matches_matrix_side():
         else:
             raise AssertionError(
                 f"{sid}: {done} of 3 regular draws in {MAX_DRAWS}")
+
+
+def _headline_stack():
+    sid = "21,21,21,21,111"
+    rng = rng_from_seed(5)
+    par = sample_params(sid, rng, generic=True)
+    st = sample_state(sid, rng, times=(1.7 + 0.8j, -0.6 + 0.5j))
+    return sid, par, assemble(sid, par, st).residues
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_realign_rejects_a_non_finite_stack(bad):
+    # a NaN entry once ran Newton until a singular solve
+    sid, par, A = _headline_stack()
+    A = np.array(A)
+    A[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite residue stack"):
+        realign_to_slice(sid, par, A)
+
+
+@pytest.mark.parametrize("k, reason, residual", [
+    (3, "divide by zero", False),    # once a bare ZeroDivisionError
+    (2, "singular Newton step", True),    # once LinAlgError
+])
+def test_realign_failure_is_typed_with_its_iteration_and_residual(
+        k, reason, residual):
+    sid, par, A = _headline_stack()
+    A = np.array(A)
+    A[k] = 0
+    with pytest.raises(SliceRealignmentError, match=reason) as info:
+        realign_to_slice(sid, par, A)
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.iteration == 0
+    assert np.isfinite(info.value.residual) == residual
+
+
+def test_realign_without_convergence_is_typed(monkeypatch):
+    sid, par, A = _headline_stack()
+    assert np.max(np.abs(realign_to_slice(sid, par, A) - A)) < 1e-12
+    g = np.array([[1, 0, 0], [0.1, 1.1, 0], [0.2, 0.05j, 0.9]])
+    off = np.linalg.inv(g) @ A @ g
+    monkeypatch.setattr(schlesinger, "_NEWTON_STEPS", 2)
+    with pytest.raises(SliceRealignmentError, match="no convergence") as info:
+        realign_to_slice(sid, par, off)
+    assert info.value.iteration == 2
+    assert info.value.residual > 1e-12

@@ -21,6 +21,15 @@ state is read off DOP853's continuous extension of order 7 (ibid., II.6)
 over the accepted step that holds it, at three more rhs evaluations for
 that step.
 
+The step bookkeeping (the step size, the path parameter s, the error
+norm and its memory) is in Python floats.  The error norm is cast from
+its two numpy dots: a numpy float64 there would carry into every stage
+abscissa, chart point and rhs call after the first step, and cost
+numpy's scalar dispatch at each for the same IEEE bits.  So each chart
+hands the rhs a Python complex z, an Arc's by cmath.exp, and
+``Trajectory.params`` holds Python floats.  An error norm that is NaN,
+or whose sum of squares overflows, fails the step.
+
 A linear rhs y' = M(z) y, given as a :class:`~painlab.fuchsian.LinearRhs`,
 takes a shorter route with the same arithmetic: all twelve stage abscissae
 s + c_k h of a step are known before its first stage (ibid., II.5), so the
@@ -151,13 +160,14 @@ class Arc:
             / abs(self.sweep)
 
     def pullback(self, rhs):
-        """The rhs pulled back to the chart, as for a Line; one np.exp per
-        call gives both z(s) and z'(s)."""
+        """The rhs pulled back to the chart, as for a Line; one cmath.exp
+        per call gives both z(s) and z'(s), Python complex numbers, with
+        the bits of np.exp."""
         c, r, a0, sweep = self.center, self.radius, self.angle0, self.sweep
         turn = 1j * sweep * r  # velocity over exp(i angle)
 
         def f(s, y):
-            e = np.exp(1j * (a0 + s * sweep))
+            e = cmath.exp(1j * (a0 + s * sweep))
             return turn * e * np.asarray(rhs(c + r * e, y), dtype=complex)
         return f
 
@@ -239,7 +249,8 @@ class Trajectory:
     """Integration result: states at strictly increasing path parameters.
 
     The path parameter counts segments: parameter k + s is the point at
-    fraction s of segment k.  ``states[k]`` is the state at ``params[k]``.
+    fraction s of segment k, a Python float.  ``states[k]`` is the state
+    at ``params[k]``.
     ``n_rhs_evals`` counts the stage values computed: two per segment,
     for its first stage and the starting-step probe, then twelve per step
     tried, and three more per accepted step that holds a sample strictly
@@ -364,6 +375,22 @@ def _rms(x):
     return math.sqrt(u @ u / u.size)
 
 
+def _error_norm(u):
+    """Hairer's error norm e5 / sqrt(n (e5 + 0.01 e3)) of a step, a Python
+    float, where e5 and e3 are the squared sums of the rows of ``u``, the
+    scaled moduli (2, n) of the 5th- and 3rd-order estimates.  Both
+    exactly zero: no error, 0.0.  A NaN or infinite n (e5 + 0.01 e3) gives
+    inf, so that the step fails: e3 alone may overflow, and the quotient
+    would read 0.0."""
+    e5, e3 = float(u[0] @ u[0]), float(u[1] @ u[1])
+    deno = u.shape[1] * (e5 + 0.01 * e3)
+    if deno == 0:
+        return 0.0
+    if not deno < math.inf:  # written so that a NaN fails
+        return math.inf
+    return e5 / math.sqrt(deno)
+
+
 def _first_step(f, y, f0, rel_tol, abs_tol):
     """The starting step of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
     in chart units, from the sizes of y and f0 = f(0, y) and one Euler
@@ -455,16 +482,11 @@ def _integrate_segment(rhs, seg, y, rel_tol, abs_tol, traj, stops, k):
                                                 coefficient(z[:, None])):
                 yk = y + w @ Kw
                 K[row] = dzk * (Mk @ yk)
-        # e5 and e3, the squared 5th- and 3rd-order estimates over
-        # abs_tol + rel_tol * max(|y|, |y8|), give Hairer's norm
-        # e5 / sqrt(n (e5 + 0.01 e3)); y8, the 8th-order solution, is
-        # stage 12's state yk.  Both estimates exactly zero: no error;
-        # a NaN fails the step
+        # the estimates over abs_tol + rel_tol * max(|y|, |y8|); y8, the
+        # 8th-order solution, is stage 12's state yk
         ay8 = np.abs(yk)
-        u = np.abs(hE @ K[:12]) / (abs_tol + rel_tol * np.maximum(ay, ay8))
-        e5, e3 = u[0] @ u[0], u[1] @ u[1]
-        deno = e5 + 0.01 * e3
-        enorm = e5 / math.sqrt(u.shape[1] * deno) if deno != 0 else 0.0
+        enorm = _error_norm(
+            np.abs(hE @ K[:12]) / (abs_tol + rel_tol * np.maximum(ay, ay8)))
         if enorm <= 1.0:
             # the last step lands on 1 exactly: s + rest may round below it
             s_new = 1.0 if step == rest else s + step

@@ -10,6 +10,7 @@ printed logarithmic-derivative rule for y0 used as a consistency check.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,14 +431,26 @@ def lift_solution(case: RigidCase, params, ys, times_list):
 
     ``ys``: iterable of 4-vectors; ``times_list``: matching deformation
     time tuples.  Raises ZeroDivisionError, naming the sample, where y0
-    is below 1e-14 in size or NaN.
+    is below 1e-14 in size or NaN, and where a lifted coordinate is not
+    finite: the lifts of case-21x4 and case-3122 also divide by y1, which
+    numpy's scalars turn into inf or NaN rather than an error.  The maps
+    run on the samples' own scalars: numpy's complex division rounds
+    otherwise than Python's.
     """
     par = full_params(case.parent, params)
     out = []
     for k, (y, t) in enumerate(zip(ys, times_list)):
         if not abs(y[0]) >= 1e-14:  # written so that a NaN fails
             raise ZeroDivisionError(f"y0 = {y[0]} at sample {k} of the lift")
-        q, p = case.lift(tuple(y), tuple(t), par)
+        try:
+            q, p = case.lift(tuple(y), tuple(t), par)
+            if not all(map(cmath.isfinite, q + p)):
+                raise ZeroDivisionError(f"lifted coordinates "
+                                        f"{list(map(complex, q + p))} not "
+                                        f"finite")
+        except ZeroDivisionError as exc:
+            raise ZeroDivisionError(f"{exc} at sample {k} of the lift, y = "
+                                    f"{list(map(complex, y))}") from None
         out.append(PhaseState(q, p, tuple(t)))
     return out
 

@@ -111,7 +111,10 @@ def realign_to_slice(sid, params, mats):
     while the parametrized family lets its lower-triangular entries move;
     the two families differ by a triangular conjugation.  This solves for
     the lower-triangular gauge g (Newton, analytic Jacobian via duals)
-    that restores the slice normalization, for the headline system.
+    that restores the slice normalization, for the headline system.  The
+    conditions read the stack as Python rows, so the Duals' gradients hold
+    Python complex numbers, not numpy scalars (the same bits, at less
+    cost), and fix their pivot column once, from A_4's first row.
     ValueError for a non-finite stack; :class:`SliceRealignmentError` if
     Newton fails.
     """
@@ -122,14 +125,16 @@ def realign_to_slice(sid, params, mats):
     if not np.isfinite(A).all():
         raise ValueError("slice realignment of a non-finite residue stack")
 
+    rows = A.tolist()
+    col = max(range(3), key=lambda j: abs(rows[3][0][j]))
+
     def conditions(x, y, z, d2, d3):
         g = ((1, 0, 0), (x, d2, 0), (y, z, d3))
         gi = ((1, 0, 0),
               (-x / d2, 1 / d2, 0),
               ((x * z - y * d2) / (d2 * d3), -z / (d2 * d3), 1 / d3))
-        B = [mat_mul(mat_mul(gi, m), g) for m in A]
+        B = [mat_mul(mat_mul(gi, m), g) for m in rows]
         B4, B3 = B[3], B[2]
-        col = max(range(3), key=lambda j: abs(A[3, 0, j]))
         u4 = tuple(B4[r][col] for r in range(3))
         ainf21 = -(B[0][2][1] + B[1][2][1] + B[2][2][1] + B[3][2][1])
         return (u4[1] / u4[0], u4[2] / u4[0],

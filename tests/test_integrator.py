@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from painlab.catalog import PhaseState
-from painlab import integrator
+from painlab import catalog, integrator
 from painlab.integrator import (Arc, ComplexPath, Line, PathMarginError,
                                 StepBudgetError, StepUnderflowError,
                                 integrate, integrate_time,
@@ -220,6 +220,75 @@ def test_step_errors_report_the_state_modulus(monkeypatch):
     with pytest.raises(StepBudgetError, match=r"\(length 3\.14\)"):
         integrate(lambda z, y: -1e6 * y, np.array([1.5 + 0j]),
                   ComplexPath((Arc(0j, 1.0, 0.0, -np.pi),)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_rhs_ends_in_a_typed_error(bad, monkeypatch):
+    # past z = 0.5 every step fails, until the step underflows or the
+    # segment's budget runs out
+    def rhs(z, y):
+        return np.full_like(y, bad) if z.real > 0.5 else 1j * y
+
+    path = ComplexPath.polyline([0.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StepUnderflowError, match=r"at s=0\.5"):
+            integrate(rhs, np.array([1.0 + 0j]), path)
+        monkeypatch.setattr(integrator, "MAX_SEGMENT_STEPS", 10)
+        with pytest.raises(StepBudgetError, match=r"at s=0\.[0-5]"):
+            integrate(rhs, np.array([1.0 + 0j]), path)
+
+
+def _inline_error_norm(u):
+    """The stepper's error norm as once written inline, on numpy scalars."""
+    e5, e3 = u[0] @ u[0], u[1] @ u[1]
+    deno = e5 + 0.01 * e3
+    return e5 / math.sqrt(u.shape[1] * deno) if deno != 0 else 0.0
+
+
+def test_error_norm_is_a_float_with_the_inline_bits():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        u = np.abs(rng.normal(size=(2, n))) * 10.0 ** rng.uniform(-20, 20,
+                                                                 (2, 1))
+        got = integrator._error_norm(u)
+        assert type(got) is float and got == _inline_error_norm(u)
+    assert integrator._error_norm(np.zeros((2, 3))) == 0.0
+
+
+@pytest.mark.parametrize("u", [
+    [[1e-3, 1e-3], [1e160, 0.0]],    # e3 alone overflows: once read 0.0
+    [[1.1e154, 0.0], [0.0, 0.0]],    # n (e5 + 0.01 e3) overflows: 0.0
+    [[1e160, 0.0], [1.0, 0.0]],      # e5 overflows
+    [[math.nan, 0.0], [1.0, 0.0]],
+    [[1.0, 0.0], [math.inf, 0.0]],
+], ids=["e3-overflow", "product-overflow", "e5-overflow", "nan", "inf"])
+def test_error_norm_fails_a_step_whose_estimates_are_not_finite(u):
+    with np.errstate(over="ignore"):
+        assert integrator._error_norm(np.array(u)) == math.inf
+
+
+def test_stepper_hands_the_rhs_python_scalars():
+    # the step bookkeeping stays in Python floats: numpy's float64 once
+    # leaked from the error norm into every stage abscissa and chart point
+    sid = "21,21,21,21,111"
+    rng = rng_from_seed(5)
+    par = sample_params(sid, rng, generic=True)
+    st = sample_state(sid, rng, times=(1.7 + 0.6j, -0.8 + 0.5j))
+    rhs = catalog.flow_rhs(sid, 1, par, st.t)
+    seen = set()
+
+    def recorded(z, y):
+        seen.add(type(z))
+        return rhs(z, y)
+
+    t0 = st.t[0]
+    path = ComplexPath((Line(t0, t0 + 0.1), Arc(t0, 0.1, 0.0, 0.5)))
+    traj = integrate(recorded, np.array(st.q + st.p), path, rel_tol=1e-10,
+                     samples=[0.3, 0.7, 1.2, 1.9])
+    assert traj.n_steps > 2 * 2
+    assert seen == {complex}
+    assert {type(p) for p in traj.params} == {float}
 
 
 def test_trajectory_counts_stage_values_and_step_range():

@@ -197,6 +197,24 @@ def test_lift_fails_on_a_nan_y0_and_names_the_sample():
         lift_solution(case, par, [good, bad], [TIMES1, TIMES1])
 
 
+@pytest.mark.parametrize("cid, y", [
+    ("case-21x4", np.array([1.0, 0.0, 0.1, 0.1], dtype=complex)),
+    ("case-3122", np.array([1.0, 0.0, 0.1, 0.1], dtype=complex)),
+    # Python scalars divide by zero with an error, not an inf
+    ("case-21x4", (1.0 + 0j, 0j, 0.1 + 0j, 0.1 + 0j)),
+], ids=["21x4-numpy", "3122-numpy", "21x4-python"])
+def test_lift_fails_on_a_vanishing_y1_and_names_the_sample(cid, y):
+    # both lifts divide by y1 too: numpy's scalars once returned
+    # p = (inf+nanj, 0j, -inf+nanj), and the drift read NaN
+    case = RIGID_CASES[cid]
+    par = constrained_rigid_params(case, rng_from_seed(9))
+    t = times_for(case)
+    good = np.array([1.0, 0.1, 0.1, 0.1], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ZeroDivisionError, match="at sample 1 "):
+        lift_solution(case, par, [good, y], [t, t])
+
+
 @pytest.mark.parametrize("cid, i, other", [
     ("case-3131", 0, TIMES2[1:]),     # once built the time-2 leg silently
     ("case-3131", 3, TIMES2[1:]),

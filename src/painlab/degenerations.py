@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import max_residual
 from .catalog import (PhaseState, constraint_rate, derive_alphas, eval_h,
                       full_params, lookup)
-from .sampling import (MAX_DRAWS, rational_complex, sample_params,
+from .sampling import (rational_complex, redraws, sample_params,
                        sample_state, tied_params)
 
 __all__ = ["DegenerationRule", "RULES", "check_rule"]
@@ -150,12 +150,12 @@ def check_rule(rule: DegenerationRule, n_samples, rng):
     """(max Hamiltonian residual, max tangency residual) over samples, each
     NaN if any sample's is NaN.
 
-    A sample whose residuals cannot be evaluated is redrawn, at most
-    ``MAX_DRAWS`` times, and counts towards neither maximum.
+    A sample whose residuals cannot be evaluated is redrawn, within the
+    budget of ``sampling.redraws``, and counts towards neither maximum.
     """
     hs, tangs = [], []
     for _ in range(n_samples):
-        for _ in range(MAX_DRAWS):
+        for _ in redraws(rule.label, "admissible sample"):
             params = rule.draw_params(rng)
             try:
                 state = rule.onto_manifold(rule, rng, params)
@@ -166,9 +166,6 @@ def check_rule(rule: DegenerationRule, n_samples, rng):
             except (ValueError, ZeroDivisionError):
                 continue
             break
-        else:
-            raise RuntimeError(f"{rule.label}: no admissible sample in "
-                               f"{MAX_DRAWS} draws")
         hs.append(h)
         tangs.append(tang)
     return max_residual(hs), max_residual(tangs)

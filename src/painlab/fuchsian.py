@@ -21,11 +21,9 @@ from .algebra import COLLISION_TOL, EigenMultiset, eigen_small, min_gap
 __all__ = [
     "FuchsianSystem",
     "LinearRhs",
-    "RiemannScheme",
     "ClusterAmbiguityError",
     "parse_spectral_type",
     "accessory_count",
-    "spectral_type_of",
     "riemann_scheme_of",
 ]
 
@@ -150,21 +148,8 @@ def _checked_multiset(a, label) -> EigenMultiset:
     return em
 
 
-def spectral_type_of(sys: FuchsianSystem):
-    """Multiplicity partitions of all residues, finite points then infinity."""
-    return tuple(em.partition for em in riemann_scheme_of(sys).exponents)
-
-
-@dataclass(frozen=True)
-class RiemannScheme:
-    """Exponents with multiplicity per singular point (finite..., infinity)."""
-
-    points: tuple          # finite points then the string "inf"
-    exponents: tuple       # tuple of EigenMultiset
-
-
-def riemann_scheme_of(sys: FuchsianSystem) -> RiemannScheme:
+def riemann_scheme_of(sys: FuchsianSystem):
+    """The exponents, one EigenMultiset per finite point, then infinity."""
     ems = [_checked_multiset(a, f"x={t}")
            for t, a in zip(sys.points, sys.residues)]
-    ems.append(_checked_multiset(sys.residue_at_infinity, "x=inf"))
-    return RiemannScheme(points=sys.points + ("inf",), exponents=tuple(ems))
+    return (*ems, _checked_multiset(sys.residue_at_infinity, "x=inf"))

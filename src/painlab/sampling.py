@@ -17,11 +17,28 @@ import numpy as np
 from .algebra import min_gap
 from .catalog import PhaseState, lookup
 
-__all__ = ["MAX_DRAWS", "rational_complex", "sample_params", "tied_params",
-           "sample_state", "small_state", "rng_from_seed"]
+__all__ = ["MAX_DRAWS", "DrawBudgetError", "redraws", "rational_complex",
+           "sample_params", "tied_params", "sample_state", "small_state",
+           "rng_from_seed"]
 
-# draws a rejection loop makes before it gives up with a RuntimeError
+# draws a rejection loop makes before it gives up with a DrawBudgetError
 MAX_DRAWS = 100
+
+
+class DrawBudgetError(RuntimeError):
+    """A rejection loop accepted none of its ``draws`` draws of ``what``;
+    ``owner`` is the system, case or rule drawn for, None for a bare value."""
+
+    def __init__(self, owner, what):
+        super().__init__(("" if owner is None else f"{owner}: ")
+                         + f"no {what} in {MAX_DRAWS} draws")
+        self.owner, self.what, self.draws = owner, what, MAX_DRAWS
+
+
+def redraws(owner, what):
+    """``MAX_DRAWS`` tries of a rejection loop, then a DrawBudgetError."""
+    yield from range(MAX_DRAWS)
+    raise DrawBudgetError(owner, what)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -42,8 +59,7 @@ def _below(draw, state, n):
         draws = 1
         while m & 0xFFFFFFFF < floor:
             if draws == MAX_DRAWS:
-                raise RuntimeError(f"no unbiased draw below {n} in "
-                                   f"{MAX_DRAWS} draws")
+                raise DrawBudgetError(None, f"unbiased draw below {n}")
             m = draw(state) * n
             draws += 1
     return m >> 32
@@ -72,7 +88,7 @@ def rational_complex(rng, nonzero=False) -> complex:
         if nonzero and abs(z) < 0.25:
             continue
         return z
-    raise RuntimeError(f"no rational value with |z| <= 2 in {MAX_DRAWS} draws")
+    raise DrawBudgetError(None, "rational value with |z| <= 2")
 
 
 def sample_params(sid: str, rng, fixed=None, generic=False):
@@ -98,7 +114,7 @@ def sample_params(sid: str, rng, fixed=None, generic=False):
         raise ValueError(f"{sid}: no free parameter of the trace relation "
                          f"to solve for")
     solve_name = free[-1]
-    for _ in range(MAX_DRAWS):
+    for _ in redraws(sid, "generic parameters"):
         values = {}
         for n in names:
             if n in fixed:
@@ -110,7 +126,6 @@ def sample_params(sid: str, rng, fixed=None, generic=False):
             return values
         if min_gap([0j, *values.values()]) > 0.2:
             return values
-    raise RuntimeError(f"{sid}: no generic parameters in {MAX_DRAWS} draws")
 
 
 def tied_params(sid: str, rng, name, value, solve, generic=False):
@@ -128,12 +143,10 @@ def tied_params(sid: str, rng, name, value, solve, generic=False):
 
 def _good_times(rng, sid):
     """Times of moderate size, separated from 0, 1 and each other."""
-    for _ in range(MAX_DRAWS):
+    for _ in redraws(sid, "separated deformation times"):
         ts = [rational_complex(rng) for _ in range(lookup(sid).n_times)]
         if min_gap([0.0, 1.0] + ts) > 0.3:
             return tuple(ts)
-    raise RuntimeError(f"{sid}: no separated deformation times in "
-                       f"{MAX_DRAWS} draws")
 
 
 def sample_state(sid: str, rng, times=None) -> PhaseState:

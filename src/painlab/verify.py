@@ -24,11 +24,11 @@ from . import catalog, degenerations, rigid
 from ._gradients import field
 from .algebra import dual_gradient, max_residual
 from .catalog import flow_states, full_params, lookup
-from .fuchsian import accessory_count
+from .fuchsian import accessory_count, parse_spectral_type, riemann_scheme_of
 from .integrator import integrate_time, integrate_two_time
 from .monodromy import isomonodromy_drift, monodromy_representation
-from .parametrizations import assemble, parametrization
-from .sampling import (MAX_DRAWS, rng_from_seed, sample_params, sample_state,
+from .parametrizations import SUPPORTED, assemble, parametrization
+from .sampling import (redraws, rng_from_seed, sample_params, sample_state,
                        small_state, tied_params)
 from .schlesinger import realign_to_slice, schlesinger_flow_rhs
 
@@ -108,7 +108,22 @@ def verify_counts(rng):
     items += [(f"catalog/{sid}",
                abs(accessory_count(sid) - 2 * lookup(sid).n_pairs), 1)
               for sid in catalog.list_systems()]
+    # the spectral type an assembly at generic parameters realizes
+    items += [(f"assembled/{sid}", _misses_spectral_type(sid, rng), 1)
+              for sid in SUPPORTED]
     return items, {}
+
+
+def _misses_spectral_type(sid, rng):
+    """1 if an assembly at a generic draw misses spectral type sid, else 0."""
+    for _ in redraws(sid, "sample off the chart's singular set"):
+        par, st = sample_params(sid, rng, generic=True), sample_state(sid, rng)
+        try:
+            sys = assemble(sid, par, st)
+        except ValueError:
+            continue
+        partitions = tuple(em.partition for em in riemann_scheme_of(sys))
+        return int(partitions != parse_spectral_type(sid))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +262,7 @@ def constrained_rigid_params(case, rng):
     relation and the parameter constraint check out independently, and
     returned merged (:func:`~painlab.catalog.full_params`)."""
     sid = case.parent
-    for _ in range(MAX_DRAWS):
+    for _ in redraws(case.case_id, "admissible parameters"):
         par = tied_params(sid, rng, *case.tie, generic=True)
         if not abs(lookup(sid).fuchs_relation(par)) <= 1e-10:
             continue
@@ -257,8 +272,6 @@ def constrained_rigid_params(case, rng):
         if not case.admissible(merged):
             continue
         return merged
-    raise RuntimeError(f"{case.case_id}: no admissible parameters in "
-                       f"{MAX_DRAWS} draws")
 
 
 def _match_multiset(values, targets):
@@ -371,7 +384,7 @@ def verify_symplectic(rng):
         Om_qp[n:, :n] = -np.eye(n)
         residuals = []
         for _ in range(50):
-            for _ in range(MAX_DRAWS):
+            for _ in redraws(sid, "sample off the chart's singular set"):
                 par = sample_params(sid, rng, generic=True)
                 merged = full_params(sid, par)
                 st = sample_state(sid, rng)
@@ -386,9 +399,6 @@ def verify_symplectic(rng):
                 except ValueError:
                     continue
                 break
-            else:
-                raise RuntimeError(f"{sid}: no sample off the chart's "
-                                   f"singular set in {MAX_DRAWS} draws")
             residuals.append(float(np.max(np.abs(J.T @ Om_bc @ J - Om_qp))))
         items.append((f"{sid}/form_residual", max_residual(residuals), 1e-8))
     return items, {}

@@ -9,7 +9,7 @@ from painlab.algebra import (Dual, dual_gradient, eigen_small, mat_mul,
                              mat_shift, mat_smul, max_residual, min_gap,
                              time_derivative)
 from painlab.catalog import full_params
-from painlab.sampling import (MAX_DRAWS, rng_from_seed, sample_params,
+from painlab.sampling import (redraws, rng_from_seed, sample_params,
                               sample_state)
 
 finite_complex = st.complex_numbers(min_magnitude=0.01, max_magnitude=10,
@@ -150,13 +150,10 @@ def test_conjugation_invariance():
     for _ in range(20):
         L = int(rng.integers(2, 7))
         a = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
-        for _ in range(MAX_DRAWS):
+        for _ in redraws(f"L={L}", "conjugator with cond < 1e3"):
             g = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
             if np.linalg.cond(g) < 1e3:
                 break
-        else:
-            raise AssertionError(
-                f"L={L}: no conjugator with cond < 1e3 in {MAX_DRAWS} draws")
         e1 = _sorted_eigenvalues(eigen_small(a))
         b = np.linalg.inv(g) @ a @ g
         e2 = _sorted_eigenvalues(eigen_small(b))

@@ -7,7 +7,7 @@ import pytest
 
 from painlab.catalog import PhaseState
 from painlab.degenerations import RULES, check_rule
-from painlab.sampling import MAX_DRAWS, rng_from_seed
+from painlab.sampling import MAX_DRAWS, DrawBudgetError, rng_from_seed
 
 
 @pytest.mark.parametrize("label", list(RULES))
@@ -28,9 +28,12 @@ def test_rule_that_never_samples_stops():
         raise ZeroDivisionError
 
     rule = dataclasses.replace(RULES["trace-form-merge"], onto_manifold=onto)
-    with pytest.raises(RuntimeError,
-                       match=f"trace-form-merge: .* {MAX_DRAWS} draws"):
+    with pytest.raises(RuntimeError, match=f"trace-form-merge: .* "
+                       f"{MAX_DRAWS} draws") as info:
         check_rule(rule, 3, rng_from_seed(1))
+    assert isinstance(info.value, DrawBudgetError)
+    assert (info.value.owner, info.value.what, info.value.draws) == (
+        "trace-form-merge", "admissible sample", MAX_DRAWS)
 
 
 def test_rejected_sample_is_not_reported():

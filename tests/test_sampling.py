@@ -1,12 +1,17 @@
 """The draws: equal to ``Generator.integers`` bit for bit, and the errors
 of bad input."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import painlab
+from painlab import verify
 from painlab.catalog import lookup
-from painlab.sampling import (MAX_DRAWS, _below, rational_complex,
-                              sample_params)
+from painlab.parametrizations import SUPPORTED
+from painlab.sampling import (MAX_DRAWS, DrawBudgetError, _below,
+                              rational_complex, rng_from_seed, sample_params)
 
 
 def integers_rational_complex(rng, nonzero=False):
@@ -106,6 +111,45 @@ def test_below_gives_up_after_max_draws():
         calls.append(state)
         return 0  # 0 * 5 mod 2**32 = 0 < 2**32 mod 5, so always redrawn
 
-    with pytest.raises(RuntimeError, match="below 5"):
+    with pytest.raises(DrawBudgetError, match="below 5") as info:
         _below(draw, None, 5)
     assert len(calls) == MAX_DRAWS
+    assert str(info.value) == f"no unbiased draw below 5 in {MAX_DRAWS} draws"
+    assert info.value.owner is None
+
+
+def _zero_preset(sid):
+    # a generic draw keeps every parameter 0.2 away from 0, which a preset
+    # 0 never is
+    return lambda monkeypatch: sample_params(
+        sid, rng_from_seed(1), fixed={"theta1": 0.0}, generic=True)
+
+
+def _singular_chart(monkeypatch):
+    def singular(*args):
+        raise ValueError("on the chart's singular set")
+
+    monkeypatch.setattr(verify, "dual_gradient", singular)
+    verify.verify_symplectic()
+
+
+@pytest.mark.parametrize("run, owner, what", [
+    *[(_zero_preset(sid), sid, "generic parameters") for sid in SUPPORTED],
+    (_singular_chart, verify._SYMPLECTIC_IDS[0],
+     "sample off the chart's singular set"),
+], ids=[*SUPPORTED, "symplectic"])
+def test_exhausted_draws_raise_a_draw_budget_error(run, owner, what,
+                                                   monkeypatch):
+    with pytest.raises(DrawBudgetError) as info:
+        run(monkeypatch)
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert (err.owner, err.what, err.draws) == (owner, what, MAX_DRAWS)
+    assert str(err) == f"{owner}: no {what} in {MAX_DRAWS} draws"
+
+
+def test_only_sampling_names_the_draw_budget():
+    # every other module bounds its rejection loops through redraws
+    src = Path(painlab.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py")
+                  if "MAX_DRAWS" in p.read_text()) == ["sampling.py"]

@@ -19,7 +19,8 @@ import pytest
 import painlab
 from painlab import catalog, monodromy, rigid, verify
 from painlab.cli import main
-from painlab.sampling import MAX_DRAWS, rng_from_seed
+from painlab.parametrizations import SUPPORTED
+from painlab.sampling import MAX_DRAWS, DrawBudgetError, rng_from_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "verify_details_20260810.json"
@@ -46,8 +47,8 @@ def test_checks_reproduce_golden_details_exactly(all_results):
 
 def test_seconds_time_the_check_body_only(monkeypatch):
     # the first rng of a process imports numpy.random (about 17 ms); it is
-    # made before the clock starts, so a check that draws nothing, such
-    # as counts, does not read that import as its own time
+    # made before the clock starts, so a check that draws little, such as
+    # counts, does not read that import as its own time
     def slow_rng(seed):
         time.sleep(0.5)
         return rng_from_seed(seed)
@@ -142,7 +143,8 @@ def test_sweep_margins_tool_runs_one_seed():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    n = len(verify._COUNT_TABLE) + len(painlab.catalog.list_systems())
+    n = (len(verify._COUNT_TABLE) + len(painlab.catalog.list_systems())
+         + len(SUPPORTED))
     assert len(lines) == n + 1
     assert lines[0].startswith("counts:") and lines[0].endswith("inf  seed 1")
     assert lines[-1] == f"{n} items, seeds 1-1: all passed"
@@ -293,8 +295,11 @@ def test_unsatisfiable_parameter_constraint_raises():
     case = dataclasses.replace(rigid.RIGID_CASES["case-21x4"],
                                parameter_constraint=lambda par: 1.0)
     with pytest.raises(RuntimeError,
-                       match=f"case-21x4: .* {MAX_DRAWS} draws"):
+                       match=f"case-21x4: .* {MAX_DRAWS} draws") as info:
         verify.constrained_rigid_params(case, rng_from_seed(1))
+    assert isinstance(info.value, DrawBudgetError)
+    assert (info.value.owner, info.value.what, info.value.draws) == (
+        "case-21x4", "admissible parameters", MAX_DRAWS)
 
 
 def test_every_exported_name_exists():

@@ -17,19 +17,24 @@ configuration is gauge.
 The transport is by power series, as in the numerical analytic
 continuation of holonomic functions (van der Hoeven, Theoret. Comput.
 Sci. 210, 1999; Mezzarobba, ISSAC 2016).  Each Line and Arc becomes a
-chain of chords c -> c + h between points on it, with |h| <= RHO
-dist(c, points) and |h| sum_i ||A_i||/|t_i - c| <= SIGMA.  The sizes
-depend only on the geometry and the residues, so every chord of every
-lasso is known before any arithmetic.  A chord lies inside the disc of
-convergence about c, together with the arc it replaces, so the homotopy
-class is kept.  On a chord Y(c + tau h) = sum_k Z_k tau^k Y(c) with
-Z_0 = I; with u_i = h/(t_i - c) and W_{i,-1} = 0,
+chain of chords c -> c + h between points on it.  On a chord of ratio
+rho = |h|/dist(c, points) the series in tau has the majorant
+(1 - rho tau)^(-alpha), alpha = dist(c, points) sum_i ||A_i||/|t_i - c|,
+and each chord is as long as its own majorant tail past the order K
+allows: rho is the largest ratio up to RHO whose tail is at most rel_tol
+(:func:`_chord_ratio`).  The sizes depend only on the geometry and the
+residues, so every chord of every lasso is known before any arithmetic.
+A chord lies inside the disc of convergence about c, together with the
+arc it replaces, so the homotopy class is kept.  On a chord
+Y(c + tau h) = sum_k Z_k tau^k Y(c) with Z_0 = I; with u_i = h/(t_i - c)
+and W_{i,-1} = 0,
 
     W_{i,k} = u_i (Z_k + W_{i,k-1}),
     Z_{k+1} = -sum_i A_i W_{i,k} / (k + 1),
 
-and T = sum_{k<=K} Z_k carries Y(c) to Y(c + h).  The order K comes from
-the majorant (1 - RHO tau)^(-SIGMA/RHO) and rel_tol (:func:`series_order`).
+and T = sum_{k<=K} Z_k carries Y(c) to Y(c + h).  One order K serves
+every chord: the least whose tail is at most rel_tol at ratio RHO and
+alpha = SIGMA/RHO (:func:`series_order`).
 All chords of a representation, the loop at infinity's included, run
 through this recurrence together, in blocks of BLOCK chords, each order
 one matrix product into a preallocated buffer.  The other passes of an
@@ -64,8 +69,8 @@ __all__ = [
     "isomonodromy_drift",
 ]
 
-# a chord from c has |h| <= RHO dist(c, points) and
-# |h| sum_i ||A_i||/|t_i - c| <= SIGMA
+# a chord from c has |h| <= RHO dist(c, points); the series order is the
+# one a chord of ratio RHO needs at alpha = SIGMA/RHO (series_order)
 RHO = 0.4
 SIGMA = 2.0
 # chords per block of the recurrence: a multiple of 4 (see _transfer)
@@ -73,7 +78,7 @@ BLOCK = 256
 # the highest series order: series_order reaches rel_tol 1e-70 below it
 MAX_ORDER = 200
 # the smallest defect the check asks for, above roundoff: the worst chord
-# of the five assemblable systems at seeds 8-13 reads 3.2e-14
+# of the five assemblable systems at seeds 8-13 reads 3.3e-14
 DEFECT_FLOOR = 1e-12
 
 
@@ -155,11 +160,12 @@ class TransportDefectError(RuntimeError):
 def series_order(rel_tol) -> int:
     """Order K of every chord's series, from the majorant and rel_tol.
 
-    On a chord the two bounds make (1 - RHO tau)^(-SIGMA/RHO) a majorant
-    of the series in tau; K is the least order whose majorant tail at
-    tau = 1 is at most rel_tol.  Its coefficients c_k fall with ratio
-    c_{k+1}/c_k = RHO (SIGMA/RHO + k)/(k + 1), which decreases towards
-    RHO, so c_{K+1}/(1 - the ratio at K + 1) bounds the tail.
+    K is the least order whose majorant tail at tau = 1 is at most
+    rel_tol for a chord of ratio RHO and alpha = SIGMA/RHO: SIGMA fixes
+    K, and :func:`_chord_ratio` then sizes each chord for it.  The
+    majorant (1 - RHO tau)^(-alpha) has coefficients c_k whose ratios
+    c_{k+1}/c_k = RHO (alpha + k)/(k + 1) decrease towards RHO, as
+    alpha = 5 > 1, so c_{K+1}/(1 - the ratio at K + 1) bounds the tail.
     """
     alpha = SIGMA / RHO
     ck = 1.0
@@ -173,16 +179,52 @@ def series_order(rel_tol) -> int:
                      f"{MAX_ORDER}")
 
 
-def _chords(seg, points, norms, lasso):
+def _chord_ratio(order, rel_tol):
+    """The map alpha -> rho = |h|/dist(c, points) for chords of majorant
+    (1 - rho tau)^(-alpha): the largest rho <= RHO, to within 0.07% at
+    rel_tol 1e-6 to 1e-14, with c_{K+1}/(1 - rho m) <= rel_tol, K = order.
+
+    c_{K+1} = rho^{K+1} (alpha)_{K+1}/(K+1)!, and m = max(1, (alpha + K
+    + 1)/(K + 2)) bounds the later term ratios over rho, which rise
+    towards 1 for alpha < 1.  With free the rho of c_{K+1} = rel_tol, the
+    rho sought is at most min(RHO, free), so 1 - min(RHO, free) m floors
+    the denominator: that gives the closed form.  Its logs aim 2^-40 of
+    their sizes below log rel_tol, far above their rounding, so the bound
+    holds at the rho returned.  Zero residues (alpha = 0) leave no tail
+    and give RHO; an infinite alpha gives 0; a NaN one gives RHO, for the
+    a-posteriori check to read.
+    """
+    n = order + 1
+    log_tol, fact = math.log(rel_tol), math.lgamma(n + 1)
+    size, root = fact + abs(log_tol), 1 / n
+    lgamma, exp, inf = math.lgamma, math.exp, math.inf
+
+    def ratio(alpha):
+        if not 0 < alpha < inf:  # no residues, an infinite one, or a NaN
+            return 0.0 if alpha == inf else RHO
+        # log (alpha)_n/n!, the log of c_n/rho^n
+        top, low = lgamma(alpha + n), lgamma(alpha)
+        slack = 2.0 ** -40 * (abs(top) + abs(low) + size)
+        free = exp((log_tol - slack - top + low + fact) / n)
+        m = (alpha + n) / (n + 1)
+        floor = 1 - (free if free < RHO else RHO) * (m if m > 1.0 else 1.0)
+        rho = free * floor ** root if floor > 0 else 0.0
+        return rho if rho < RHO else RHO
+
+    return ratio
+
+
+def _chords(seg, points, norms, ratio, lasso):
     """Vertices of the chords that replace one Line or Arc segment.
 
     From a vertex c the next one lies on the segment at chord length
-    min(RHO dist(c, points), SIGMA / sum_i norms_i/|t_i - c|), or at the
-    segment's end.  ``norms`` bound the residues' spectral norms.  The
-    segment's own chart gives the vertices (``seg.point``) and the
-    parameter steps (``seg.chord_step``).  Raises StepBudgetError past
-    MAX_SEGMENT_STEPS chords, and StepUnderflowError for a chord whose
-    length is not positive (an infinite residue, say).
+    rho dist(c, points), rho = ``ratio(alpha)`` (:func:`_chord_ratio`) at
+    alpha = dist(c, points) sum_i norms_i/|t_i - c|, or at the segment's
+    end.  ``norms`` bound the residues' spectral norms.  The segment's own
+    chart gives the vertices (``seg.point``) and the parameter steps
+    (``seg.chord_step``).  Raises StepBudgetError past MAX_SEGMENT_STEPS
+    chords, and StepUnderflowError for a chord whose length is not
+    positive (an infinite residue, say).
     """
     point, chord_step = seg.point, seg.chord_step
     s, c = 0.0, complex(point(0.0))
@@ -199,9 +241,7 @@ def _chords(seg, points, norms, lasso):
             if d < near:
                 near = d
             weight += a / d
-        r = RHO * near
-        if r * weight > SIGMA:
-            r = SIGMA / weight
+        r = near * ratio(near * weight)
         if not r > 0:  # an infinite weight, say: s would never advance
             raise StepUnderflowError(
                 f"chord of length {r:.3g} on a segment of lasso {lasso}, at "
@@ -243,7 +283,7 @@ def _recurrence(neg, u, order):
     return t, dz
 
 
-def _transfer(sys, c, h, order, rel_tol, owner, index):
+def _transfer(sys, c, h, order, rel_tol, firsts):
     """Transfer matrices Y(c + h) = T Y(c) of the chords, shape (S, L, L).
 
     Blocks of BLOCK chords run the recurrence of the module docstring
@@ -253,9 +293,10 @@ def _transfer(sys, c, h, order, rel_tol, owner, index):
     BLAS product's column group) gives the same bits.  The work arrays
     are freed when the recurrence returns, so they are not held while
     each block is checked with one broadcast call of ``sys.rhs()``:
-    h M(c + h) T must equal the derivative
-    sum k Z_k to max(rel_tol, DEFECT_FLOOR), relative to its size, or a
-    TransportDefectError (a NaN too) names the chord's lasso and step.
+    h M(c + h) T must equal the derivative sum k Z_k to
+    max(rel_tol, DEFECT_FLOOR), relative to its size, or a
+    TransportDefectError (a NaN too) names the chord's lasso and step,
+    found from ``firsts``, each lasso's first chord index.
     """
     L = sys.size
     pts = np.array(sys.points)
@@ -276,7 +317,8 @@ def _transfer(sys, c, h, order, rel_tol, owner, index):
         worst = int(np.argmax(defect))
         if not defect[worst] <= tol:
             j = lo + worst
-            raise TransportDefectError(owner[j], index[j], c[j], h[j],
+            k = int(np.searchsorted(firsts, j, side="right")) - 1
+            raise TransportDefectError(k, int(j - firsts[k]), c[j], h[j],
                                        float(defect[worst]), tol)
         out[lo:lo + b] = t
     return out
@@ -319,21 +361,19 @@ def monodromy_matrix(sys: FuchsianSystem, lassos, rel_tol=1e-10):
                              "end by retracing its first, straight segment")
     # Frobenius norms: they bound the spectral ones, and need no SVD
     norms = [float(np.linalg.norm(a)) for a in sys.residues]
+    order = series_order(rel_tol)
+    ratio = _chord_ratio(order, rel_tol)
     counts = []  # per lasso: chords on its approach, then on the rest
-    c, h, owner, index = [], [], [], []
+    c, h = [], []  # per segment: its chords' starts and steps
     for b, loop in enumerate(lassos):
-        legs = [_chords(seg, sys.points, norms, b)
+        legs = [np.array(_chords(seg, sys.points, norms, ratio, b))
                 for seg in loop.segments[:-1]]
         counts.append((len(legs[0]) - 1, sum(len(v) - 1 for v in legs[1:])))
-        for v in legs:
-            c += v[:-1]
-            h += [z1 - z0 for z0, z1 in zip(v[:-1], v[1:])]
-        n = len(c) - len(owner)
-        owner += [b] * n
-        index += range(n)
-    order = series_order(rel_tol)
-    ts = _transfer(sys, np.array(c), np.array(h), order, rel_tol, owner,
-                   index)
+        c += [v[:-1] for v in legs]
+        h += [np.diff(v) for v in legs]
+    c, h = np.concatenate(c), np.concatenate(h)
+    firsts = np.cumsum([0] + [sum(n) for n in counts[:-1]])
+    ts = _transfer(sys, c, h, order, rel_tol, firsts)
     mats = []
     lo = 0
     for n_approach, n_rest in counts:

@@ -213,7 +213,9 @@ def verify_isospectral(rng):
 # ---------------------------------------------------------------------------
 
 
-_MONO_IDS = ("21,21,21,21,111", "22,22,211,211")
+# appended: a system added last leaves the draws of those before it
+_MONO_IDS = ("21,21,21,21,111", "22,22,211,211", "31,31,22,22,22",
+             "21,111,111,111")
 
 
 @_check("isomonodromy")
@@ -221,22 +223,28 @@ def verify_isomonodromy(rng):
     items, counters = [], {}
     rel_tol = 1e-10  # of the flows and of the transports
     for sid in _MONO_IDS:
-        par = sample_params(sid, rng, generic=True)
-        par = {k: 0.25 * v for k, v in par.items()}
-        st = small_state(sid, rng, _MONO_TIMES[:lookup(sid).n_times])
+        for _ in redraws(sid, "sample off the chart's singular set"):
+            par = sample_params(sid, rng, generic=True)
+            par = {k: 0.25 * v for k, v in par.items()}
+            st = small_state(sid, rng, _MONO_TIMES[:lookup(sid).n_times])
 
-        def flow(scale):
-            return flow_states(sid, 1, par, st, st.t[0] + 0.2,
-                               samples=(0.5,), scale=scale,
-                               rel_tol=rel_tol, abs_tol=1e-13)
+            def flow(scale):
+                return flow_states(sid, 1, par, st, st.t[0] + 0.2,
+                                   samples=(0.5,), scale=scale,
+                                   rel_tol=rel_tol, abs_tol=1e-13)
 
-        def representation(state):
-            return monodromy_representation(assemble(sid, par, state),
-                                            rel_tol=rel_tol)
-
-        reps = [representation(s) for s in flow(1.0)]
-        # the control leaves from the same start state: reuse its transport
-        control_reps = reps[:1] + [representation(s) for s in flow(1.1)[1:]]
+            # the control leaves from the same start state: reuse its system
+            legs = flow(1.0), flow(1.1)[1:]
+            try:
+                systems, controls = [[assemble(sid, par, s) for s in leg]
+                                     for leg in legs]
+            except ValueError:
+                continue
+            break
+        reps = [monodromy_representation(sys, rel_tol=rel_tol)
+                for sys in systems]
+        control_reps = reps[:1] + [monodromy_representation(
+            sys, rel_tol=rel_tol) for sys in controls]
         drift = isomonodromy_drift(reps)
         control = isomonodromy_drift(control_reps)
         # the independent route: generators against the loop at infinity

@@ -70,7 +70,7 @@ def test_criterion_5_isomonodromy(all_results):
     assert r["passed"], r["details"]
     assert r["seconds"] < 300.0
     items = {i["id"]: i["residual"] for i in r["details"]["items"]}
-    for sid in ("21,21,21,21,111", "22,22,211,211"):
+    for sid in verify._MONO_IDS:
         assert items[f"{sid}/drift"] < 1e-5
         assert items[f"{sid}/negative_control"] > 1e-3
     assert _tolerances(r) == {"drift": {1e-5}, "negative_control": {1e-3},

@@ -228,21 +228,39 @@ def test_product_defect_no_larger_than_dp5(sid):
     assert rep.product_defect() <= stepped.product_defect()
 
 
-def test_every_chord_obeys_both_bounds():
+def _tail_bound(rho, alpha, order):
+    """c_{K+1}/(1 - rho max(1, (alpha + K + 1)/(K + 2))) of the majorant
+    (1 - rho tau)^(-alpha), by the product (alpha)_{K+1}/(K+1)!; inf
+    where the later term ratios may reach 1 and bound no tail."""
+    c = 1.0
+    for k in range(order + 1):
+        c *= rho * (alpha + k) / (k + 1)
+    floor = 1 - rho * max(1.0, (alpha + order + 1) / (order + 2))
+    return c / floor if floor > 0 else math.inf
+
+
+def test_every_chord_meets_its_own_tail_bound():
     sys = _assembled("31,22,211,1111", rng_from_seed(8))
     rep = monodromy_representation(sys)
+    order = series_order(1e-10)
+    ratio = monodromy._chord_ratio(order, 1e-10)
     pts = np.array(sys.points)
     norms = [np.linalg.norm(a) for a in sys.residues]
     n = 0
     for b, loop in enumerate(_paths(sys, rep.base)):
         for seg in loop.segments[:-1]:
-            v = np.array(monodromy._chords(seg, sys.points, norms, b))
+            v = np.array(monodromy._chords(seg, sys.points, norms, ratio, b))
             c, h = v[:-1], np.diff(v)
             dist = np.abs(pts - c[:, None])
-            assert np.all(np.abs(h) <= monodromy.RHO * dist.min(axis=1)
-                          * (1 + 1e-12))
-            assert np.all(np.abs(h) * (norms / dist).sum(axis=1)
-                          <= monodromy.SIGMA * (1 + 1e-12))
+            near, weight = dist.min(axis=1), (norms / dist).sum(axis=1)
+            rho = np.abs(h) / near
+            assert np.all(rho <= monodromy.RHO * (1 + 1e-12))
+            assert all(_tail_bound(r, a, order) <= 1e-10 * (1 + 1e-9)
+                       for r, a in zip(rho, near * weight))
+            # no chord but a segment's last is shorter than under the
+            # old caps |h| <= RHO dist and |h| weight <= SIGMA
+            old = np.minimum(monodromy.RHO * near, monodromy.SIGMA / weight)
+            assert np.all(np.abs(h[:-1]) >= old[:-1] * (1 - 1e-12))
             # the vertices lie on the segment, its ends included
             assert max(seg.distance(z) for z in v) < 1e-12
             assert abs(v[0] - seg.point(0.0)) + abs(v[-1] - seg.point(1.0)) \
@@ -251,15 +269,81 @@ def test_every_chord_obeys_both_bounds():
     assert n == rep.transport_steps
 
 
+def _summed_tail(rho, alpha, order):
+    """sum_{k > K} rho^k (alpha)_k/k!, term by term, until the terms are
+    below 1e-30 (they fall by at least rho < 1 per term past K here)."""
+    term, total = 1.0, 0.0
+    for k in range(10 * order + 1000):
+        if k > order:
+            if term < 1e-30:
+                return total
+            total += term
+        term *= rho * (alpha + k) / (k + 1)
+    raise AssertionError("the tail's terms did not fall below 1e-30")
+
+
+# at the default rel_tol; and at order 0 and rel_tol 1e-2, where for
+# alpha < 1 the term ratios rho (alpha + k)/(k + 1) rise towards rho, so
+# a bound from the ratio at K + 1 alone would size the chord too long
+@pytest.mark.parametrize("alpha, order, rel_tol", [
+    *((a, series_order(1e-10), 1e-10)
+      for a in (0.0, 0.1, 0.9, 1.0, 5.0, 20.0, 1e3)),
+    *((a, 0, 1e-2) for a in (0.1, 0.5, 0.9))])
+def test_chord_ratio_bounds_the_summed_tail(alpha, order, rel_tol):
+    rho = monodromy._chord_ratio(order, rel_tol)(alpha)
+    assert 0 < rho <= monodromy.RHO
+    assert _summed_tail(rho, alpha, order) <= rel_tol
+    assert _tail_bound(rho, alpha, order) <= rel_tol
+    # the largest ratio, unless RHO caps it: to within 0.07% at the order
+    # series_order gives, where no chord is shorter than the old caps, and
+    # to within 2% at order 0
+    gap = 2e-2
+    if order == series_order(rel_tol):
+        gap = 7e-4
+        assert rho >= min(monodromy.RHO, monodromy.SIGMA / alpha if alpha
+                          else math.inf)
+    assert rho == monodromy.RHO \
+        or _tail_bound(rho * (1 + gap), alpha, order) > rel_tol
+
+
+def test_chord_ratio_of_a_non_finite_alpha():
+    order = series_order(1e-10)
+    # an infinite residue: no positive ratio bounds an infinite tail
+    assert monodromy._chord_ratio(order, 1e-10)(math.inf) == 0.0
+    # a NaN one bounds nothing either way: the chord keeps RHO and the
+    # a-posteriori check reads the NaN (see the test below)
+    assert monodromy._chord_ratio(order, 1e-10)(math.nan) == monodromy.RHO
+
+
 def test_truncated_series_fails_the_defect_check(monkeypatch):
+    # the chords stay sized for series_order; only the recurrence stops
+    # early, so the check must see the missing terms
     sys = _assembled("22,22,211,211", rng_from_seed(8))
-    monkeypatch.setattr(monodromy, "series_order", lambda rel_tol: 4)
+    recurrence = monodromy._recurrence
+    monkeypatch.setattr(monodromy, "_recurrence",
+                        lambda neg, u, order: recurrence(neg, u, 4))
     with pytest.raises(TransportDefectError,
                        match=r"lasso \d+, step \d+: chord from c=") as err:
         monodromy_representation(sys)
     e = err.value
     assert e.defect > 1e-10 and e.h != 0
     assert 0 <= e.lasso <= len(sys.points) and e.step >= 0
+
+
+@pytest.mark.parametrize("fault", [
+    lambda neg, L: -neg,                        # the sign of Z_{k+1}
+    lambda neg, L: np.roll(neg, L, axis=1)])    # the residues' stacking
+def test_a_faulty_recurrence_operand_fails_the_defect_check(fault,
+                                                            monkeypatch):
+    # a sign or stacking fault in the operand the recurrence multiplies by
+    # must show in the check, which forms M(c + h) from the residues anew
+    sys = _assembled("22,22,211,211", rng_from_seed(8))
+    recurrence = monodromy._recurrence
+    monkeypatch.setattr(monodromy, "_recurrence", lambda neg, u, order:
+                        recurrence(fault(neg, sys.size), u, order))
+    with pytest.raises(TransportDefectError) as err:
+        monodromy_representation(sys)
+    assert err.value.defect > 1e-3
 
 
 def test_a_nan_defect_fails_the_transport_check():
@@ -331,7 +415,7 @@ def test_blocks_of_a_multiple_of_4_keep_every_bit(sid, monkeypatch):
             <= 1e-12 * np.max(np.abs(got[256]))
 
 
-def _chords_by_segment_point(seg, points, norms):
+def _chords_by_segment_point(seg, points, norms, ratio):
     """The planner's vertices as ``seg.point`` and a distance list give
     them: the reference for the one-chart planner."""
     if isinstance(seg, integrator.Line):
@@ -349,10 +433,8 @@ def _chords_by_segment_point(seg, points, norms):
     out = [c]
     while s < 1.0:
         dist = [abs(t - c) for t in points]
-        r = monodromy.RHO * min(dist)
         weight = sum(a / d for a, d in zip(norms, dist))
-        if r * weight > monodromy.SIGMA:
-            r = monodromy.SIGMA / weight
+        r = min(dist) * ratio(min(dist) * weight)
         s = min(1.0, s + advance(r))
         c = complex(seg.point(s))
         out.append(c)
@@ -364,11 +446,12 @@ def test_chords_match_the_segment_point_planner(sid):
     sys = _assembled(sid, rng_from_seed(8))
     norms = [float(np.linalg.norm(a)) for a in sys.residues]
     x0 = base_point(sys.points)
+    ratio = monodromy._chord_ratio(series_order(1e-10), 1e-10)
     n = 0
     for b, loop in enumerate(_paths(sys, x0)):
         for seg in loop.segments[:-1]:
-            got = monodromy._chords(seg, sys.points, norms, b)
-            want = _chords_by_segment_point(seg, sys.points, norms)
+            got = monodromy._chords(seg, sys.points, norms, ratio, b)
+            want = _chords_by_segment_point(seg, sys.points, norms, ratio)
             assert [(z.real.hex(), z.imag.hex()) for z in got] \
                 == [(z.real.hex(), z.imag.hex()) for z in want]
             n += len(got) - 1

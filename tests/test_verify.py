@@ -302,6 +302,25 @@ def test_unsatisfiable_parameter_constraint_raises():
         "case-21x4", "admissible parameters", MAX_DRAWS)
 
 
+def test_isomonodromy_redraws_off_the_chart_singular_set(monkeypatch):
+    # at seed 78 the first draw of 21,111,111,111 meets the chart's
+    # singular set along its flow: the check redraws, and passes
+    real, refused = verify.assemble, []
+
+    def assemble(sid, par, st):
+        try:
+            return real(sid, par, st)
+        except ValueError as e:
+            refused.append((sid, str(e)))
+            raise
+
+    monkeypatch.setattr(verify, "assemble", assemble)
+    r = verify.run_checks(["isomonodromy"], seed=78)[0]
+    assert r["passed"], r["details"]
+    assert refused and {sid for sid, _ in refused} == {"21,111,111,111"}
+    assert all("degenerate configuration" in e for _, e in refused)
+
+
 def test_every_exported_name_exists():
     mods = [painlab] + [importlib.import_module(info.name) for info in
                         pkgutil.walk_packages(painlab.__path__, "painlab.")]

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import time_derivative
+from .algebra import max_residual, time_derivative
 from .catalog import PhaseState, constraint_rate, full_params, vector_field
 from .fuchsian import FuchsianSystem, LinearRhs
-from .sampling import rational_complex
 
 __all__ = ["RigidCase", "RIGID_CASES", "build_rigid_matrices", "rigid_rhs",
-           "constraint_flow_drift", "lift_solution", "lift_residuals",
-           "riemann_scheme_columns"]
+           "constraint_flow_drift", "lift_solution", "lift_residuals"]
 
 _E23 = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -56,8 +54,6 @@ class RigidCase:
     pfaff: callable
     # per time: list of (point label, exponents builder par -> tuple)
     scheme: callable
-    # rng with par fixed -> a state on the manifold
-    manifold_state: callable
 
 
 def _mats_case51(par):
@@ -279,30 +275,6 @@ def _scheme54(par):
     ),)
 
 
-def _manifold51(rng, par, times):
-    q1 = rational_complex(rng, nonzero=True)
-    q2 = rational_complex(rng)
-    p3 = rational_complex(rng)
-    return PhaseState((q1, q2, 0.0), (par["alpha1"] / q1, 0.0, p3), times)
-
-
-def _manifold52(rng, par, times):
-    p = tuple(rational_complex(rng) for _ in range(3))
-    return PhaseState((0.0, 0.0, 0.0), p, times)
-
-
-def _manifold53(rng, par, times):
-    q = tuple(rational_complex(rng) for _ in range(3))
-    return PhaseState(q, (0.0, 0.0, 0.0), times)
-
-
-def _manifold54(rng, par, times):
-    p1 = rational_complex(rng, nonzero=True)
-    p2 = rational_complex(rng)
-    p3 = rational_complex(rng)
-    return PhaseState((-par["alpha1"] / p1, 0.0, 0.0), (p1, p2, p3), times)
-
-
 def _everywhere(par):
     return True
 
@@ -326,7 +298,6 @@ RIGID_CASES = {
         lift=_lift51,
         pfaff=_pfaff51,
         scheme=_scheme51,
-        manifold_state=_manifold51,
     ),
     "case-3131": RigidCase(
         case_id="case-3131",
@@ -345,7 +316,6 @@ RIGID_CASES = {
         lift=_lift52,
         pfaff=_pfaff52,
         scheme=_scheme52,
-        manifold_state=_manifold52,
     ),
     "case-21-111": RigidCase(
         case_id="case-21-111",
@@ -366,7 +336,6 @@ RIGID_CASES = {
         lift=_lift53,
         pfaff=_pfaff53,
         scheme=_scheme53,
-        manifold_state=_manifold53,
     ),
     "case-3122": RigidCase(
         case_id="case-3122",
@@ -387,7 +356,6 @@ RIGID_CASES = {
         lift=_lift54,
         pfaff=_pfaff54,
         scheme=_scheme54,
-        manifold_state=_manifold54,
     ),
 }
 
@@ -456,8 +424,11 @@ def lift_solution(case: RigidCase, params, ys, times_list):
 
 
 def lift_residuals(case: RigidCase, params, rhs, y, t):
-    """(max |d lift/dt_1 - parent field|, |printed log-derivative rule|) at
-    a point y(t) of the t_1 rigid leg whose :func:`rigid_rhs` is ``rhs``."""
+    """(max |d lift/dt_1 - parent field|, |printed log-derivative rule|,
+    max |g_k| over the constraints, :func:`constraint_flow_drift`) at a
+    point y(t) of the t_1 rigid leg whose :func:`rigid_rhs` is ``rhs``.
+    All four vanish when the lift follows the parent flow, obeys the rule
+    and lands on a manifold tangent to every parent flow."""
     par = full_params(case.parent, params)
 
     def qp(w, tt):
@@ -466,13 +437,10 @@ def lift_residuals(case: RigidCase, params, rhs, y, t):
 
     dy = rhs(t[0], y)
     der = time_derivative(qp, y, dy, t, 1)
-    q, p = case.lift(tuple(y), t, par)
-    dq, dp = vector_field(case.parent, 1, params, PhaseState(q, p, t))
+    state = PhaseState(*case.lift(tuple(y), t, par), t)
+    dq, dp = vector_field(case.parent, 1, params, state)
     field = float(np.max(np.abs(np.array(der) - np.array(dq + dp))))
-    return field, abs(case.pfaff(1, tuple(y), tuple(dy), t, par))
-
-
-def riemann_scheme_columns(case: RigidCase, params):
-    """Printed exponent columns, one tuple of columns per deformation time."""
-    par = full_params(case.parent, params)
-    return case.scheme(par)
+    on = max_residual(abs(g(state.q, state.p, t, par))
+                      for g in case.constraints)
+    return (field, abs(case.pfaff(1, tuple(y), tuple(dy), t, par)), on,
+            constraint_flow_drift(case, params, state))

@@ -316,8 +316,7 @@ def verify_riemann_schemes(rng):
         for _ in range(20):
             par = constrained_rigid_params(case, rng)
             mats = rigid.build_rigid_matrices(case, par)
-            cols = rigid.riemann_scheme_columns(case, par)
-            for mset, colset in zip(mats, cols):
+            for mset, colset in zip(mats, case.scheme(par)):
                 residuals += [_power_sum_residual(M, want) for M, want
                               in zip([*mset, -sum(mset)], colset)]
         items += [(f"{cid}/scheme_residual", max_residual(residuals), 1e-9),
@@ -360,12 +359,14 @@ def verify_particular(rng):
         traj = integrate_time(rhs, _RIGID_Y0, times, 1, t1v, rel_tol=1e-11,
                               abs_tol=1e-14,
                               samples=list(np.linspace(0.15, 0.85, 4)))
-        field, pfaff = zip(*(
+        field, pfaff, on, tangency = zip(*(
             rigid.lift_residuals(case, par, rhs, y,
                                  (t0v + s * (t1v - t0v),) + tuple(other))
             for s, y in zip(traj.params, traj.states)))
         items += [(f"{cid}/field_residual", max_residual(field), 1e-6),
-                  (f"{cid}/pfaff_residual", max_residual(pfaff), 1e-7)]
+                  (f"{cid}/pfaff_residual", max_residual(pfaff), 1e-7),
+                  (f"{cid}/on_manifold", max_residual(on), 1e-11),
+                  (f"{cid}/tangency", max_residual(tangency), 1e-8)]
     return items, {}
 
 

@@ -88,12 +88,15 @@ def test_criterion_6_rigid_riemann_schemes(all_results):
 
 def test_criterion_7_particular_solutions(all_results):
     # Faithful implementation of the stated criterion: every lift case must
-    # satisfy its parent field and the printed log-derivative rule.
+    # satisfy its parent field and the printed log-derivative rule, and land
+    # on its constraints, which are tangent to the parent flow there.
     r = _report(all_results["particular"])
     assert r["seconds"] < 60.0
     assert r["passed"], r["details"]
     assert _tolerances(r) == {"field_residual": {1e-6},
-                              "pfaff_residual": {1e-7}}
+                              "pfaff_residual": {1e-7},
+                              "on_manifold": {1e-11},
+                              "tangency": {1e-8}}
 
 
 # at 31 and 102 the 21,21,21,21,111 chart is steep enough that a

@@ -10,9 +10,9 @@ from painlab.fuchsian import LinearRhs, accessory_count
 from painlab.integrator import Arc, ComplexPath, Line, integrate
 from painlab.rigid import (RIGID_CASES, build_rigid_matrices,
                            constraint_flow_drift, lift_residuals,
-                           lift_solution, rigid_rhs, riemann_scheme_columns)
-from painlab.sampling import (rng_from_seed, sample_params, sample_state,
-                              tied_params)
+                           lift_solution, rigid_rhs)
+from painlab.sampling import (rational_complex, rng_from_seed, sample_params,
+                              sample_state, tied_params)
 from painlab.verify import constrained_rigid_params
 
 TIMES2 = (1.7 + 0.6j, -0.8 + 0.5j)
@@ -21,6 +21,14 @@ TIMES1 = (1.7 + 0.6j,)
 
 def times_for(case):
     return TIMES2 if case.n_times == 2 else TIMES1
+
+
+def lifted_state(case, par, rng, times):
+    """A random point of the case's manifold: the lift of y = (1, y1, y2,
+    y3), each of y1..y3 a nonzero rational draw."""
+    y = (1.0 + 0j,) + tuple(rational_complex(rng, nonzero=True)
+                            for _ in range(3))
+    return lift_solution(case, par, [y], [times])[0]
 
 
 def chain_residual(case, merged, st):
@@ -90,8 +98,7 @@ def test_printed_scheme_matches_eigenvalues(cid):
     for _ in range(5):
         par = constrained_rigid_params(case, rng)
         mats = build_rigid_matrices(case, par)
-        cols = riemann_scheme_columns(case, par)
-        for mset, colset in zip(mats, cols):
+        for mset, colset in zip(mats, case.scheme(par)):
             for M, want in zip(list(mset) + [-sum(mset)], colset):
                 got = list(np.linalg.eigvals(M))
                 for w in want:
@@ -101,11 +108,12 @@ def test_printed_scheme_matches_eigenvalues(cid):
 
 @pytest.mark.parametrize("cid", list(RIGID_CASES))
 def test_manifold_membership_and_tangency(cid):
+    # the lift lands on the constraints, and they are tangent to the flow
     rng = rng_from_seed(5)
     case = RIGID_CASES[cid]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
-    st = case.manifold_state(rng, merged, times_for(case))
+    st = lifted_state(case, par, rng, times_for(case))
     assert chain_residual(case, merged, st) < 1e-12
     generic = sample_state(case.parent, rng, times=times_for(case))
     assert chain_residual(case, merged, generic) > 1e-3
@@ -118,7 +126,7 @@ def test_non_finite_state_gives_a_nan_drift(part, bad):
     rng = rng_from_seed(5)
     case = RIGID_CASES["case-3131"]
     par = constrained_rigid_params(case, rng)
-    st = case.manifold_state(rng, full_params(case.parent, par), TIMES2)
+    st = lifted_state(case, par, rng, TIMES2)
     st = dataclasses.replace(st, **{part: (bad,) + getattr(st, part)[1:]})
     assert np.isnan(constraint_flow_drift(case, par, st))
 
@@ -133,7 +141,7 @@ def test_case_3122_manifold_not_invariant_documented():
     case = RIGID_CASES["case-3122"]
     par = constrained_rigid_params(case, rng)
     merged = full_params(case.parent, par)
-    st = case.manifold_state(rng, merged, TIMES1)
+    st = lifted_state(case, par, rng, TIMES1)
     assert constraint_flow_drift(case, par, st) < 1e-9
 
     published = replace(case, constraints=(
@@ -162,9 +170,11 @@ def test_lift_satisfies_parent_field(cid):
                           samples=[0.4, 0.8])
     for s, y in zip(traj.params, traj.states):
         tcur = (t0 + s * (t1 - t0),) + tuple(other)
-        field, pfaff = lift_residuals(case, par, rhs, y, tcur)
+        field, pfaff, on, tangency = lift_residuals(case, par, rhs, y, tcur)
         assert field < 1e-6
         assert pfaff < 1e-7
+        assert on < 1e-11
+        assert tangency < 1e-8
 
 
 def test_lift_direct_readoff_of_positions():

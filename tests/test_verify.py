@@ -104,25 +104,55 @@ def test_judge_maximum_minimum_and_zero():
     assert verify._judge("a/control", 2e-3, 1e-3, True)["margin"] == 2.0
 
 
+def replace_3122(monkeypatch, **fields):
+    """Put case-3122 with ``fields`` replaced into RIGID_CASES."""
+    monkeypatch.setitem(rigid.RIGID_CASES, "case-3122", dataclasses.replace(
+        rigid.RIGID_CASES["case-3122"], **fields))
+
+
+def move_3122_lift(monkeypatch, move):
+    """case-3122 with each lifted (q, p) replaced by move(q, p)."""
+    lift = rigid.RIGID_CASES["case-3122"].lift
+    replace_3122(monkeypatch, lift=lambda w, t, par: move(*lift(w, t, par)))
+
+
+def failing_particular_items():
+    r = verify.verify_particular(seed=20260810)
+    assert not r["passed"]
+    return [i["id"] for i in r["details"]["items"] if not i["passed"]]
+
+
 @pytest.fixture
 def shifted_3122_lift(monkeypatch):
-    """case-3122 lifted one thousandth off its manifold in q1: its field
-    residual moves, its Pfaff residual (no lift in it) does not."""
-    case = rigid.RIGID_CASES["case-3122"]
-
-    def lift(w, t, par):
-        q, p = case.lift(w, t, par)
-        return (q[0] + 1e-3,) + tuple(q[1:]), p
-
-    monkeypatch.setitem(rigid.RIGID_CASES, "case-3122",
-                        dataclasses.replace(case, lift=lift))
+    """case-3122 lifted one thousandth off its manifold in q1: its field,
+    on-manifold and tangency residuals move, its Pfaff residual (no lift
+    in it) does not."""
+    move_3122_lift(monkeypatch,
+                   lambda q, p: ((q[0] + 1e-3,) + tuple(q[1:]), p))
 
 
 def test_broken_lift_fails_exactly_its_item(shifted_3122_lift):
-    r = verify.verify_particular(seed=20260810)
-    assert not r["passed"]
-    failing = [i["id"] for i in r["details"]["items"] if not i["passed"]]
-    assert failing == ["case-3122/field_residual"]
+    assert failing_particular_items() == [
+        "case-3122/field_residual", "case-3122/on_manifold",
+        "case-3122/tangency"]
+
+
+def test_lift_moved_along_its_manifold_fails_the_field_alone(monkeypatch):
+    # no constraint holds p2: the moved points stay on the manifold, where
+    # the constraints stay tangent to the flow, but leave the trajectory
+    move_3122_lift(monkeypatch,
+                   lambda q, p: (q, (p[0], p[1] * (1 + 1e-3), p[2])))
+    assert failing_particular_items() == ["case-3122/field_residual"]
+
+
+def test_published_3122_constraint_fails_on_manifold_alone(monkeypatch):
+    # the published display q1*p1 = +alpha1 misses the lift by 2|alpha1|;
+    # its rate at the lifted points equals the repaired one's, since a
+    # constant offset leaves the constraint's gradient as it is
+    constraints = rigid.RIGID_CASES["case-3122"].constraints
+    replace_3122(monkeypatch, constraints=(
+        lambda q, p, t, par: q[0] * p[0] - par["alpha1"],) + constraints[1:])
+    assert failing_particular_items() == ["case-3122/on_manifold"]
 
 
 def test_cli_fail_line_names_the_failing_item(shifted_3122_lift, tmp_path,
@@ -132,7 +162,9 @@ def test_cli_fail_line_names_the_failing_item(shifted_3122_lift, tmp_path,
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("FAIL particular (")
     assert "): case-3122/field_residual residual " in line
-    assert line.endswith(" tolerance 1e-06") and line.count(";") == 0
+    assert "; case-3122/on_manifold residual " in line
+    assert "; case-3122/tangency residual " in line
+    assert line.endswith(" tolerance 1e-08") and line.count(";") == 2
     assert json.loads(out.read_text())["passed"] is False
 
 
@@ -223,6 +255,12 @@ def _spoil_field(real, *args):
     return lambda *a: lambda *z: (NAN,) * len(bind(*a)(*z))
 
 
+def _nan_at(k):
+    """A spoil that puts NaN in place of entry k of the real result."""
+    return lambda real, *a: tuple(NAN if j == k else v
+                                  for j, v in enumerate(real(*a)))
+
+
 # (check, item, where, name, call, spoil): the call-th call of where.name
 # returns spoil(real, *args) instead, which puts a NaN into one term of
 # the fold behind the item, past its first term
@@ -256,11 +294,13 @@ NAN_FOLDS = {
                         verify, "_power_sum_residual", 2,
                         lambda real, *a: NAN),
     "particular-field": ("particular", "case-21x4/field_residual", rigid,
-                         "lift_residuals", 2,
-                         lambda real, *a: (NAN, real(*a)[1])),
+                         "lift_residuals", 2, _nan_at(0)),
     "particular-pfaff": ("particular", "case-21x4/pfaff_residual", rigid,
-                         "lift_residuals", 2,
-                         lambda real, *a: (real(*a)[0], NAN)),
+                         "lift_residuals", 2, _nan_at(1)),
+    "particular-on-manifold": ("particular", "case-21x4/on_manifold", rigid,
+                               "lift_residuals", 2, _nan_at(2)),
+    "particular-tangency": ("particular", "case-21x4/tangency", rigid,
+                            "lift_residuals", 2, _nan_at(3)),
     "symplectic": ("symplectic", "21,21,21,21,111/form_residual", verify,
                    "dual_gradient", 2,
                    lambda real, *a: (real(*a)[0],
@@ -342,14 +382,16 @@ def test_eigenvalue_drift_pairs_by_nearness_and_sees_a_move():
 
 
 def test_moved_scheme_exponent_fails_riemann_schemes(monkeypatch):
-    columns = rigid.riemann_scheme_columns
+    def moved(scheme):
+        def columns(par):
+            first, *rest = scheme(par)
+            col = (first[0][0] + 1e-7,) + tuple(first[0][1:])
+            return ((col,) + tuple(first[1:]), *rest)
+        return columns
 
-    def moved(case, par):
-        first, *rest = columns(case, par)
-        col = (first[0][0] + 1e-7,) + tuple(first[0][1:])
-        return ((col,) + tuple(first[1:]), *rest)
-
-    monkeypatch.setattr(rigid, "riemann_scheme_columns", moved)
+    for cid, case in rigid.RIGID_CASES.items():
+        monkeypatch.setitem(rigid.RIGID_CASES, cid, dataclasses.replace(
+            case, scheme=moved(case.scheme)))
     r = verify.verify_riemann_schemes(seed=20260810)
     assert not r["passed"]
     schemes = [i for i in r["details"]["items"]

@@ -10,6 +10,12 @@ neither q, p nor t_i, once.  It returns ``kernel(z, w, sc)``, which sets
 t_i = z, unpacks ``w = q + p`` and returns the 2n values
 ``sc*dH/dp_1..sc*dH/dp_n, -sc*dH/dq_1..-sc*dH/dq_n``.  The modules load
 on first use, so importing painlab compiles none of them.
+
+Each flow is generated in the cheaper of two forms: ``sympy.cse`` of the
+partials as traced, or, where every expanded partial is a polynomial in
+its symbols, ``sympy.cse`` of their multivariate Horner forms.  The
+generator keeps the form whose kernel runs fewer operations per call
+(BinOp and UnaryOp nodes), and the traced form on a tie.
 """
 
 from __future__ import annotations

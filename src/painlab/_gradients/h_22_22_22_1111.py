@@ -12,117 +12,91 @@ def field_1(par, t):
     alpha4 = par["alpha4"]
     alpha5 = par["alpha5"]
     rho4 = par["rho4"]
-    x0 = alpha0 + alpha2
-    x2 = -rho4 + x0
-    x9 = alpha2 + alpha5
-    x14 = alpha2 + rho4
-    x33 = alpha1 - 1
+    x0 = 2*alpha2
+    x1 = 2*alpha5
+    x2 = x0 + x1
+    x7 = alpha3*alpha5
+    x8 = alpha4*alpha5
+    x9 = alpha5 - 1
+    x10 = alpha2 + alpha5
+    x11 = -x10
+    x12 = alpha3 + alpha4
+    x13 = x12 - 1
+    x14 = x13 + x2
+    x22 = 4*alpha2
+    x23 = 4*alpha5 + x22
+    x24 = 2*alpha4
+    x25 = 2*alpha3 + x24
+    x26 = 2*alpha1 - 2
+    x27 = x25 + x26
+    x28 = x23 + x27
+    x30 = alpha1 + alpha4 - 1
+    x31 = x2 + x30
+    x40 = 2*rho4
+    x41 = -alpha0 + x40
+    x42 = x28 + x41
+    x47 = alpha1 + x14
+    x48 = x41 + x47
+    x49 = x0 + x13
+    x50 = alpha0 + alpha1 + x49
+    x59 = x1 + x22 + x40
+    x60 = alpha0 + 6*alpha2 + x1 + x27 + x40
+    x63 = 3*alpha5
 
     def kernel(z, w, sc):
         t1 = z
         q1, q2, q3, p1, p2, p3 = w
-        x1 = alpha2*t1*x0
-        x3 = p2*q2
-        x4 = t1*x3
-        x5 = t1*t1
-        x6 = p1*q2
-        x7 = q3*t1
-        x8 = -t1 - x7
-        x10 = p2*q2 - x9
-        x11 = t1*x10
-        x12 = 1/t1
-        x13 = p3*x12
-        x15 = p2*x14
-        x16 = -q1 + q3
-        x17 = p1 + p2*x16 - p3
-        x18 = 2*p1
-        x19 = q1*x18
-        x20 = -x19
-        x21 = 2*x3
-        x22 = -x21
-        x23 = x22 + x9
-        x24 = -x20 - x23
-        x25 = p2*x24
-        x26 = q1*x5
-        x27 = q1*t1
-        x28 = -t1 - x27
-        x29 = t1*x28
-        x30 = -x29
-        x31 = p1*x12
-        x32 = x11 + x4
-        x34 = -x27 - 1
-        x35 = t1*x34
-        x36 = -x35
-        x37 = x26 + x36
-        x38 = x31*x37 + x4
-        x39 = p3*q2
-        x40 = q1*x10 + q3*x10 + x39 + x6
-        x41 = p2*x40
-        x42 = -x38
-        x43 = q2*t1
-        x44 = x10*x12
-        x45 = -t1*x39 - x37*x44
-        x46 = p2*x12
-        x47 = q3*x5
-        x48 = x36 + x47
-        x49 = q2*x5
-        x50 = -x7 - 1
-        x51 = x49 - x50*x7
-        x52 = -x31*x48 - x46*x51
-        x53 = t1*x52
-        x54 = -q2*x5
-        x55 = -x27*x34 - x54
-        x56 = q2*x26
-        x57 = t1*x50
-        x58 = -q2*x57 + x56
-        x59 = x12*x58
-        x60 = -p2*x59 - x31*x55
-        x61 = t1*x60
-        x62 = p1 + p2*q1 + p2*q3 + p3
-        x63 = p1*t1
-        x64 = -x57
-        x65 = x26 + x64
-        x66 = x46*x65 + x63
-        x67 = p3*t1
-        x68 = x46*x48 + x67
-        x69 = -x68
-        x70 = t1*x8
-        x71 = -x70
-        x72 = x30 + x47
-        x73 = x63 + x67
-        x74 = -x29 - x57
-        x75 = -x66
-        x76 = -x11 - x13*x65 - x46*x55
-        x77 = -x13*x51 - x44*x48
-        x78 = t1*x77
-        x79 = x28*x52 - x78
-        x80 = x47 + x64
-        x81 = x11 + x13*x80
-        x82 = -p3*x59 - x44*x55
-        x83 = t1*x82
-        x84 = -x46*x80 - x63
-        x85 = -x81
-        x86 = x2*x43
-        x87 = alpha3*x12
-        x88 = x12*x33
-        x89 = alpha4*x12
-        x90 = 1/x5
-        x91 = x28*x90
-        x92 = q2*x17
-        x93 = q2*x48
-        x94 = x12*x93
-        x95 = q2*x12
-        x96 = q2*x70
-        x97 = q2*x55
-        x98 = x8*x90
+        x3 = t1*x2
+        x4 = q3*t1
+        x5 = x2*x4
+        x6 = x3 + x5
+        x15 = q2*t1
+        x16 = q1*t1
+        x17 = 2*t1
+        x18 = x17 + 2
+        x19 = q1*x15
+        x20 = x17 + 4
+        x21 = q2*x20
+        x29 = 4*x15
+        x32 = t1*x12 + x31
+        x33 = 4*t1
+        x34 = 4*x4
+        x35 = -x33 - x34
+        x36 = q1*x35
+        x37 = q2*x36
+        x38 = -x4 - 2
+        x39 = q2*x35
+        x43 = q3*(x10*x4 + x2) + x15*x42
+        x44 = q3*x17
+        x45 = x17 + x44
+        x46 = -x45
+        x51 = x44 + 2
+        x52 = q3*q3
+        x53 = x17*x52 - 2
+        x54 = t1*x52
+        x55 = x44 + 4
+        x56 = q2*(-x33 - x55)
+        x57 = 10*x15
+        x58 = -x20 - x34
+        x61 = t1*(x25 + x59) + x2 + x24 + x26 + x4*x60
+        x62 = q2*x17
+        x64 = t1*(x12 + x59)
+        x65 = q1*x3 + x2
+        x66 = q2*x51
+        x67 = q1*x29
+        x68 = q1*(-6*x19 - x21) + q2*x53
+        x69 = -x66 - x67
+        x70 = x10 + x11*x54
+        x71 = q2*(q3*x58 - x29 - 2) + x37
+        x72 = q1*x6 + x10
         msc = -sc
         return (
-            sc*(p1*x55*x91 + x10*x48*x91 - x12*x3*x55 - x12*x39*x48 - x12*(x28*x60 - x83) + x43*(-alpha5 + 2*q1*x17 + rho4 + x19 + x21) + x55*x88 - x8*(x40 + x92) + x86 + x87*(-x27*x28 - x54) + x89*(x28*x34 + x49)),
-            sc*(-alpha3*(-x12*(x56 - x96) - x72*x95) - alpha4*(-x12*(-q2*x35 - x96) - x74*x95) + q2*t1*x16*x2 + q2*t1*(x14*(q1 + q3) + x16*x24 + 2*x92) - x12*(-q2*x61 + x8*x82) - x13*(q2*x51 - x8*x94) - x31*(-x28*x59 + x97) - x33*(-x59 - x94) - x44*(-x12*x28*x51 + x93) - x46*(q2*x58 - x12*x8*x97) - x79*x95 - x8*(2*q2*x14 + x16*x40 + x17*(q1*q2 + q2*q3))),
-            sc*(-p1*x59 + p2*x58*x98 + p3*x51*x98 - x12*(-q2*x53 + x77*x8) + x43*(2*alpha2 + alpha5 + rho4 + x20 + x22) - x44*x51 + x51*x88 - x8*(q2*x17 + 2*q3*x14 - x40) - x86 + x87*(x49 - x7*x8) + x89*(x49 + x50*x8)),
-            msc*(-alpha3*(-x31*(x26 + x30) - x32) - alpha4*(-x31*(-x29 - x35) - x32) + q2*t1*(x15 + x17*x18 - x25) - x1 - x13*(-x11*x8 + x5*x6) - x2*x4 - x31*(-t1*x45 + x28*x42 - x61) - x33*(-x11 - x38) - x44*(-p1*x29 + x10*x5 - x53) - x46*(-x42*x43 + x45*x8) - x8*(x10*x17 - x41)),
-            msc*(-alpha3*(-x46*x72 - x46*(x26 + x71) - x73) - alpha4*(-x46*x74 - x46*(-x35 - x70) - x73) + 2*p2*q2*t1*x17 + t1*x17*x2 + t1*(x14*x62 + x17*x24) - x13*(x3*x5 - x53 + x69*x8) - x31*(-t1*x76 + x28*x75) - x33*(-x66 - x68) - x44*(-p2*x29 - t1*x69) - x46*x79 - x46*(-x43*x75 - x61 + x76*x8) - x8*(2*x15 + x17*x62)),
-            msc*(-alpha3*(-x13*(x47 + x71) - x32) - alpha4*(-x13*(-x57 - x70) - x32) + q2*t1*(x15 + x25) + t1*(x14*(2*p3*q3 - x23) + x17*x40) - x1 - x13*(-x43*x84 - x78 + x8*x85) - x2*(-t1*x14 - x4) - x31*(p3*q2*x5 - x29*x3) - x33*(-x4 - x81) - x44*(-t1*x85 + x28*x84) - x46*(p2*(q2*q2)*x5 - x39*x70 - x83) - x8*(2*p3*x14 + x10*x17 + x41)),
+            sc*(alpha4 + p1*(q1*(q1*(-q1*x17 - x18) + x62 - 2) + q2*x44) + p2*x68 + p3*x69 + q1*(x16*x47 + x32) + x15*x50 + x70),
+            sc*(p1*x68 + p2*(q1*(q2*(-q3*x55 - x57 - 2) + x37) + q2*(q3*x53 + x56)) + p3*x71 + q1*(x43 + x72) + q2*x61 + q3*x70),
+            sc*(alpha4 + p1*x69 + p2*x71 + p3*(q3*(q3*(-x45 - 2) - 2) + x39) + q3*(x31 + x4*(alpha1 + 5*alpha2 + x13 + x40 + x63) + x64) + x15*x48 + x72),
+            msc*(p1*(p1*(q1*(-3*x16 - x18) + x15 - 1) + p2*(-12*x19 - x21) - p3*x29 + x16*x28 + x32) + p2*(p2*(q2*(q3*x38 - 5*x15 - 1) + x37) + p3*x39 + q1*(t1*x23 + x23*x4) + x10 + x43) + p3*x6 + t1*(-alpha0*alpha2 + alpha1*x11 - alpha2*x14 - alpha5*x9 - x7 - x8)),
+            msc*(p1*(p1*(x16 + x4) + p2*(q1*(-6*x16 - x20) + x53) + p3*(-q1*x33 - x51) + t1*x50) + p2*(p2*(q1*(q1*x46 + q3*x38 - x57 - 1) + q3*(x54 - 1) + x56) + p3*(q3*x58 - 8*x15 + x36 - 2) + x16*x42 + x61) + p3*(p3*x46 + t1*x48)),
+            msc*(p1*(p1*x15 + p2*q3*x29 - p3*x62 - x2*x4) + p2*(p2*(q1*(-q1*x62 - x66) + q2*(3*t1*x52 - x15 - 1)) + p3*(q2*(-x20 - 8*x4) - x67) + q1*(x5 + x65) + x10 + x15*x60 + x54*(-3*alpha2 - x63)) + p3*(p3*(q3*(-x18 - 3*x4) - x62 - 1) + x30 + x4*(10*alpha2 + 6*alpha5 + 4*rho4 + x27) + x64 + x65) + t1*(alpha0*rho4 + alpha1*x11 + alpha2*(-rho4 - x49 - x63) + alpha5*(-rho4 - x9) - (rho4*rho4) - x7 - x8)),
         )
 
     return kernel

@@ -11,275 +11,135 @@ def field_1(par, t):
     alpha3 = par["alpha3"]
     alpha4 = par["alpha4"]
     alpha5 = par["alpha5"]
-    x104 = alpha1 - 1
+    x0 = 6*alpha3
+    x1 = 6*alpha4
+    x2 = 12*alpha5
+    x3 = 6*alpha2
+    x4 = 6*alpha5
+    x5 = x3 + x4
+    x32 = 12*alpha2
+    x33 = -x2 - x32
+    x34 = 2*alpha1 + 2*alpha4 - 2
+    x35 = 2*alpha3 + x34
+    x36 = 4*alpha2
+    x37 = 4*alpha5
+    x38 = x36 + x37
+    x39 = alpha1 + alpha4 - 1
+    x60 = 3*alpha3
+    x61 = 3*alpha4
+    x62 = 3*alpha1 + x61 - 3
+    x64 = 18*alpha2
+    x65 = 18*alpha5
+    x66 = -x64 - x65
+    x67 = 4*alpha1 + 4*alpha3 + 4*alpha4 + x66 - 4
+    x68 = 2*alpha2
+    x69 = 2*alpha5
+    x70 = -x68 - x69
+    x80 = x64 + x65
+    x81 = 12*alpha1 + 12*alpha3 + 12*alpha4 - 12
+    x82 = x2 + x32
+    x84 = 6*alpha1 + x0 + x1 - 6
+    x85 = x66 + x84
+    x91 = -x3 - x4
+    x98 = -36*alpha2 - 36*alpha5
+    x99 = x84 + x98
+    x105 = alpha3 + x39
+    x112 = x68 + x69
 
     def kernel(z, w, sc):
         t1 = z
         q1, q2, q3, p1, p2, p3 = w
-        x0 = q1*q1
-        x1 = 1/t1
-        x2 = q1*t1
-        x3 = -t1 - x2
-        x4 = p1/3
-        x5 = p3*x0 + x4
-        x6 = t1*x5
-        x7 = t1*t1
-        x8 = q1*x7
-        x9 = -x2 - 1
-        x10 = t1*x9
-        x11 = -x10 + x8
-        x12 = x1*x11
-        x13 = p2*x12
-        x14 = x13/3
-        x15 = -q2*x7
-        x16 = x2*x9
-        x17 = x1*(-x15 - x16)
-        x18 = p3*x17
-        x19 = -x14 - x18 - x6
-        x20 = p2*q2
-        x21 = q1*q1*q1
-        x22 = q3 - x21
-        x23 = p3*x22
-        x24 = 2*alpha2 + 2*alpha5 + 2*x20/3 + x23
-        x25 = t1*x24
-        x26 = x17/3
-        x27 = q2 + x0
-        x28 = p3*x27 + x4
-        x29 = x12*x28
-        x30 = -p2*x26 - x25 - x29
-        x31 = t1*x30
-        x32 = x19*x3 - x31
-        x33 = p2*t1
-        x34 = p3*x1
-        x35 = x11*x34
-        x36 = -2*p3*x2 - 2*x33/3 - x35
-        x37 = t1*x19
-        x38 = t1*x28
-        x39 = 2*q1
-        x40 = x14 + x35*x39
-        x41 = 3*p3*t1*x0 - 2*x38 - x40
-        x42 = t1*x41
-        x43 = q2*q2
-        x44 = 2*x43
-        x45 = x22/3
-        x46 = p2*x45 + p3*x44
-        x47 = x1*x46
-        x48 = -3*q2*x7
-        x49 = -x16 - x48
-        x50 = x1/3
-        x51 = x49*x50
-        x52 = p2*x51
-        x53 = x12*x5
-        x54 = q2*x10
-        x55 = x22*x7
-        x56 = q2*x8
-        x57 = x55 + x56
-        x58 = x1*(-x54 + x57)
-        x59 = p3*x58
-        x60 = -x52 - x53 - x59
-        x61 = x1*x28
-        x62 = x58/3
-        x63 = x12*x24
-        x64 = -p2*x62 - x49*x61 - x63
-        x65 = t1*x64
-        x66 = x3*x60 - x65
-        x67 = 2*x37
-        x68 = t1*x46
-        x69 = -q2 + x0
-        x70 = p3*x69 + x4
-        x71 = alpha2 + alpha5 + x20/3 + x23
-        x72 = x12*x71
-        x73 = -x17*x70 - x68 - x72
-        x74 = t1*x73
-        x75 = -q2*x67 + x3*x30 - x74
-        x76 = -q2*x31 - x22*x37 + x3*x73
-        x77 = -2*q2*x7
-        x78 = -x16 - x77
-        x79 = x1*x78
-        x80 = 2*x54
-        x81 = x55 + 2*x56
-        x82 = -x80 + x81
-        x83 = x50*x82
-        x84 = p2*x83
-        x85 = x10*x22
-        x86 = x22*x8 + x44*x7
-        x87 = x1*(-x85 + x86)
-        x88 = p3*x87
-        x89 = -x5*x79 - x84 - x88
-        x90 = x87/3
-        x91 = -p2*x90 - x24*x79 - x61*x82
-        x92 = t1*x91
-        x93 = x3*x89 - x92
-        x94 = x34*x39
-        x95 = q2*t1
-        x96 = 2*x95
-        x97 = -3*p3*x0*x1*x11
-        x98 = x12*x70
-        x99 = t1*x71
-        x100 = -p2*t1*x0 + 2*x99
-        x101 = x100 + x18*x39 + x98
-        x102 = -x101 - x97
-        x103 = x1*x71
-        x105 = 3*x7
-        x106 = x0*x105
-        x107 = 4*q2*x7 - x106
-        x108 = p2*x50
-        x109 = x107*x108
-        x110 = x34*x78
-        x111 = -x105*x21
-        x112 = 2*x55
-        x113 = 3*x0
-        x114 = x10*x113
-        x115 = x111 + x112 + x114
-        x116 = x109 + x110*x39 + x115*x34 + x53
-        x117 = x34*x49
-        x118 = 2*x25
-        x119 = -x106 - x77
-        x120 = x108*x119 + x118
-        x121 = x117*x39 + x120 + x29
-        x122 = 2*x6
-        x123 = -x119*x34 - x122 - x40
-        x124 = t1*x60
-        x125 = -x121 - x97
-        x126 = t1*x125
-        x127 = x1*x24
-        x128 = t1*x3
-        x129 = x112 + x113*x128
-        x130 = -x128 + x8
-        x131 = x1*x130
-        x132 = x2*x3
-        x133 = -x132 - x15
-        x134 = -x132 - x77
-        x135 = -x132 - x48
-        x136 = x135*x34
-        x137 = x100 + x109 + x120
-        x138 = 2*x124
-        x139 = x12*x46
-        x140 = -x103*x49 - x139 - x58*x70
-        x141 = t1*x140
-        x142 = -q2*x138 - x141 + x3*x64
-        x143 = x142*x34
-        x144 = -x10 - x128
-        x145 = x1*x144
-        x146 = q2*x7
-        x147 = x3*x9
-        x148 = x146 + x147
-        x149 = 2*x146
-        x150 = x147 + x149
-        x151 = 3*x146 + x147
-        x152 = x151*x34
-        x153 = t1*x22
-        x154 = x1*x70
-        x155 = t1*x89
-        x156 = -x116
-        x157 = x34*x82
-        x158 = 3*p3*x0*x1*x78 - x107*x61 - x108*x115 - x157*x39 - x63
-        x159 = t1*x158
-        x160 = x1*x5
-        x161 = 2*x68
-        x162 = p2*x0*x1*x11 + 3*p3*x0*x1*x49 - x119*x154 - x161 - x39*x59 - x72
-        x163 = p2*x0*x1*x78 + 3*p3*x0*x1*x82 - x103*x107 - x115*x154 - x139 - x39*x88
-        x164 = -x103*x82 - x46*x79 - x70*x87
-        x165 = t1*x164
-        x166 = p3*x128
-        x167 = -x33 - x35
-        x168 = t1*x167
-        x169 = 3*x38
-        x170 = x117 + x169
-        x171 = -x13 - x170
-        x172 = t1*x171
-        x173 = -x18
-        x174 = 2*x8
-        x175 = 2*x10
-        x176 = x174 - x175
-        x177 = x108*x176 + x122
-        x178 = t1*x70
-        x179 = p3*x95
-        x180 = x178 + 8*x179
-        x181 = 2*x128
-        x182 = 4*p2/3
-        x183 = x122 + x169 + x180
-        x184 = 4*q2
-        x185 = 4*x179
-        x186 = -x177 - x185
-        x187 = 2*p2/3
-        x188 = -4*q2*x33/3 - x118 - x157 - x176*x61 - x187*x79
-        x189 = t1*x188
-        x190 = p3*x149
-        x191 = x14 + x178
-        x192 = -x173 - x185 - x191
-        x193 = x1*x66
-        x194 = x23*x7
-        x195 = q2*x168
-        x196 = -x184*x35 - x52 + x59 - x98 - 3*x99
-        x197 = 2*x155
-        x198 = -x103*x176 - x110*x184 - x161 - x178*x184 - x84 + x88
-        x199 = 3*x34
-        x200 = -x33/3 - x35
-        x201 = t1*x200
-        x202 = -x166 - x201
-        x203 = -x110 - x14 - x38
-        x204 = t1*x203
-        x205 = x200*x3
-        x206 = -x117 - x191
-        x207 = q2*x201
-        x208 = x79/3
-        x209 = -p2*x208 - x157 - x98 - x99
-        x210 = x12*x3/3
-        x211 = -x15 - x16/3 - x210
-        x212 = x55/3
-        x213 = q2/3
-        x214 = x11*x45
-        x215 = 2*q2/3
-        x216 = x11*x215
-        x217 = x3*x51
-        x218 = x3*x83
-        x219 = -t1*x215 - x26
-        x220 = t1*x219
-        x221 = q3/3 - x21/3
-        x222 = t1*x221
-        x223 = q2*x128
-        x224 = q2*x181
-        x225 = -x12*x213 - x222
-        x226 = -x12*x215 - x62
-        x227 = t1*x226
-        x228 = -x22*x7
-        x229 = -x215*x79 - x90
-        x230 = t1*x229
-        x231 = -q2*x51 - x12*x221
-        x232 = x1*x32
-        x233 = -q2*x83 - x221*x79
-        x234 = -x12*x27 - x153
-        x235 = t1*x234
-        x236 = -t1*x0 - x17
-        x237 = x1*x27
-        x238 = x237*x49
-        x239 = x12*x22
-        x240 = -x238 - x239
-        x241 = t1*x240
-        x242 = -x0*x12 - x58
-        x243 = x0*x79 + x87
-        x244 = t1*x44
-        x245 = x17*x69 + x244
-        x246 = -x22*x79 - x237*x82
-        x247 = t1*x246
-        x248 = -x243
-        x249 = -x239 - x245
-        x250 = x0*x1
-        x251 = x1*x69
-        x252 = 2*x22
-        x253 = x128*x22
-        x254 = x1*x22
-        x255 = -x12*x44 - x254*x49 - x58*x69
-        x256 = -x254*x82 - x44*x79 - x69*x87
+        x6 = 2*t1
+        x7 = q2*x6
+        x8 = 2*t1/3
+        x9 = x8 + 2/3
+        x10 = -x9
+        x11 = -q1*x10
+        x12 = 8*t1
+        x13 = q2*x12
+        x14 = q1*x12
+        x15 = x6 + 2
+        x16 = 8*t1/3 + 8/3
+        x17 = -q3*x6
+        x18 = -q2*x16 + x17
+        x19 = 16*t1
+        x20 = x12 + 8
+        x21 = -x20
+        x22 = q2*x21
+        x23 = 18*t1
+        x24 = q2*x23
+        x25 = q1*t1
+        x26 = 4*t1
+        x27 = x26 + 4
+        x28 = -x27
+        x29 = q3*x28
+        x30 = 12*t1
+        x31 = -(q2*q2)*x30 + x29
+        x40 = t1*(alpha3 + alpha4 - x38) - x36 - x37 + x39
+        x41 = q3*x10
+        x42 = 6*t1
+        x43 = q2*x42
+        x44 = q2*t1
+        x45 = 4*t1/3 + 4/3
+        x46 = -x45
+        x47 = q2*x46
+        x48 = x17 + x47
+        x49 = 48*x44
+        x50 = 12*q3
+        x51 = -t1*x50
+        x52 = x42 + 6
+        x53 = -x52
+        x54 = q2*x53
+        x55 = 24*x44
+        x56 = 36*t1
+        x57 = -2*q3
+        x58 = -q3*x23
+        x59 = q2*(x22 + x58) + x57
+        x63 = -q1*t1*(-x60 - x62)
+        x71 = q3*q3
+        x72 = 9*t1
+        x73 = q3*x53
+        x74 = x24 + 6
+        x75 = -x23 - 18
+        x76 = x56 + 36
+        x77 = q3*t1
+        x78 = -q2*x76
+        x79 = q2*(-54*x77 + x78) - x50
+        x83 = t1*x82 + x82
+        x86 = -q2*x83 + x77*x85
+        x87 = q1*x6
+        x88 = x87 + x9
+        x89 = -x88
+        x90 = q1*x26
+        x92 = t1*(x35 + x91)
+        x93 = -q3*x42
+        x94 = q1*x42
+        x95 = x27 + x94
+        x96 = -30*x77
+        x97 = 54*x44
+        x100 = q2*x28
+        x101 = q2*x30
+        x102 = q2*x56
+        x103 = t1*(2*alpha3 + 2*alpha4 - x5) + x34 + x91
+        x104 = x43 + 2
+        x106 = t1*(x105 + x70)
+        x107 = -q3*x26
+        x108 = t1*(-x5 + x60 + x61) + x62 + x91
+        x109 = q2*x26
+        x110 = q1*(q1*(q1*x88 - x109) + x18) + q2*(-x109 - 4/3) + x41
+        x111 = q1*(q1*(q1*(q1*(x15 + x94) - x43) - q3*x12 + x100) + x31) + q2*(x100 + x93) + x57
+        x113 = q1*(q1*(q1*(q1*(q1*x95 + x104) - q2*x15 + x107) + q2*(-x55 - 4) + x29) + x59) + q2*(q2*(-x101 - 4) + x73) - x6*x71
+        x114 = x30 + 12
+        x115 = -x114
+        x116 = q3*x115
         msc = -sc
         return (
-            sc*(-alpha3*(-x133*x50 - x134*x50 - x135*x50) - alpha4*(-x148*x50 - x150*x50 - x151*x50) - x103*x211 - x104*(-x208 - x26 - x51) - x108*(x213*x49 + x214 - x3*x62) - x108*(-x10*x45 + x215*x78 - x218 + 2*x43*x7/3 + x45*x8) - x127*x211 - x142*x50 - x154*(x11*x213 + x212 - x26*x3) - x160*(-x208*x3 + x212 - 2*x54/3 + 2*x56/3) - x34*(x213*x82 - x3*x90 + x45*x78) - x47*(q1*x7/3 - x10/3 - x128/3) - x50*x76 - x50*x93 - x61*(x212 + x216 - x217 - x54/3 + x56/3)),
-            sc*(-alpha3*(-q2*x131 - x222 - x50*(-x223 + x57) - x50*(-x224 + x81)) - alpha4*(-q2*x145 - x222 - x50*(-x223 - x228 - x54) - x50*(-x224 - x228 - x80)) - q2*x50*x75 - x103*(-t1*x225 + x216 + x219*x3) - x104*(-q2*x12 - x222 - x62 - x83) - x108*(-q2*x227 + x231*x3 + x45*x49) - x108*(-t1*x233 + x215*x82 + x229*x3) - x127*(-x217 - x227) - x154*(-q2*x220 + x214 + x225*x3) - x160*(-x218 - x230) - x193*x215 - x221*x232 - x34*(-q2*x230 + x233*x3 + x45*x82) - x47*(-x210 - x220) - x50*(-q2*x197 - x165 + x3*x91) - x50*(-q2*x65 - x124*x22 + x140*x3) - x61*(-t1*x231 + x215*x49 + x226*x3)),
-            sc*(-alpha3*(-x1*(-x253 + x86) - x131*x252 - x133*x251 - x134*x250 - x135*x237 - x244) - alpha4*(-x1*(-x253 + 2*x43*x7 - x85) - x145*x252 - x148*x251 - x150*x250 - x151*x237 - x244) - x1*(-q2*x92 - x155*x22 + x164*x3) - x103*(-t1*x249 + x234*x3 - x236*x96) - x104*(-x238 - 2*x239 - x243 - x245) - x108*(-q2*x241 - x153*x242 + x255*x3) - x108*(-t1*x256 + x246*x3 - x248*x96) - x127*(-x241 + x242*x3) - x142*x237 - x154*(-q2*x235 - x153*x236 + x249*x3) - x160*(-x247 + x248*x3) - x232*x44 - x250*x93 - x251*x76 - x254*x66 - x254*x75 - x34*(-q2*x247 - x153*x248 + x256*x3) - x47*(-x235 + x236*x3) - x61*(-t1*x255 + x240*x3 - x242*x96)),
-            msc*(-3*alpha2*t1*(alpha0 + alpha2) - alpha3*(6*p3*x0*x1*x130 - x131*x28 - x131*x5 - x131*x70 - x133*x34*x39 - x134*x94 - x136*x39 - x137 - x34*(x111 + x129)) - alpha4*(6*p3*x0*x1*x144 - x137 - x145*x28 - x145*x5 - x145*x70 - x148*x34*x39 - x150*x94 - x152*x39 - x34*(x114 + x129)) + p2*x0*x1*x32 + 3*p3*x0*x1*x66 + 3*p3*x0*x1*x75 - x103*(-t1*x102 + x3*x41 - x31 - x36*x96) - x104*(6*p3*x0*x1*x11 - x101 - x116 - x121) - x108*(-t1*x163 - x156*x96 + x158*x3 - x92) - x108*(-q2*x126 + 3*t1*x0*x60 - x123*x153 - x141 + x162*x3) - x127*(x123*x3 - x124 - x126) - x143*x39 - x154*(-q2*x42 + 3*t1*x0*x19 + x102*x3 - x153*x36 - x74) - x160*(-x155 + x156*x3 - x159) - x34*x39*x76 - x34*(-q2*x159 + 3*t1*x0*x89 - x153*x156 + x163*x3 - x165) - x47*(x3*x36 - x37 - x42) - x61*(-t1*x162 - x123*x96 + x125*x3 - x65) - x93*x94),
-            msc*(-alpha3*(p3*x1*x133 - x108*(x174 - x181) - x131*x182 - x136 - x183) - alpha4*(p3*x1*x148 - x108*(-x175 - x181) - x145*x182 - x152 - x183) + p3*x1*x76 - x103*(-t1*x192 + x167*x3 + x190 - x67) - x104*(-4*x13/3 - x170 - x173 - x177 - x180) - x108*x75 - x108*(-q2*x172 - x168*x22 + x196*x3 - x65) - x108*(-t1*x198 - x186*x96 + x188*x3 - x197) - x127*(x167*x3 - x172) - x143 - x154*(x192*x3 + x194 - x195 - x31) - x160*(x186*x3 - x189) - x184*x32*x34 - x187*x193 - x34*(-q2*x189 - x153*x186 + x198*x3 - x92) - x47*(-x166 - x168) - x61*(-t1*x196 - x138 + x171*x3 - 2*x195)),
-            msc*(-alpha3*(-x130*x199 - x33) - alpha4*(-x144*x199 - x33) - p3*x68 - x103*x202 - x104*(-x33 - 3*x35) - x108*x32 - x108*(-t1*x209 + x203*x3 - 2*x207) - x108*(-x124 + x194 + x206*x3 - x207) - x127*x202 - x154*(p3*x146 + x205 - x37) - x160*(x200*x3 - x204) - x34*x66 - x34*x75 - x34*(-q2*x204 - x155 - x201*x22 + x209*x3) - x61*(-t1*x206 + x190 + x205)),
+            sc*(alpha4 + p1*(q1*(-x109 - x11 - 2/3) - q3*x8 + x47) + p2*x110 + p3*x111 + q1*(x25*(x105 + x91) + x40) + q2*x92 + x70),
+            sc*(p1*x110 + p2*(q1*(q1*(q1*(q1*(x45 + x87) + x7 + 2/3) + x48) + q2*(-x101 - 4/3) + q3*x46) + q2*(x100 - 10*x77/3) - 2*q3/3) + p3*x113 + q1*(q1*(-q1*t1*x105 - t1*x112 - x112) + q2*t1*x67 - x112) + q2*x103 + q3*x106),
+            sc*(p1*x111 + p2*x113 + p3*(q1*(q1*(q1*(q1*(q1*(q1*(q1*x23 + x114) + x74) + x93) + q2*(6 - x97) + x116) + x79) + q2*(q2*(-x102 - 12) + x116) - x23*x71) + q2*(q2*(q2*x115 + x96) - 6*q3) + x53*x71) + q1*(q1*(q1*(-t1*x5 - x5 - x63) + x44*x99 + x61 + x91) + x86) + q2*(q2*t1*x85 - x5) + q3*x108),
+            msc*(p1*(p1*(-x11 - x7 - 1/3) + p2*(q1*(q1*(x14 + x15) - x13) + x18) + p3*(q1*(q1*(q1*(x20 + 30*x25) - x24) - q3*x19 + x22) + x31) + x25*(x33 + x35) + x40) + p2*(p2*(q1*(q1*(q1*(x16 + 5*x25) + 3*x44 + 1) + x48) + q2*(-x43 - 2/3) + x41) + p3*(q1*(q1*(q1*(q1*(q1*x56 + 20*t1 + 20) + x55 + 8) + x51 + x54) + q2*(-x49 - 8) + q3*x21) + x59) + q1*(-t1*x38 - x38 - x63) + x44*x67 + x70) + p3*(p3*(q1*(q1*(q1*(q1*(q1*(63*x25 + x76) + 45*x44 + 15) + x51) + q2*(9 - 81*x44) + q3*x75) + x79) + q2*(-q2*x74 + x73) - x71*x72) + q1*(q1*(-q1*t1*x81 - t1*x80 - x80) + x1 + x33 + x44*(-72*alpha2 - 72*alpha5 + x81)) + x86) + t1*(-3*alpha0*alpha2 + alpha1*x5 + alpha2*(-15*alpha2 + 6*alpha3 + 6*alpha4 - 24*alpha5 - 6) + alpha5*x0 + alpha5*x1 + alpha5*(-x2 - 6))),
+            msc*(p1*(p1*x89 + p2*(q1*(-x16 - x90) - x13 - 4/3) + p3*(q1*(-q1*x95 - x55) + x22 + x93) + x92) + p2*(p2*(q1*(q1*(x25 - x9) - x101 - 2/3) + x100 - 5*x77/3) + p3*(q1*(q1*(q1*(-x15 + x94) - x49 - 4) + q2*(-x19 - 16) + x58) + q2*(-x102 - 8) + x73) + x103 + x25*x67) + p3*(p3*(q1*(q1*(q1*((q1*q1)*x72 - x97 + 3) - 27*x77 + x78) + q2*(-x97 - 12) + x73) + q2*(q2*x75 + x96) - 3*q3) + q1*(q1*t1*x99 - x83) + x44*(x81 + x98) + x91)),
+            msc*(p1*(-p1*t1/3 + p2*x89 + p3*(q1*(-x14 - x27) - x104)) + p2*(p2*(q1*(-x25 - x9) - 5*x44/3 - 1/3) + p3*(q1*(q1*(-x27 - x90) - x24 - 2) + x107 + x54) + x106) + p3*(p3*(q1*(q1*(q1*(-3*x25 - x52) - 27*x44 - 6) + x54 + x58) + q2*(-15*x44 - 3) + x73) + x108 + x25*x85)),
         )
 
     return kernel

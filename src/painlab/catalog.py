@@ -396,9 +396,11 @@ def flow_states(sid: str, i: int, params, state: PhaseState, end,
             for t, y in zip(ts, traj.states)]
 
 
-def constraint_rate(sid: str, params, state: PhaseState, constraints):
+def constraint_rate(sid: str, params, state: PhaseState, constraints,
+                    fields=()):
     """Max |d g/dt_i| over every flow i of ``sid`` and every constraint g,
-    NaN if any rate is NaN.
+    NaN if any rate is NaN; ``fields[i - 1]``, where given, is flow i's
+    :func:`vector_field` at ``state``, which is then not evaluated again.
 
     Each ``g(q, p, t, merged_params)`` cuts a submanifold; on an invariant
     one the rate vanishes.  One exact gradient pass over (q, p, t_1..t_m)
@@ -420,7 +422,8 @@ def constraint_rate(sid: str, params, state: PhaseState, constraints):
         state.q + state.p + state.t)
     rates = []
     for i in range(1, desc.n_times + 1):
-        dq, dp = vector_field(sid, i, par, state)
+        dq, dp = (fields[i - 1] if i <= len(fields)
+                  else vector_field(sid, i, par, state))
         dz = dq + dp
         # map stops at the 2n phase slots; the t_i slot's weight is 1
         rates.extend(abs(sum(map(mul, row, dz)) + row[2 * n + i - 1])

@@ -443,4 +443,5 @@ def lift_residuals(case: RigidCase, params, rhs, y, t):
     on = max_residual(abs(g(state.q, state.p, t, par))
                       for g in case.constraints)
     return (field, abs(case.pfaff(1, tuple(y), tuple(dy), t, par)), on,
-            constraint_flow_drift(case, params, state))
+            constraint_rate(case.parent, par, state, case.constraints,
+                            ((dq, dp),)))

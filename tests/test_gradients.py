@@ -111,18 +111,53 @@ def test_flows_do_not_import_sympy():
                    timeout=120)
 
 
-def test_committed_module_is_fresh():
-    # A full regeneration takes seconds; the smallest system takes
-    # milliseconds and exercises the whole pipeline, and the smallest
-    # two-time system a fraction of a second.
+def _generator():
     pytest.importorskip("sympy")
     path = os.path.join(ROOT, "tools", "gen_gradients.py")
     spec = importlib.util.spec_from_file_location("gen_gradients", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def _committed(sid):
+    path = os.path.join(SRC, "painlab", "_gradients", module_name(sid) + ".py")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# the smallest system whose kernel takes the Horner form
+HORNER_SID = "22,22,22,211"
+
+
+def test_committed_module_is_fresh():
+    # A full regeneration takes seconds; the smallest system takes
+    # milliseconds and exercises the whole pipeline, the smallest
+    # two-time system a fraction of a second, and HORNER_SID about one
+    # second.
+    gen = _generator()
     # 11,11,11,11,11 freezes t_2 for flow 1 and moves it for flow 2
-    for sid in ("11,11,11,11", "11,11,11,11,11"):
-        committed = os.path.join(SRC, "painlab", "_gradients",
-                                 module_name(sid) + ".py")
-        with open(committed, encoding="utf-8") as fh:
-            assert fh.read() == gen.render_module(sid)
+    for sid in ("11,11,11,11", "11,11,11,11,11", HORNER_SID):
+        assert _committed(sid) == gen.render_module(sid)
+
+
+def test_committed_kernel_is_the_form_with_fewer_operations():
+    gen = _generator()
+    ops = {form: gen.kernel_ops(source)
+           for form, source in gen.render_forms(HORNER_SID, 1).items()}
+    assert ops["horner"] < ops["cse"]
+    assert gen.kernel_ops(_committed(HORNER_SID)) == ops["horner"]
+
+
+def test_rendering_does_not_depend_on_the_hash_seed():
+    # --check must not flap with the hash order of sets and dicts
+    pytest.importorskip("sympy")
+    code = ("import sys; sys.path.insert(0, 'tools'); import gen_gradients; "
+            f"print(gen_gradients.render_module({HORNER_SID!r}))")
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", code], cwd=ROOT, stdout=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed))
+        for seed in ("1", "2")]
+    texts = [run.communicate(timeout=120)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert texts[0] == texts[1] == _committed(HORNER_SID) + "\n"

@@ -9,7 +9,11 @@ prints plain-Python complex arithmetic as ``field_<i>(par, t)``.  That
 function reads the parameters, unpacks the frozen times and runs the
 subexpressions that depend on no q, no p and not on t_i, once; the
 ``kernel(z, w, sc)`` it returns runs the rest, in the same order, and
-scales the partials into the flow field.  The output is one module per
+scales the partials into the flow field.  Where every expanded partial
+is a polynomial, the script also renders the CSE of their Horner forms
+and keeps whichever kernel runs fewer operations per call
+(:func:`render_field`); writing the modules prints one line per flow
+naming the form it took and both counts.  The output is one module per
 system in ``src/painlab/_gradients/``; see that package's docstring for
 the interface.
 
@@ -25,6 +29,7 @@ modules import nothing.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import sys
 
@@ -79,20 +84,25 @@ def _symbols(prefix, count):
     return tuple(sympy.Symbol(f"{prefix}{k}") for k in range(1, count + 1))
 
 
-def render_field(sid, i):
-    """Source of ``field_<i>(par, t)`` for the flow ``(sid, i)``.
-
-    The CSE steps that depend on no q, no p and not on t_i, directly or
-    through an earlier step, run once in ``field_<i>``; the rest run in
-    the ``kernel(z, w, sc)`` it returns, in the same order.
-    """
+def _partials(sid, i):
+    """(q, p, t, par, [dH_i/dq_j..., dH_i/dp_j...]) of the flow ``(sid, i)``
+    traced with symbols; ``par`` holds each parameter that H_i read."""
     desc = CATALOG[sid]
     q = _symbols("q", desc.n_pairs)
     p = _symbols("p", desc.n_pairs)
     t = _symbols("t", desc.n_times)
     par = _Params()
     h = HAMILTONIANS[sid](i, par, q, p, t)
-    partials = [sympy.diff(h, v) for v in q + p]
+    return q, p, t, par, [sympy.diff(h, v) for v in q + p]
+
+
+def _render(i, q, p, t, par, partials):
+    """Source of ``field_<i>(par, t)`` sharing ``sympy.cse`` of ``partials``.
+
+    The CSE steps that depend on no q, no p and not on t_i, directly or
+    through an earlier step, run once in ``field_<i>``; the rest run in
+    the ``kernel(z, w, sc)`` it returns, in the same order.
+    """
     steps, exprs = sympy.cse(partials, symbols=sympy.numbered_symbols("x"))
     used = set().union(*(e.free_symbols for e in exprs),
                        *(e.free_symbols for _, e in steps))
@@ -105,11 +115,11 @@ def render_field(sid, i):
         else:
             bound.append((lhs, rhs))
     printer = _Printer()
-    n = desc.n_pairs
+    n = len(q)
     lines = [f"def field_{i}(par, t):"]
     lines += [f'    {name} = par["{name}"]'
               for name in sorted(par) if par[name] in used]
-    if desc.n_times > 1:
+    if len(t) > 1:
         names = [s.name for s in t]
         names[i - 1] = "_"
         lines.append(f"    {', '.join(names)} = t")
@@ -127,10 +137,52 @@ def render_field(sid, i):
     return "\n".join(lines)
 
 
-def render_module(sid):
-    """Source of the generated module of one catalog system."""
+def render_forms(sid, i):
+    """{form: source of ``field_<i>``} of the flow ``(sid, i)``.
+
+    ``"cse"`` shares subexpressions of the partials as traced.  Where
+    every partial, expanded, is a polynomial in its symbols, ``"horner"``
+    shares subexpressions of their multivariate Horner forms
+    (``sympy.horner``, its variables in SymPy's sorted order).
+    """
+    q, p, t, par, partials = _partials(sid, i)
+    forms = {"cse": _render(i, q, p, t, par, partials)}
+    expanded = [sympy.expand(e) for e in partials]
+    if all(e.is_polynomial() for e in expanded):
+        forms["horner"] = _render(i, q, p, t, par,
+                                  [sympy.horner(e) for e in expanded])
+    return forms
+
+
+def kernel_ops(source):
+    """Operations per kernel call: the BinOp and UnaryOp nodes in the body
+    of every ``kernel`` defined in ``source``."""
+    return sum(isinstance(node, (ast.BinOp, ast.UnaryOp))
+               for fn in ast.walk(ast.parse(source))
+               if isinstance(fn, ast.FunctionDef) and fn.name == "kernel"
+               for node in ast.walk(fn))
+
+
+def render_field(sid, i):
+    """(form, {form: kernel ops}, source) of the form of ``field_<i>``
+    whose kernel runs the fewest operations; a tie keeps ``"cse"``."""
+    forms = render_forms(sid, i)
+    ops = {form: kernel_ops(source) for form, source in forms.items()}
+    best = min(ops, key=ops.get)  # the first of equal counts: "cse"
+    return best, ops, forms[best]
+
+
+def render_module(sid, log=None):
+    """Source of the generated module of one catalog system; each flow
+    appends a line naming its form and kernel operations to ``log``."""
     desc = CATALOG[sid]
-    funcs = [render_field(sid, i) for i in range(1, desc.n_times + 1)]
+    funcs = []
+    for i in range(1, desc.n_times + 1):
+        form, ops, source = render_field(sid, i)
+        funcs.append(source)
+        if log is not None:
+            counts = ", ".join(f"{f} {n}" for f, n in ops.items())
+            log.append(f"{sid}:{i} {form} (kernel ops: {counts})")
     names = ", ".join(f"field_{i}" for i in range(1, desc.n_times + 1))
     header = (
         f'"""Bound flow fields of the {sid} Hamiltonians.\n\n'
@@ -142,9 +194,11 @@ def render_module(sid):
     return f"{header}\n\n{body}\n\n\nFIELDS = ({names},)\n"
 
 
-def expected_files():
-    """{file name: source} of every generated module."""
-    return {module_name(sid) + ".py": render_module(sid) for sid in CATALOG}
+def expected_files(log=None):
+    """{file name: source} of every generated module; ``log`` as in
+    :func:`render_module`."""
+    return {module_name(sid) + ".py": render_module(sid, log)
+            for sid in CATALOG}
 
 
 def _generated_on_disk():
@@ -182,7 +236,8 @@ def main(argv=None):
                         help="regenerate in memory; exit 1 if any committed"
                              " module differs")
     args = parser.parse_args(argv)
-    files = expected_files()
+    log = []
+    files = expected_files(log)
     if args.check:
         stale = check(files)
         for name in stale:
@@ -193,6 +248,7 @@ def main(argv=None):
         print(f"{len(files)} generated modules are up to date")
         return 0
     write(files)
+    print("\n".join(log))
     lines = sum(src.count("\n") for src in files.values())
     print(f"wrote {len(files)} modules ({lines} lines) to {OUT_DIR}")
     return 0

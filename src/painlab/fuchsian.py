@@ -3,8 +3,8 @@
 A system is the data of its finite singular points (deformation times,
 then 1, then 0) and one residue matrix per point, held as one (P, L, L)
 stack; the residue at infinity is minus their sum.  Its coefficient
-M(x) = sum A_i/(x - t_i) drives two right-hand sides: ``rhs()`` on the
-flattened L x L fundamental matrix, and :class:`LinearRhs` on a vector,
+M(x) = sum A_i/(x - t_i) drives one right-hand side, :class:`LinearRhs`
+(``rhs()``): dY/dx = M(x) Y on a vector, a matrix or a stack of them,
 which the integrator steps with one evaluation of M per step.  Spectral
 types are tuples of integer partitions, one per singular point including
 infinity, in that order.
@@ -83,53 +83,34 @@ class FuchsianSystem:
         return -sum(self.residues)  # from 0: np.sum can flip a zero's sign
 
     def rhs(self):
-        """dY/dx = (sum A_i/(x - t_i)) Y for the integrator (Y flattened).
-
-        A plain rhs(x, y).  It broadcasts over a leading axis: (B, 1)
-        points x with (B, L*L) states y give (B, L*L), one point per row,
-        as the series transport of :mod:`painlab.monodromy` checks a block
-        of chords.
-        """
-        coefficient = _coefficient(self)
-        L = self.size
-
-        def rhs(x, y):
-            Y = y.reshape(y.shape[:-1] + (L, L))
-            return (coefficient(x) @ Y).reshape(y.shape)
-
-        return rhs
-
-
-def _coefficient(sys: FuchsianSystem):
-    """M(x) = sum A_i/(x - t_i), the points in the system's order; (B, 1)
-    points x give (B, L, L), one matrix per row."""
-    # add.reduce over the point axis keeps the left-to-right order of a
-    # plain sum of A_i/(x - t_i), where a product with a weight vector
-    # would round differently
-    pts = np.array(sys.points)
-    res = sys.residues
-
-    def coefficient(x):
-        return np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
-
-    return coefficient
+        """dY/dx = (sum A_i/(x - t_i)) Y: the system's :class:`LinearRhs`."""
+        return LinearRhs(self)
 
 
 class LinearRhs:
-    """dy/dx = M(x) y on a vector y, for M the coefficient of a
-    :class:`FuchsianSystem`: a plain rhs(x, y) that carries M as
-    ``coefficient``, which broadcasts as ``FuchsianSystem.rhs()`` does.
-
-    :func:`~painlab.integrator.integrate` recognises it and evaluates M at
-    a step's twelve stage points in one call; each stage then multiplies
-    its state by its matrix, as a call of this rhs does, so the two routes
-    agree to the bit.
+    """dY/dx = M(x) Y, M(x) = sum A_i/(x - t_i) of a :class:`FuchsianSystem`
+    summed in its points' order: a plain rhs(x, Y) that carries M as
+    ``coefficient``.  (B, 1) points x give (B, L, L), one matrix per row,
+    so Y may be a vector (L,), a matrix (L, L) or a (B, L, L) stack, as
+    the series transport of :mod:`painlab.monodromy` checks a block of
+    chords.  :func:`~painlab.integrator.integrate` evaluates M at a
+    step's twelve stage points in one call, and each stage multiplies its
+    state by its matrix, as a call does, so the two routes agree to the
+    bit.
     """
 
     __slots__ = ("coefficient",)
 
     def __init__(self, sys: FuchsianSystem):
-        self.coefficient = _coefficient(sys)
+        # add.reduce over the point axis keeps the left-to-right order of
+        # a plain sum of A_i/(x - t_i), where a product with a weight
+        # vector would round differently
+        pts, res = np.array(sys.points), sys.residues
+
+        def coefficient(x):
+            return np.add.reduce(res / (x - pts)[..., None, None], axis=-3)
+
+        self.coefficient = coefficient
 
     def __call__(self, x, y):
         return self.coefficient(x) @ y

@@ -30,13 +30,14 @@ hands the rhs a Python complex z, an Arc's by cmath.exp, and
 ``Trajectory.params`` holds Python floats.  An error norm that is NaN,
 or whose sum of squares overflows, fails the step.
 
-A linear rhs y' = M(z) y, given as a :class:`~painlab.fuchsian.LinearRhs`,
-takes a shorter route with the same arithmetic: all twelve stage abscissae
-s + c_k h of a step are known before its first stage (ibid., II.5), so the
-step evaluates the chart and M at all of them in one broadcast, and each
-stage forms its state as above and stores z'(s_k) (M_k @ y_k), the product
-a call of the pulled-back rhs makes.  The two routes agree to the bit.  Any
-other callable, a wrapped LinearRhs included, takes one call per stage.
+A linear rhs y' = M(z) y on a vector, a :class:`~painlab.fuchsian.LinearRhs`
+as ``FuchsianSystem.rhs()`` returns, takes a shorter route with the same
+arithmetic: all twelve stage abscissae s + c_k h of a step are known
+before its first stage (ibid., II.5), so the step evaluates the chart and
+M at all of them in one broadcast, and each stage forms its state as above
+and stores z'(s_k) (M_k @ y_k), the product a call of the pulled-back rhs
+makes.  The two routes agree to the bit.  Any other callable takes one
+call per stage, a wrapped LinearRhs too (on a flattened matrix, say).
 """
 
 from __future__ import annotations

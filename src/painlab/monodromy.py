@@ -44,6 +44,7 @@ and a block's work arrays are freed before its a-posteriori check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -120,7 +121,7 @@ def lasso_at_infinity(points, x0=None) -> ComplexPath:
     radius 2|x0| about 0, one clockwise turn, and back.
 
     From the default base point every finite singular point lies inside
-    the circle, so the loop is the clockwise :func:`big_circle` up to
+    the circle, so it is one clockwise turn about 0 through x0 up to
     homotopy; its return leg retraces the approach, like a :func:`lasso`.
     """
     pts = [complex(z) for z in points]
@@ -135,17 +136,6 @@ def lasso_at_infinity(points, x0=None) -> ComplexPath:
                        margin=None)
 
 
-def big_circle(points, x0=None) -> ComplexPath:
-    """One clockwise turn about 0 through x0."""
-    pts = [complex(z) for z in points]
-    if x0 is None:
-        x0 = base_point(pts)
-    r = abs(x0)
-    angle0 = float(np.angle(x0))
-    return ComplexPath(segments=(Arc(0.0, r, angle0, -2 * np.pi),),
-                       singularities=tuple(pts), margin=None)
-
-
 class TransportDefectError(RuntimeError):
     """A chord's series fails the a-posteriori check of its derivative."""
 
@@ -157,24 +147,20 @@ class TransportDefectError(RuntimeError):
         self.defect, self.tol = defect, tol
 
 
+@functools.lru_cache
 def series_order(rel_tol) -> int:
     """Order K of every chord's series, from the majorant and rel_tol.
 
-    K is the least order whose majorant tail at tau = 1 is at most
-    rel_tol for a chord of ratio RHO and alpha = SIGMA/RHO: SIGMA fixes
-    K, and :func:`_chord_ratio` then sizes each chord for it.  The
-    majorant (1 - RHO tau)^(-alpha) has coefficients c_k whose ratios
-    c_{k+1}/c_k = RHO (alpha + k)/(k + 1) decrease towards RHO, as
-    alpha = 5 > 1, so c_{K+1}/(1 - the ratio at K + 1) bounds the tail.
+    K is the least order at which :func:`_chord_ratio` lets a chord at
+    alpha = SIGMA/RHO have the full ratio RHO: SIGMA fixes K, and
+    :func:`_chord_ratio` then sizes each chord for it.  ValueError for a
+    rel_tol that is not positive, or that needs an order past MAX_ORDER.
     """
-    alpha = SIGMA / RHO
-    ck = 1.0
+    if not rel_tol > 0:  # a NaN too, which would leave every chord at RHO
+        raise ValueError(f"rel_tol {rel_tol} is not positive")
     for k in range(MAX_ORDER + 1):
-        nxt = ck * RHO * (alpha + k) / (k + 1)
-        ratio = RHO * (alpha + k + 1) / (k + 2)
-        if ratio < 1 and nxt / (1 - ratio) <= rel_tol:
+        if _chord_ratio(k, rel_tol)(SIGMA / RHO) >= RHO:
             return k
-        ck = nxt
     raise ValueError(f"rel_tol {rel_tol:.3g} needs a series order above "
                      f"{MAX_ORDER}")
 
@@ -309,11 +295,11 @@ def _transfer(sys, c, h, order, rel_tol, firsts):
         cb, hb = c[lo:lo + BLOCK], h[lo:lo + BLOCK]
         b = len(cb)
         t, dz = _recurrence(neg, hb / (pts[:, None] - cb), order)
-        t = t.transpose(1, 0, 2)
-        dz = dz.transpose(1, 0, 2).reshape(b, L * L)
-        slope = hb[:, None] * rhs((cb + hb)[:, None], t.reshape(b, L * L))
-        size = np.maximum(np.max(np.abs(dz), axis=1), np.finfo(float).tiny)
-        defect = np.max(np.abs(slope - dz), axis=1) / size
+        # t copied: the stacked product runs faster on it than on the view
+        t, dz = t.transpose(1, 0, 2).copy(), dz.transpose(1, 0, 2)
+        slope = hb[:, None, None] * rhs((cb + hb)[:, None], t)
+        size = np.abs(dz).max(axis=(1, 2)).clip(np.finfo(float).tiny)
+        defect = np.max(np.abs(slope - dz), axis=(1, 2)) / size
         worst = int(np.argmax(defect))
         if not defect[worst] <= tol:
             j = lo + worst

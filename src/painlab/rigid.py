@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import max_residual, time_derivative
-from .catalog import PhaseState, constraint_rate, full_params, vector_field
+from .catalog import (PhaseState, constraint_rate, full_params, lookup,
+                      vector_field)
 from .fuchsian import FuchsianSystem, LinearRhs
 
 __all__ = ["RigidCase", "RIGID_CASES", "build_rigid_matrices", "rigid_rhs",
@@ -35,7 +36,6 @@ class RigidCase:
     case_id: str
     parent: str
     spectral_type: str
-    n_times: int
     # map merged parent params -> violation of the parameter constraint
     parameter_constraint: callable
     # (name, par -> value, solved name): the parent draw on which the
@@ -54,6 +54,10 @@ class RigidCase:
     pfaff: callable
     # per time: list of (point label, exponents builder par -> tuple)
     scheme: callable
+
+    @property
+    def n_times(self):
+        return lookup(self.parent).n_times
 
 
 def _mats_case51(par):
@@ -284,7 +288,6 @@ RIGID_CASES = {
         case_id="case-21x4",
         parent="21,21,21,21,111",
         spectral_type="31,31,22,211",
-        n_times=2,
         parameter_constraint=lambda par: (par["alpha0"] + par["alpha1"]
                                           + par["alpha5"] + 1),
         tie=("theta3", lambda par: -par["rho2"] - par["theta1"], "rho3"),
@@ -303,7 +306,6 @@ RIGID_CASES = {
         case_id="case-3131",
         parent="31,31,22,22,22",
         spectral_type="31,22,22,22",
-        n_times=2,
         parameter_constraint=lambda par: par["alpha1"],
         tie=("theta1", lambda par: 0.0, "rho2"),
         admissible=_everywhere,
@@ -321,7 +323,6 @@ RIGID_CASES = {
         case_id="case-21-111",
         parent="21,111,111,111",
         spectral_type="211,211,211",
-        n_times=1,
         parameter_constraint=lambda par: par["eta"],
         tie=("rho1",
              lambda par: -(par["theta1"] + par["theta21"] + par["theta31"]),
@@ -341,7 +342,6 @@ RIGID_CASES = {
         case_id="case-3122",
         parent="31,22,211,1111",
         spectral_type="22,211,1111",
-        n_times=1,
         parameter_constraint=lambda par: (par["alpha1"] + par["alpha3"]
                                           - par["eta"]),
         tie=("theta1", lambda par: 0.0, "rho4"),

@@ -1,12 +1,13 @@
-"""Spectral types, accessory counts, assembly."""
+"""Spectral types, accessory counts, assembly, the linear rhs."""
 
 import numpy as np
 import pytest
 
 from painlab.catalog import full_params, lookup
 from painlab.fuchsian import (ClusterAmbiguityError, FuchsianSystem,
-                              accessory_count, parse_spectral_type,
-                              riemann_scheme_of)
+                              LinearRhs, accessory_count,
+                              parse_spectral_type, riemann_scheme_of)
+from painlab import monodromy
 from painlab.parametrizations import (SUPPORTED, UnsupportedAssemblyError,
                                       assemble, parametrization)
 from painlab.sampling import (redraws, rng_from_seed, sample_params,
@@ -189,3 +190,60 @@ def test_unsupported_assembly_raises():
     st = sample_state("42,33,33,222", rng)
     with pytest.raises(UnsupportedAssemblyError):
         assemble("42,33,33,222", par, st)
+
+
+def _ordered_coefficient(sys, x):
+    """A_1/(x - t_1) + A_2/(x - t_2) + ..., added left to right."""
+    terms = [a / (x - t) for t, a in zip(sys.points, sys.residues)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+def test_rhs_is_the_linear_rhs_on_a_vector_a_matrix_and_a_stack():
+    rng = np.random.default_rng(3)
+    L, B = 3, 5
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    sys = FuchsianSystem(points=(0.6 + 0.3j, 1.0, 0.0), residues=draw(3, L, L))
+    rhs = sys.rhs()
+    assert isinstance(rhs, LinearRhs)
+    x, xs = complex(draw()), draw(B, 1)
+    y, Y, Ys = draw(L), draw(L, L), draw(B, L, L)
+    assert rhs(x, y).tobytes() == (_ordered_coefficient(sys, x) @ y).tobytes()
+    assert rhs(x, Y).tobytes() == (_ordered_coefficient(sys, x) @ Y).tobytes()
+    got = rhs(xs, Ys)
+    assert got.shape == (B, L, L)
+    for row, xb, Yb in zip(got, xs[:, 0], Ys):
+        assert row.tobytes() == (_ordered_coefficient(sys, xb) @ Yb).tobytes()
+
+
+def test_the_series_transport_calls_the_traced_rhs(monkeypatch):
+    # the bench's tracer times the Fuchsian rhs by wrapping this method
+    # in a plain closure (bench/tracing.py); its traced run aborts on a
+    # layer with no calls, so the defect check must keep calling it, once
+    # per block of chords, and get the same bits through the wrapper
+    monkeypatch.setattr(monodromy, "BLOCK", 8)
+    sys = FuchsianSystem(points=(0.6 + 0.3j, 1.0, 0.0), residues=(
+        0.3 * np.array([[1, 2j], [0.5, -1]]), 0.2 * np.eye(2),
+        0.4 * np.array([[0, 1], [1j, 0.5]])))
+    plain = monodromy.monodromy_representation(sys)
+    rhs, calls = FuchsianSystem.rhs, []
+
+    def rhs_factory(self):
+        inner = rhs(self)
+
+        def traced(x, y):
+            calls.append(x)
+            return inner(x, y)
+
+        return traced
+
+    monkeypatch.setattr(FuchsianSystem, "rhs", rhs_factory)
+    rep = monodromy.monodromy_representation(sys)
+    assert len(calls) == -(-rep.transport_steps // 8) > 1
+    assert np.array_equal(np.array(rep.matrices + (rep.at_infinity,)),
+                          np.array(plain.matrices + (plain.at_infinity,)))

@@ -26,8 +26,8 @@ import numpy as np
 
 from painlab import catalog
 from painlab.catalog import PhaseState, flow_states
-from painlab.integrator import integrate, integrate_time
-from painlab.monodromy import big_circle
+from painlab.integrator import Arc, ComplexPath, integrate, integrate_time
+from painlab.monodromy import base_point
 from painlab.parametrizations import assemble
 from painlab.rigid import RIGID_CASES, rigid_rhs
 from painlab.sampling import rng_from_seed, sample_params, sample_state
@@ -89,9 +89,15 @@ def _assembled():
 
 
 def _big_circle_transport():
+    """The fundamental matrix, flattened, once clockwise about 0 through
+    the default base point."""
     sys = _assembled()
-    y0 = np.eye(sys.size, dtype=complex).ravel()
-    return integrate(sys.rhs(), y0, big_circle(sys.points), rel_tol=1e-10,
+    rhs, L = sys.rhs(), sys.size
+    x0 = base_point(sys.points)
+    circle = ComplexPath((Arc(0.0, abs(x0), float(np.angle(x0)), -2 * np.pi),),
+                         singularities=sys.points, margin=None)
+    return integrate(lambda x, y: rhs(x, y.reshape(L, L)).ravel(),
+                     np.eye(L, dtype=complex).ravel(), circle, rel_tol=1e-10,
                      abs_tol=1e-13)
 
 

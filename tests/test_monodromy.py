@@ -12,7 +12,7 @@ from painlab.fuchsian import FuchsianSystem
 from painlab import integrator, monodromy
 from painlab.integrator import (Arc, ComplexPath, StepBudgetError,
                                 StepUnderflowError, integrate)
-from painlab.monodromy import (TransportDefectError, base_point, big_circle,
+from painlab.monodromy import (TransportDefectError, base_point,
                                invariant_traces, isomonodromy_drift, lasso,
                                lasso_at_infinity, monodromy_matrix,
                                monodromy_representation, series_order)
@@ -119,10 +119,20 @@ def _assembled(sid, rng):
 
 
 def _transport(sys, loop, rel_tol=1e-10):
-    """Integration over the whole loop, return leg included."""
-    y0 = np.eye(sys.size, dtype=complex).ravel()
-    traj = integrate(sys.rhs(), y0, loop, rel_tol=rel_tol, abs_tol=1e-13)
-    return traj.end_state.reshape(sys.size, sys.size)
+    """Integration of the flattened fundamental matrix over the whole
+    loop, return leg included."""
+    rhs, L = sys.rhs(), sys.size
+    traj = integrate(lambda x, y: rhs(x, y.reshape(L, L)).ravel(),
+                     np.eye(L, dtype=complex).ravel(), loop, rel_tol=rel_tol,
+                     abs_tol=1e-13)
+    return traj.end_state.reshape(L, L)
+
+
+def big_circle(points):
+    """One clockwise turn about 0 through the default base point."""
+    x0 = base_point(points)
+    return ComplexPath((Arc(0.0, abs(x0), float(np.angle(x0)), -2 * np.pi),),
+                       singularities=tuple(points), margin=None)
 
 
 @pytest.mark.parametrize("sid", SUPPORTED)
@@ -304,6 +314,35 @@ def test_chord_ratio_bounds_the_summed_tail(alpha, order, rel_tol):
                           else math.inf)
     assert rho == monodromy.RHO \
         or _tail_bound(rho * (1 + gap), alpha, order) > rel_tol
+
+
+def _order_by_term_ratios(rel_tol):
+    """series_order's former loop, the reference: the least K whose
+    majorant tail c_{K+1}/(1 - the term ratio at K + 1) is at most
+    rel_tol, for ratio RHO and alpha = SIGMA/RHO = 5 > 1, where the
+    ratios c_{k+1}/c_k = RHO (alpha + k)/(k + 1) fall towards RHO."""
+    rho, alpha = monodromy.RHO, monodromy.SIGMA / monodromy.RHO
+    ck = 1.0
+    for k in range(monodromy.MAX_ORDER + 1):
+        nxt = ck * rho * (alpha + k) / (k + 1)
+        ratio = rho * (alpha + k + 1) / (k + 2)
+        if ratio < 1 and nxt / (1 - ratio) <= rel_tol:
+            return k
+        ck = nxt
+    raise ValueError(rel_tol)
+
+
+def test_series_order_matches_the_term_ratio_rule():
+    grid = [float(r) for r in np.logspace(-15, -2, 4001)]
+    assert [series_order(r) for r in grid] \
+        == [_order_by_term_ratios(r) for r in grid]
+    assert series_order(1e-10) == 38
+
+
+@pytest.mark.parametrize("rel_tol", [1e-75, 0.0, -1e-10, math.nan])
+def test_series_order_rejects_a_tolerance_it_cannot_meet(rel_tol):
+    with pytest.raises(ValueError, match="series order above|not positive"):
+        series_order(rel_tol)
 
 
 def test_chord_ratio_of_a_non_finite_alpha():

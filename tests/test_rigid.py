@@ -7,7 +7,8 @@ import pytest
 
 from painlab.catalog import PhaseState, full_params, lookup
 from painlab.fuchsian import LinearRhs, accessory_count
-from painlab.integrator import Arc, ComplexPath, Line, integrate
+from painlab.integrator import (Arc, ComplexPath, Line, integrate,
+                                integrate_time)
 from painlab.rigid import (RIGID_CASES, build_rigid_matrices,
                            constraint_flow_drift, lift_residuals,
                            lift_solution, rigid_rhs)
@@ -156,8 +157,6 @@ def test_case_3122_manifold_not_invariant_documented():
 @pytest.mark.parametrize("cid", ["case-21x4", "case-3131", "case-21-111",
                                  "case-3122"])
 def test_lift_satisfies_parent_field(cid):
-    from painlab.integrator import integrate_time
-
     rng = rng_from_seed(7)
     case = RIGID_CASES[cid]
     par = constrained_rigid_params(case, rng)
@@ -175,6 +174,28 @@ def test_lift_satisfies_parent_field(cid):
         assert pfaff < 1e-7
         assert on < 1e-11
         assert tangency < 1e-8
+
+
+@pytest.mark.parametrize("cid", ["case-21x4", "case-3131"])
+@pytest.mark.parametrize("seed", [7, 20260810])
+def test_t2_leg_obeys_the_printed_log_derivative_rule(cid, seed):
+    # the rules' t_2 branches, which lift_residuals (a t_1 leg) never
+    # reaches; the t_1 rule read on the same samples is the control
+    case = RIGID_CASES[cid]
+    par = constrained_rigid_params(case, rng_from_seed(seed))
+    merged = full_params(case.parent, par)
+    t1, t2 = TIMES2
+    end = t2 + 0.25
+    rhs = rigid_rhs(case, par, 2, (t1,))
+    traj = integrate_time(rhs, np.array([1.0, 0.1, 0.1, 0.1], dtype=complex),
+                          TIMES2, 2, end, rel_tol=1e-11, abs_tol=1e-14,
+                          samples=[0.4, 0.8])
+    assert len(traj.states) == 4
+    for s, y in zip(traj.params, traj.states):
+        t = (t1, t2 + s * (end - t2))
+        dy = rhs(t[1], y)
+        assert abs(case.pfaff(2, tuple(y), tuple(dy), t, merged)) < 1e-7
+        assert abs(case.pfaff(1, tuple(y), tuple(dy), t, merged)) > 1e-3
 
 
 def test_lift_direct_readoff_of_positions():
